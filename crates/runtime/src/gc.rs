@@ -2,9 +2,9 @@
 //! tracing collectors of OCaml, GHC and the JVM in the Fig. 9 comparison
 //! (see DESIGN.md for the substitution rationale).
 //!
-//! The collector is precise: the machine enumerates its roots (current
-//! environment plus every saved call-frame environment) and the
-//! collector traces the object graph from them. Collections trigger when
+//! The collector is precise: the machine enumerates its roots (the
+//! value stack, which holds every frame's slots) and the collector
+//! traces the object graph from them. Collections trigger when
 //! the live block count exceeds a threshold that grows geometrically
 //! with the surviving heap — the classic growth-ratio policy, which is
 //! what gives tracing collectors their characteristic memory headroom

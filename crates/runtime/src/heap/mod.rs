@@ -1496,6 +1496,12 @@ impl Heap {
         Ok(())
     }
 
+    /// How many local slots exist: every live local [`Addr::index`] is
+    /// below it (the auditor sizes its tables by it).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Iterates live blocks with their addresses (auditor and collector).
     /// Free-listed blocks are invisible here: they are neither live nor
     /// leaked.

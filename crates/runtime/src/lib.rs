@@ -53,6 +53,6 @@ pub mod value;
 
 pub use error::RuntimeError;
 pub use heap::{Heap, ReclaimMode, SharedHeap, Stats, SCHEDULE_KEYS};
-pub use machine::{Checkpoint, DeepValue, Execution, Machine, RunConfig, StepOutcome};
+pub use machine::{DeepValue, Execution, Machine, RunConfig, StepOutcome};
 pub use profile::{FrameKind, ProfCounts, ProfMetric, Profiler};
 pub use value::Value;

@@ -13,18 +13,29 @@
 //! * tail calls never grow the continuation stack, which is what makes
 //!   the FBIP traversals of §2.6 run in constant stack space.
 //!
+//! The machine runs the flat [`Code`] of a [`Compiled`] program on one
+//! value stack. A frame is the window `stack[base..base + nslots]`; a
+//! call pushes the arguments and fills the window to the callee's
+//! `nslots`, a return truncates the stack to the caller's window, and a
+//! tail call slides the new arguments over the dying window. Pending
+//! continuations are 12-byte frame records of `(pc, base, dst)`, so
+//! a suspended [`Execution`] is plain data: numbers and values, valid
+//! against any copy of its program.
+//!
 //! The same machine executes all memory-management modes; in GC mode it
 //! additionally triggers the mark–sweep collector of [`crate::gc`] at
-//! allocation points, enumerating its own environments as roots.
+//! allocation points, enumerating the value stack as roots.
 
-use crate::code::{Atom, Compiled, RArm, RExpr, Slot};
+use crate::code::{
+    Arm, Atom, Code, Compiled, Dst, Instr, Opnd, Pc, ReuseSite, Span, NO_PC, NO_SLOT,
+};
 use crate::error::RuntimeError;
 use crate::gc::{Collector, GcConfig};
 use crate::heap::{BlockTag, Heap, HeapConfig, ReclaimMode};
 use crate::profile::FrameKind;
 use crate::value::Value;
 use perceus_core::ir::expr::PrimOp;
-use perceus_core::ir::{CtorId, FunId, TypeTable};
+use perceus_core::ir::{FunId, TypeTable};
 use perceus_core::passes::Validation;
 use std::fmt;
 
@@ -181,34 +192,41 @@ impl Default for RunConfig {
     }
 }
 
-/// A pending continuation.
-pub(crate) enum Frame<'p> {
-    /// Return from a function call: restore `env`, optionally store the
-    /// value, optionally continue (otherwise keep returning).
-    Call {
-        env: Vec<Value>,
-        dst: Option<Slot>,
-        cont: Option<&'p RExpr>,
-    },
-    /// A compound let-rhs finished: store into the current env.
-    Local { dst: Slot, cont: &'p RExpr },
-    /// A compound statement finished: discard the value.
-    Discard { cont: &'p RExpr },
+/// A pending continuation: where to go on with a value, in which
+/// window, and where the value goes.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// The instruction to continue at; [`NO_PC`] passes the value on to
+    /// the frame below (a call that ends a compound right-hand side).
+    pc: Pc,
+    /// The caller's window, restored when a call returns; [`SAME_WINDOW`]
+    /// for the continuation of a compound let right-hand side or
+    /// statement, which runs in the window it was pushed from.
+    base: u32,
+    /// The slot that receives the value, if this is one.
+    dst: Dst,
 }
+
+const SAME_WINDOW: u32 = u32::MAX;
+
+// The frame stack of a deep recursion is as long as the recursion.
+const _: () = assert!(std::mem::size_of::<Frame>() == 12);
 
 /// The abstract machine.
 pub struct Machine<'p> {
     code: &'p Compiled,
     /// The heap (public so tests and the harness can read statistics).
     pub heap: Heap,
-    pub(crate) frames: Vec<Frame<'p>>,
-    pub(crate) env: Vec<Value>,
+    /// The value stack: every live frame's window, oldest first.
+    stack: Vec<Value>,
+    /// Start of the running frame's window.
+    base: usize,
+    frames: Vec<Frame>,
+    /// Operand values of the constructor or closure being built.
+    operands: Vec<Value>,
     output: Vec<i64>,
     collector: Option<Collector>,
     config: RunConfig,
-    /// Recycled environment vectors (a call would otherwise allocate a
-    /// fresh `Vec` per frame; the pool makes calls allocation-free).
-    env_pool: Vec<Vec<Value>>,
     /// Number of garbage-free audits run (see `RunConfig::audit_every`).
     audits: u64,
 }
@@ -216,34 +234,14 @@ pub struct Machine<'p> {
 impl<'p> Machine<'p> {
     /// Creates a machine for `code` with the given reclamation mode.
     pub fn new(code: &'p Compiled, mode: ReclaimMode, config: RunConfig) -> Self {
-        let collector = match mode {
-            ReclaimMode::Gc => Some(Collector::new(config.gc.unwrap_or_default())),
-            _ => None,
-        };
-        let mut heap = Heap::with_config(
+        let heap = Heap::with_config(
             mode,
             HeapConfig {
                 recycle: config.heap_recycle,
                 validation: config.validation,
             },
         );
-        if let Some(cap) = config.trace_capacity {
-            heap.enable_trace(cap);
-        }
-        if config.profile {
-            heap.enable_profile();
-        }
-        Machine {
-            code,
-            heap,
-            frames: Vec::new(),
-            env: Vec::new(),
-            output: Vec::new(),
-            collector,
-            config,
-            env_pool: Vec::new(),
-            audits: 0,
-        }
+        Self::with_heap(code, heap, config)
     }
 
     /// Creates a machine over an *existing* heap — the serving-harness
@@ -255,11 +253,11 @@ impl<'p> Machine<'p> {
     /// turns tracing/profiling on if the heap doesn't have them yet.
     ///
     /// The machine holds no state besides the heap and this call's
-    /// fresh frames/environment, so a `with_heap` → run →
-    /// [`Machine::into_heap`] round trip is fully reentrant: any number
-    /// of sequential sessions can share the heap with no bleed-through
-    /// (and the generation check catches a leaked address from a
-    /// previous tenant deterministically).
+    /// fresh stack, so a `with_heap` → run → [`Machine::into_heap`]
+    /// round trip is fully reentrant: any number of sequential sessions
+    /// can share the heap with no bleed-through (and the generation
+    /// check catches a leaked address from a previous tenant
+    /// deterministically).
     pub fn with_heap(code: &'p Compiled, mut heap: Heap, config: RunConfig) -> Self {
         let collector = match heap.mode() {
             ReclaimMode::Gc => Some(Collector::new(config.gc.unwrap_or_default())),
@@ -276,12 +274,13 @@ impl<'p> Machine<'p> {
         Machine {
             code,
             heap,
+            stack: Vec::new(),
+            base: 0,
             frames: Vec::new(),
-            env: Vec::new(),
+            operands: Vec::new(),
             output: Vec::new(),
             collector,
             config,
-            env_pool: Vec::new(),
             audits: 0,
         }
     }
@@ -297,28 +296,6 @@ impl<'p> Machine<'p> {
     /// [`RunConfig::audit_every`] was set.
     pub fn audits_run(&self) -> u64 {
         self.audits
-    }
-
-    fn take_env(&mut self) -> Vec<Value> {
-        self.env_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_env(&mut self, mut env: Vec<Value>) {
-        if self.env_pool.len() < 64 {
-            env.clear();
-            self.env_pool.push(env);
-        }
-    }
-
-    /// Builds a callee environment from argument atoms (read against the
-    /// *current* environment), padded to `nslots`.
-    fn build_env(&mut self, args: &[Atom], nslots: usize) -> Vec<Value> {
-        let mut env = self.take_env();
-        for a in args {
-            env.push(self.read(*a));
-        }
-        env.resize(nslots, Value::Unit);
-        env
     }
 
     /// The integers printed by `println` during the run.
@@ -357,7 +334,7 @@ impl<'p> Machine<'p> {
 
     /// Begins a *resumable* execution of `fun` — the checkpoint/resume
     /// entry point. The returned [`Execution`] owns the continuation
-    /// state (environment, frame stack, pending output) whenever it is
+    /// state (value stack, frame records, pending output) whenever it is
     /// suspended; drive it with [`Execution::run`], giving each leg a
     /// step budget. The profiler frame stack lives inside the heap, so
     /// it travels with the heap across suspensions automatically.
@@ -368,21 +345,18 @@ impl<'p> Machine<'p> {
     /// another is suspended is fine (each owns its state); running two
     /// *interleaved* legs on one machine is not — the profiler stack
     /// would interleave.
-    pub fn start(&mut self, fun: FunId, args: Vec<Value>) -> Result<Execution<'p>, RuntimeError> {
+    pub fn start(&mut self, fun: FunId, mut args: Vec<Value>) -> Result<Execution, RuntimeError> {
         let f = &self.code.funs[fun.0 as usize];
         if f.arity != args.len() {
-            return Err(RuntimeError::TypeMismatch(format!(
-                "{} expects {} arguments, got {}",
-                f.name,
-                f.arity,
-                args.len()
-            )));
+            return Err(fun_arity_error(f, args.len()));
         }
         self.heap.prof_enter(FrameKind::Fun(fun));
+        args.resize(f.nslots, Value::Unit);
         Ok(Execution {
-            cur: Some(&f.body),
+            pc: Some(f.entry),
+            stack: args,
+            base: 0,
             frames: Vec::new(),
-            env: frame_env(args, f.nslots),
             output: Vec::new(),
             steps: 0,
             code_uid: self.code.uid(),
@@ -391,7 +365,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Begins a resumable execution of the program's entry function.
-    pub fn start_entry(&mut self, args: Vec<Value>) -> Result<Execution<'p>, RuntimeError> {
+    pub fn start_entry(&mut self, args: Vec<Value>) -> Result<Execution, RuntimeError> {
         let entry = self
             .code
             .entry
@@ -401,276 +375,249 @@ impl<'p> Machine<'p> {
 
     // ---- the main loop ------------------------------------------------
 
-    fn step_loop(
+    /// Runs from `start` until the program is done, fails, or — in a
+    /// `LIMITED` leg with a `step_end` — has used up its budget.
+    ///
+    /// `LIMITED` is chosen once per leg: a leg with no budget, fuel
+    /// ceiling, memory ceiling or audit cadence runs the copy of the
+    /// loop that tests for none of them.
+    fn step_loop<const LIMITED: bool>(
         &mut self,
-        start: &'p RExpr,
+        start: Pc,
         step_end: Option<u64>,
-    ) -> Result<Step<'p>, RuntimeError> {
-        let mut cur = start;
+    ) -> Result<Step, RuntimeError> {
+        let program = self.code;
+        let code = &program.code;
+        let mut pc = start as usize;
         loop {
-            if let Some(end) = step_end {
-                // Suspend *before* executing the instruction, and only at
-                // a non-RC instruction: Theorem 4's side condition — the
-                // same one the in-flight auditor uses — guarantees the
-                // suspended state is garbage-free and auditable. A run of
-                // RC instructions past the budget only overshoots by the
-                // length of that run.
-                if self.heap.stats.steps >= end && !is_rc_instruction(cur) {
-                    return Ok(Step::Suspend(cur));
+            let ins = code.instrs[pc];
+            if LIMITED {
+                if let Some(end) = step_end {
+                    // Suspend *before* executing the instruction, and only
+                    // at a non-RC instruction: Theorem 4's side condition —
+                    // the same one the in-flight auditor uses — guarantees
+                    // the suspended state is garbage-free and auditable. A
+                    // run of RC instructions past the budget only
+                    // overshoots by the length of that run.
+                    if self.heap.stats.steps >= end && !ins.is_rc() {
+                        return Ok(Step::Suspend(pc as Pc));
+                    }
                 }
             }
             self.heap.stats.steps += 1;
-            if let Some(limit) = self.config.step_limit {
-                if self.heap.stats.steps > limit {
-                    return Err(RuntimeError::StepLimit(limit));
-                }
-            }
-            if let Some(limit) = self.config.memory_limit_words {
-                if self.heap.stats.live_words > limit {
-                    return Err(RuntimeError::MemoryLimit {
-                        limit_words: limit,
-                        live_words: self.heap.stats.live_words,
-                    });
-                }
-            }
-            if let Some(every) = self.config.audit_every {
-                if self.heap.stats.steps.is_multiple_of(every) && !is_rc_instruction(cur) {
-                    crate::audit::check_machine(self).map_err(RuntimeError::Internal)?;
-                    self.audits += 1;
-                }
-            }
-            match cur {
-                RExpr::Atom(a) => {
-                    let v = self.read(*a);
-                    match self.ret(v) {
-                        Some(next) => cur = next,
-                        None => return Ok(Step::Done(v)),
+            if LIMITED {
+                if let Some(limit) = self.config.step_limit {
+                    if self.heap.stats.steps > limit {
+                        return Err(RuntimeError::StepLimit(limit));
                     }
                 }
-                RExpr::Let { slot, rhs, body } => match &**rhs {
-                    RExpr::Call { fun, args } => {
-                        let (env, callee, fk) = self.prepare_call(*fun, args)?;
-                        self.push_call_frame(fk, Some(*slot), Some(body));
-                        self.env = env;
-                        cur = callee;
-                    }
-                    RExpr::App { fun, args } => {
-                        let f = self.read(*fun);
-                        let (env, callee, fk) = self.prepare_apply(f, args)?;
-                        self.push_call_frame(fk, Some(*slot), Some(body));
-                        self.env = env;
-                        cur = callee;
-                    }
-                    simple if is_simple(simple) => {
-                        let v = self.eval_simple(simple)?;
-                        self.env[*slot as usize] = v;
-                        cur = body;
-                    }
-                    compound => {
-                        self.frames.push(Frame::Local {
-                            dst: *slot,
-                            cont: body,
+                if let Some(limit) = self.config.memory_limit_words {
+                    if self.heap.stats.live_words > limit {
+                        return Err(RuntimeError::MemoryLimit {
+                            limit_words: limit,
+                            live_words: self.heap.stats.live_words,
                         });
-                        cur = compound;
                     }
-                },
-                RExpr::Seq(a, b) => match &**a {
-                    RExpr::Call { fun, args } => {
-                        let (env, callee, fk) = self.prepare_call(*fun, args)?;
-                        self.push_call_frame(fk, None, Some(b));
-                        self.env = env;
-                        cur = callee;
-                    }
-                    RExpr::App { fun, args } => {
-                        let f = self.read(*fun);
-                        let (env, callee, fk) = self.prepare_apply(f, args)?;
-                        self.push_call_frame(fk, None, Some(b));
-                        self.env = env;
-                        cur = callee;
-                    }
-                    simple if is_simple(simple) => {
-                        self.eval_simple(simple)?;
-                        cur = b;
-                    }
-                    compound => {
-                        self.frames.push(Frame::Discard { cont: b });
-                        cur = compound;
-                    }
-                },
-                RExpr::Call { fun, args } => {
-                    let (env, callee, fk) = self.prepare_call(*fun, args)?;
-                    if self.tail_position() {
-                        // Tail call: the current frame dies here.
-                        self.heap.prof_tail(fk);
-                        let dead = std::mem::replace(&mut self.env, env);
-                        self.recycle_env(dead);
-                    } else {
-                        self.push_call_frame(fk, None, None);
-                        self.env = env;
-                    }
-                    cur = callee;
                 }
-                RExpr::App { fun, args } => {
-                    let f = self.read(*fun);
-                    let (env, callee, fk) = self.prepare_apply(f, args)?;
-                    if self.tail_position() {
-                        self.heap.prof_tail(fk);
-                        let dead = std::mem::replace(&mut self.env, env);
-                        self.recycle_env(dead);
-                    } else {
-                        self.push_call_frame(fk, None, None);
-                        self.env = env;
+                if let Some(every) = self.config.audit_every {
+                    if self.heap.stats.steps.is_multiple_of(every) && !ins.is_rc() {
+                        crate::audit::check_machine(self).map_err(RuntimeError::Internal)?;
+                        self.audits += 1;
                     }
-                    cur = callee;
                 }
-                RExpr::Match {
+            }
+            // A value-producing instruction ends by delivering its value;
+            // everything else sets `pc` itself.
+            let (dst, v) = match ins {
+                Instr::Atom { dst, a } => (dst, self.read(code, a)),
+                Instr::Prim { dst, op, args } => {
+                    let mut vals = [Value::Unit; 2];
+                    let args = &code.pool[args.range()];
+                    for (v, a) in vals.iter_mut().zip(args) {
+                        *v = self.read(code, *a);
+                    }
+                    (dst, self.eval_prim(op, &vals[..args.len().min(2)])?)
+                }
+                Instr::MkClosure { dst, lam, captures } => {
+                    self.maybe_collect();
+                    self.read_operands(code, captures);
+                    let addr = self
+                        .heap
+                        .alloc_slice(BlockTag::Closure(lam), &self.operands);
+                    (dst, Value::Ref(addr))
+                }
+                Instr::Con { dst, ctor, args } => {
+                    self.read_operands(code, args);
+                    self.maybe_collect();
+                    let addr = self.heap.alloc_slice(BlockTag::Ctor(ctor), &self.operands);
+                    (dst, Value::Ref(addr))
+                }
+                Instr::ConReuse { dst, site } => {
+                    (dst, self.con_reuse(code, &code.reuse[site as usize])?)
+                }
+                Instr::TokenOf { dst, var } => (dst, self.heap.claim(self.slot(var))?),
+                Instr::NullToken { dst } => (dst, Value::Token(None)),
+                Instr::Abort { msg } => {
+                    return Err(RuntimeError::Abort(code.aborts[msg as usize].to_string()))
+                }
+                Instr::Call { dst, fun, args } => {
+                    pc = self.call(program, fun, args, dst, pc)?;
+                    continue;
+                }
+                Instr::App { dst, fun, args } => {
+                    let f = self.read(code, fun);
+                    pc = self.apply(program, f, args, dst, pc)?;
+                    continue;
+                }
+                Instr::Enter { dst, body } => {
+                    self.frames.push(Frame {
+                        pc: body,
+                        base: SAME_WINDOW,
+                        dst,
+                    });
+                    pc += 1;
+                    continue;
+                }
+                Instr::Match {
                     scrut,
                     arms,
                     default,
                 } => {
-                    let v = self.env[*scrut as usize];
-                    cur = select_arm(
+                    let v = self.slot(scrut);
+                    pc = select_arm(
                         &self.heap,
-                        &self.code.types,
-                        &mut self.env,
+                        program,
+                        &mut self.stack[self.base..],
                         v,
-                        arms,
+                        &code.arms[arms.range()],
                         default,
-                    )?;
+                    )? as usize;
+                    continue;
                 }
-                RExpr::IsUnique {
-                    var,
-                    unique,
-                    shared,
-                } => {
-                    let v = self.env[*var as usize];
-                    cur = if self.heap.is_unique(v)? {
-                        unique
+                Instr::IsUnique { var, shared } => {
+                    pc = if self.heap.is_unique(self.slot(var))? {
+                        pc + 1
                     } else {
-                        shared
+                        shared as usize
                     };
+                    continue;
                 }
-                RExpr::Dup(slot, rest) => {
-                    self.heap.dup(self.env[*slot as usize])?;
-                    cur = rest;
+                Instr::Dup(s) => {
+                    self.heap.dup(self.slot(s))?;
+                    pc += 1;
+                    continue;
                 }
-                RExpr::Drop(slot, rest) => {
-                    self.heap.drop_value(self.env[*slot as usize])?;
-                    cur = rest;
+                Instr::Drop(s) => {
+                    self.heap.drop_value(self.slot(s))?;
+                    pc += 1;
+                    continue;
                 }
-                RExpr::DropReuse { var, token, body } => {
-                    let t = self.heap.drop_reuse(self.env[*var as usize])?;
-                    self.env[*token as usize] = t;
-                    cur = body;
+                Instr::DropReuse { var, token } => {
+                    let t = self.heap.drop_reuse(self.slot(var))?;
+                    self.stack[self.base + token as usize] = t;
+                    pc += 1;
+                    continue;
                 }
-                RExpr::Free(slot, rest) => {
-                    self.heap.free_cell(self.env[*slot as usize])?;
-                    cur = rest;
+                Instr::Free(s) => {
+                    self.heap.free_cell(self.slot(s))?;
+                    pc += 1;
+                    continue;
                 }
-                RExpr::DecRef(slot, rest) => {
-                    self.heap.decref(self.env[*slot as usize])?;
-                    cur = rest;
+                Instr::DecRef(s) => {
+                    self.heap.decref(self.slot(s))?;
+                    pc += 1;
+                    continue;
                 }
-                RExpr::DropToken(slot, rest) => {
-                    self.heap.drop_token(self.env[*slot as usize])?;
-                    cur = rest;
+                Instr::DropToken(s) => {
+                    self.heap.drop_token(self.slot(s))?;
+                    pc += 1;
+                    continue;
                 }
-                simple => {
-                    // Value-producing terminals (Con, Prim, MkClosure,
-                    // TokenOf, NullToken, Abort).
-                    let v = self.eval_simple(simple)?;
-                    match self.ret(v) {
-                        Some(next) => cur = next,
-                        None => return Ok(Step::Done(v)),
-                    }
+            };
+            if let Some(s) = dst.as_slot() {
+                self.stack[self.base + s as usize] = v;
+                pc += 1;
+            } else if dst == Dst::DISCARD {
+                pc += 1;
+            } else {
+                match self.ret(v) {
+                    Some(next) => pc = next as usize,
+                    None => return Ok(Step::Done(v)),
                 }
             }
         }
-    }
-
-    /// Tail position: no pending local continuation in this frame.
-    fn tail_position(&self) -> bool {
-        !matches!(
-            self.frames.last(),
-            Some(Frame::Local { .. }) | Some(Frame::Discard { .. })
-        )
-    }
-
-    fn push_call_frame(&mut self, fk: FrameKind, dst: Option<Slot>, cont: Option<&'p RExpr>) {
-        self.heap.prof_enter(fk);
-        let env = std::mem::take(&mut self.env);
-        self.frames.push(Frame::Call { env, dst, cont });
     }
 
     /// Delivers a value to the next continuation.
-    fn ret(&mut self, v: Value) -> Option<&'p RExpr> {
+    fn ret(&mut self, v: Value) -> Option<Pc> {
         loop {
-            match self.frames.pop() {
-                None => return None,
-                Some(Frame::Call { env, dst, cont }) => {
-                    self.heap.prof_exit();
-                    let dead = std::mem::replace(&mut self.env, env);
-                    self.recycle_env(dead);
-                    if let Some(d) = dst {
-                        self.env[d as usize] = v;
-                    }
-                    match cont {
-                        Some(c) => return Some(c),
-                        None => continue,
-                    }
-                }
-                Some(Frame::Local { dst, cont }) => {
-                    self.env[dst as usize] = v;
-                    return Some(cont);
-                }
-                Some(Frame::Discard { cont }) => return Some(cont),
+            let f = self.frames.pop()?;
+            if f.base != SAME_WINDOW {
+                // A call returns: its window dies, the caller's is back.
+                self.heap.prof_exit();
+                self.stack.truncate(self.base);
+                self.base = f.base as usize;
+            }
+            if let Some(s) = f.dst.as_slot() {
+                self.stack[self.base + s as usize] = v;
+            }
+            if f.pc != NO_PC {
+                return Some(f.pc);
             }
         }
     }
 
-    fn read(&self, a: Atom) -> Value {
-        match a {
-            Atom::Slot(s) => self.env[s as usize],
+    fn slot(&self, s: u32) -> Value {
+        self.stack[self.base + s as usize]
+    }
+
+    fn read(&self, code: &Code, a: Opnd) -> Value {
+        match code.atom(a) {
+            Atom::Slot(s) => self.slot(s),
             Atom::Const(v) => v,
         }
     }
 
-    fn read_args(&self, args: &[Atom]) -> Vec<Value> {
-        args.iter().map(|a| self.read(*a)).collect()
+    fn read_operands(&mut self, code: &Code, args: Span) {
+        self.operands.clear();
+        for a in &code.pool[args.range()] {
+            let v = self.read(code, *a);
+            self.operands.push(v);
+        }
     }
 
-    /// Builds the environment for a direct call (from the current
-    /// frame's atoms); returns it with the callee body. The caller
-    /// decides whether to save the current frame or tail-jump.
-    fn prepare_call(
+    /// A direct call (from the current frame's operands); returns the
+    /// callee's entry point.
+    fn call(
         &mut self,
+        program: &Compiled,
         fun: FunId,
-        args: &[Atom],
-    ) -> Result<(Vec<Value>, &'p RExpr, FrameKind), RuntimeError> {
-        let f = &self.code.funs[fun.0 as usize];
+        args: Span,
+        dst: Dst,
+        pc: usize,
+    ) -> Result<usize, RuntimeError> {
+        let f = &program.funs[fun.0 as usize];
         if f.arity != args.len() {
-            return Err(RuntimeError::TypeMismatch(format!(
-                "{} expects {} arguments, got {}",
-                f.name,
-                f.arity,
-                args.len()
-            )));
+            return Err(fun_arity_error(f, args.len()));
         }
-        let nslots = f.nslots;
-        let body = &f.body;
-        let env = self.build_env(args, nslots);
-        Ok((env, body, FrameKind::Fun(fun)))
+        let top = self.stack.len();
+        self.push_args(&program.code, args);
+        self.open_window(top, f.nslots, FrameKind::Fun(fun), dst, pc)?;
+        Ok(f.entry as usize)
     }
 
     /// Application of a first-class function value — rule (appᵣ):
     /// `dup ys; drop f; jump`.
-    fn prepare_apply(
+    fn apply(
         &mut self,
+        program: &Compiled,
         f: Value,
-        args: &[Atom],
-    ) -> Result<(Vec<Value>, &'p RExpr, FrameKind), RuntimeError> {
+        args: Span,
+        dst: Dst,
+        pc: usize,
+    ) -> Result<usize, RuntimeError> {
         match f {
-            Value::Global(id) => self.prepare_call(id, args),
+            Value::Global(id) => self.call(program, id, args, dst, pc),
             Value::Ref(addr) => {
                 let block = self.heap.view(addr)?;
                 let BlockTag::Closure(lam) = block.tag else {
@@ -678,7 +625,7 @@ impl<'p> Machine<'p> {
                         "application of a non-function block".into(),
                     ));
                 };
-                let l = &self.code.lambdas[lam.0 as usize];
+                let l = &program.lambdas[lam.0 as usize];
                 if l.nparams != args.len() {
                     return Err(RuntimeError::TypeMismatch(format!(
                         "closure expects {} arguments, got {}",
@@ -686,22 +633,16 @@ impl<'p> Machine<'p> {
                         args.len()
                     )));
                 }
-                let nslots = l.nslots;
-                let body = &l.body;
-                let mut env = self.take_env();
-                let block = self.heap.view(addr)?;
-                env.extend_from_slice(block.fields);
-                for a in args {
-                    env.push(self.read(*a));
-                }
-                env.resize(nslots, Value::Unit);
+                let top = self.stack.len();
+                self.stack.extend_from_slice(block.fields);
+                self.push_args(&program.code, args);
                 // Rule (appᵣ): retain the captures, release the closure.
-                let ncaptures = self.code.lambdas[lam.0 as usize].ncaptures;
-                for &capture in env.iter().take(ncaptures) {
-                    self.heap.dup(capture)?;
+                for i in top..top + l.ncaptures {
+                    self.heap.dup(self.stack[i])?;
                 }
                 self.heap.drop_value(f)?;
-                Ok((env, body, FrameKind::Lam(lam)))
+                self.open_window(top, l.nslots, FrameKind::Lam(lam), dst, pc)?;
+                Ok(l.entry as usize)
             }
             other => Err(RuntimeError::TypeMismatch(format!(
                 "application of non-function value {other}"
@@ -709,54 +650,73 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Evaluates a value-producing instruction that cannot call.
-    fn eval_simple(&mut self, e: &RExpr) -> Result<Value, RuntimeError> {
-        match e {
-            RExpr::Atom(a) => Ok(self.read(*a)),
-            RExpr::Prim { op, args } => {
-                let vals = self.read_args(args);
-                self.eval_prim(*op, &vals)
-            }
-            RExpr::MkClosure { lam, captures } => {
-                self.maybe_collect();
-                let mut fields = self.take_env();
-                fields.extend(captures.iter().map(|s| self.env[*s as usize]));
-                let addr = self.heap.alloc_slice(BlockTag::Closure(*lam), &fields);
-                self.recycle_env(fields);
-                Ok(Value::Ref(addr))
-            }
-            RExpr::Con {
-                ctor,
-                args,
-                reuse,
-                skip,
-            } => {
-                let vals = self.read_args(args);
-                if let Some(tok_slot) = reuse {
-                    match self.env[*tok_slot as usize] {
-                        Value::Token(Some(addr)) => {
-                            let out = self.heap.alloc_into(addr, *ctor, &vals, skip)?;
-                            return Ok(Value::Ref(out));
-                        }
-                        Value::Token(None) => {}
-                        other => {
-                            return Err(RuntimeError::TypeMismatch(format!(
-                                "constructor reuse argument is not a token: {other}"
-                            )))
-                        }
-                    }
-                }
-                self.maybe_collect();
-                let addr = self.heap.alloc_slice(BlockTag::Ctor(*ctor), &vals);
-                Ok(Value::Ref(addr))
-            }
-            RExpr::TokenOf(slot) => self.heap.claim(self.env[*slot as usize]),
-            RExpr::NullToken => Ok(Value::Token(None)),
-            RExpr::Abort(msg) => Err(RuntimeError::Abort(msg.to_string())),
-            other => Err(RuntimeError::Internal(format!(
-                "eval_simple on compound expression {other:?}"
-            ))),
+    /// Pushes a call's argument values (read in the current window).
+    fn push_args(&mut self, code: &Code, args: Span) {
+        for a in &code.pool[args.range()] {
+            let v = self.read(code, *a);
+            self.stack.push(v);
         }
+    }
+
+    /// Makes the values pushed since `top` the first slots of a new
+    /// window of `nslots`. A tail call slides them over the dying window;
+    /// any other call leaves a frame record to return by.
+    fn open_window(
+        &mut self,
+        top: usize,
+        nslots: usize,
+        callee: FrameKind,
+        dst: Dst,
+        pc: usize,
+    ) -> Result<(), RuntimeError> {
+        if dst == Dst::TAIL {
+            self.heap.prof_tail(callee);
+            let pushed = self.stack.len() - top;
+            self.stack.copy_within(top.., self.base);
+            self.stack.truncate(self.base + pushed);
+        } else {
+            self.heap.prof_enter(callee);
+            let base = u32::try_from(self.base)
+                .ok()
+                .filter(|b| *b != SAME_WINDOW)
+                .ok_or_else(|| RuntimeError::Internal("value stack overflow".into()))?;
+            // A call that ends a compound right-hand side has nothing of
+            // its own to continue with: its value is the frame below's.
+            let pc = if dst == Dst::RETURN {
+                NO_PC
+            } else {
+                pc as Pc + 1
+            };
+            self.frames.push(Frame { pc, base, dst });
+            self.base = top;
+        }
+        self.stack.resize(self.base + nslots, Value::Unit);
+        Ok(())
+    }
+
+    /// Constructor allocation into a reuse token, or fresh when the
+    /// token is null.
+    fn con_reuse(&mut self, code: &Code, site: &ReuseSite) -> Result<Value, RuntimeError> {
+        self.read_operands(code, site.args);
+        match self.slot(site.token) {
+            Value::Token(Some(addr)) => {
+                let out = self
+                    .heap
+                    .alloc_into(addr, site.ctor, &self.operands, &site.skip)?;
+                return Ok(Value::Ref(out));
+            }
+            Value::Token(None) => {}
+            other => {
+                return Err(RuntimeError::TypeMismatch(format!(
+                    "constructor reuse argument is not a token: {other}"
+                )))
+            }
+        }
+        self.maybe_collect();
+        let addr = self
+            .heap
+            .alloc_slice(BlockTag::Ctor(site.ctor), &self.operands);
+        Ok(Value::Ref(addr))
     }
 
     fn eval_prim(&mut self, op: PrimOp, vals: &[Value]) -> Result<Value, RuntimeError> {
@@ -838,22 +798,15 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// Collect (GC mode) if the policy says so; all live values are in
-    /// environments at allocation points thanks to ANF.
+    /// Collect (GC mode) if the policy says so; all live values are on
+    /// the value stack at allocation points thanks to ANF.
     fn maybe_collect(&mut self) {
         let Some(collector) = &mut self.collector else {
             return;
         };
-        if !collector.should_collect(&self.heap) {
-            return;
+        if collector.should_collect(&self.heap) {
+            collector.collect(&mut self.heap, self.stack.iter());
         }
-        let frames = &self.frames;
-        let env = &self.env;
-        let roots = env.iter().chain(frames.iter().flat_map(|f| match f {
-            Frame::Call { env, .. } => env.iter(),
-            _ => [].iter(),
-        }));
-        collector.collect(&mut self.heap, roots);
     }
 
     // ---- inspection ----------------------------------------------------
@@ -870,26 +823,23 @@ impl<'p> Machine<'p> {
         self.heap.drop_value(v)
     }
 
-    /// Root values for the auditor.
+    /// Root values for the auditor: the whole value stack.
     pub(crate) fn root_values(&self) -> impl Iterator<Item = &Value> {
-        self.env
-            .iter()
-            .chain(self.frames.iter().flat_map(|f| match f {
-                Frame::Call { env, .. } => env.iter(),
-                _ => [].iter(),
-            }))
+        self.stack.iter()
     }
 }
 
-fn frame_env(mut vals: Vec<Value>, nslots: usize) -> Vec<Value> {
-    vals.resize(nslots, Value::Unit);
-    vals
+fn fun_arity_error(f: &crate::code::CodeFun, got: usize) -> RuntimeError {
+    RuntimeError::TypeMismatch(format!(
+        "{} expects {} arguments, got {got}",
+        f.name, f.arity
+    ))
 }
 
 /// What one step-loop leg produced (internal).
-enum Step<'p> {
+enum Step {
     Done(Value),
-    Suspend(&'p RExpr),
+    Suspend(Pc),
 }
 
 /// The outcome of one [`Execution::run`] leg.
@@ -898,8 +848,8 @@ pub enum StepOutcome {
     /// The execution finished with this result value.
     Done(Value),
     /// The budget ran out at an auditable point; the execution owns its
-    /// continuation and can be resumed with more fuel (or parked as a
-    /// [`Checkpoint`]).
+    /// continuation and can be resumed with more fuel, at once or after
+    /// being parked.
     Suspended {
         /// Cumulative steps executed by this execution so far.
         steps_used: u64,
@@ -914,38 +864,46 @@ pub enum StepOutcome {
 /// A resumable execution: the machine's continuation state between
 /// [`Execution::run`] legs.
 ///
-/// While suspended it owns the environment, the frame stack, and the
+/// While suspended it owns the value stack, the frame records, and the
 /// output buffer; the heap (including the profiler frame stack) stays
 /// with the [`Machine`]. A suspended execution is a precise, auditable
 /// snapshot: [`Execution::root_addrs`] plus
 /// [`crate::audit::check_heap`] must report zero floating garbage —
 /// that is the suspension-point invariant this API maintains by only
 /// suspending at instructions satisfying Theorem 4's side condition.
-pub struct Execution<'p> {
-    cur: Option<&'p RExpr>,
-    frames: Vec<Frame<'p>>,
-    env: Vec<Value>,
+///
+/// It is also the *checkpoint*: plain data — a [`Pc`], a window base,
+/// values, `(pc, base, dst)` records, printed integers, a step count
+/// and the program's [`Compiled::uid`] — that borrows nothing. A serving
+/// worker parks it in a table across requests and later runs it on a
+/// fresh [`Machine`] over the parked heap and any copy of the program.
+#[derive(Debug)]
+pub struct Execution {
+    /// The next instruction; `None` while a leg is running.
+    pc: Option<Pc>,
+    stack: Vec<Value>,
+    base: usize,
+    frames: Vec<Frame>,
     output: Vec<i64>,
     steps: u64,
     code_uid: u64,
     finished: bool,
 }
 
-impl<'p> Execution<'p> {
+impl Execution {
     /// Runs until done, error, or (with a budget) suspension after
-    /// roughly `budget` more steps. `machine` must be the machine (or a
-    /// machine over the same heap and [`Compiled`]) that started this
-    /// execution: its heap carries the execution's data and profiler
-    /// stack.
+    /// roughly `budget` more steps. `machine` must be a machine over the
+    /// heap that carries this execution's data and profiler stack, for
+    /// the program that started it (any copy: [`Compiled::uid`] is
+    /// checked, and a machine for another program is refused).
     ///
     /// On `Done`/`Err` the execution is finished and cannot run again;
     /// the profiler exits the entry frame exactly as the old
     /// run-to-completion API did. On `Suspended` the continuation moves
-    /// back into `self` and the machine is left neutral (empty frames
-    /// and environment).
+    /// back into `self` and the machine is left neutral (empty stack).
     pub fn run(
         &mut self,
-        machine: &mut Machine<'p>,
+        machine: &mut Machine<'_>,
         budget: Option<u64>,
     ) -> Result<StepOutcome, RuntimeError> {
         if self.finished {
@@ -958,10 +916,11 @@ impl<'p> Execution<'p> {
                 "execution resumed on a machine for a different program".into(),
             ));
         }
-        let cur = self.cur.take().ok_or_else(|| {
+        let pc = self.pc.take().ok_or_else(|| {
             RuntimeError::Internal("resume of an execution that is already running".into())
         })?;
-        machine.env = std::mem::take(&mut self.env);
+        machine.stack = std::mem::take(&mut self.stack);
+        machine.base = self.base;
         machine.frames = std::mem::take(&mut self.frames);
         if !self.output.is_empty() {
             // Carry output printed by earlier legs (machine.output is
@@ -973,7 +932,16 @@ impl<'p> Execution<'p> {
         }
         let start_steps = machine.heap.stats.steps;
         let step_end = budget.map(|b| start_steps.saturating_add(b));
-        let r = machine.step_loop(cur, step_end);
+        let config = &machine.config;
+        let limited = step_end.is_some()
+            || config.step_limit.is_some()
+            || config.memory_limit_words.is_some()
+            || config.audit_every.is_some();
+        let r = if limited {
+            machine.step_loop::<true>(pc, step_end)
+        } else {
+            machine.step_loop::<false>(pc, None)
+        };
         self.steps = self
             .steps
             .saturating_add(machine.heap.stats.steps - start_steps);
@@ -984,8 +952,9 @@ impl<'p> Execution<'p> {
                 Ok(StepOutcome::Done(v))
             }
             Ok(Step::Suspend(next)) => {
-                self.cur = Some(next);
-                self.env = std::mem::take(&mut machine.env);
+                self.pc = Some(next);
+                self.stack = std::mem::take(&mut machine.stack);
+                self.base = machine.base;
                 self.frames = std::mem::take(&mut machine.frames);
                 self.output = std::mem::take(&mut machine.output);
                 Ok(StepOutcome::Suspended {
@@ -1011,209 +980,32 @@ impl<'p> Execution<'p> {
         self.steps
     }
 
-    /// Heap roots of the suspended continuation: every live address
-    /// reachable from the environment or a pending frame. Feed these to
-    /// [`crate::audit::check_heap`] to assert garbage-freedom at the
-    /// suspension point.
+    /// Heap roots of the suspended continuation: every live address on
+    /// the value stack. Feed these to [`crate::audit::check_heap`] to
+    /// assert garbage-freedom at the suspension point.
     pub fn root_addrs(&self, heap: &Heap) -> Vec<crate::value::Addr> {
-        collect_roots(
-            heap,
-            self.env
-                .iter()
-                .chain(self.frames.iter().flat_map(frame_values)),
-        )
-    }
-
-    /// Parks the suspended execution as a lifetime-erased
-    /// [`Checkpoint`] that can outlive the `&Compiled` borrow. Errors
-    /// if the execution already finished.
-    pub fn into_checkpoint(self) -> Result<Checkpoint, RuntimeError> {
-        if self.finished {
-            return Err(RuntimeError::Internal(
-                "checkpoint of a finished execution".into(),
-            ));
-        }
-        let cur = self.cur.ok_or_else(|| {
-            RuntimeError::Internal("checkpoint of an execution that is running".into())
-        })?;
-        let frames = self
-            .frames
-            .into_iter()
-            .map(|f| match f {
-                Frame::Call { env, dst, cont } => RawFrame::Call {
-                    env,
-                    dst,
-                    cont: cont.map(erase),
-                },
-                Frame::Local { dst, cont } => RawFrame::Local {
-                    dst,
-                    cont: erase(cont),
-                },
-                Frame::Discard { cont } => RawFrame::Discard { cont: erase(cont) },
-            })
-            .collect();
-        Ok(Checkpoint {
-            code_uid: self.code_uid,
-            cur: erase(cur),
-            frames,
-            env: self.env,
-            output: self.output,
-            steps: self.steps,
-        })
-    }
-}
-
-fn erase(e: &RExpr) -> usize {
-    e as *const RExpr as usize
-}
-
-fn frame_values<'a, 'p>(f: &'a Frame<'p>) -> std::slice::Iter<'a, Value> {
-    match f {
-        Frame::Call { env, .. } => env.iter(),
-        _ => [].iter(),
-    }
-}
-
-fn collect_roots<'a>(
-    heap: &Heap,
-    values: impl Iterator<Item = &'a Value>,
-) -> Vec<crate::value::Addr> {
-    values
-        .filter_map(|v| match v {
-            Value::Ref(a) | Value::Token(Some(a)) => Some(*a),
-            _ => None,
-        })
-        .filter(|a| heap.ref_alive(*a))
-        .collect()
-}
-
-/// A parked, lifetime-erased continuation: the serialized form of a
-/// suspended [`Execution`], able to outlive the `&Compiled` borrow so a
-/// serving worker can hold it in a suspension table across requests.
-///
-/// Expression positions are stored as raw node addresses. They stay
-/// valid because a [`Compiled`] program's expression trees live in
-/// heap-allocated nodes (`Box`/`Vec`) whose addresses do not change
-/// when the `Compiled` value itself moves; what *would* invalidate them
-/// is dropping or mutating the `Compiled`, which is why
-/// [`Checkpoint::resume`] is `unsafe` and re-checks the program's
-/// unique [`Compiled::uid`].
-pub struct Checkpoint {
-    code_uid: u64,
-    cur: usize,
-    frames: Vec<RawFrame>,
-    env: Vec<Value>,
-    output: Vec<i64>,
-    steps: u64,
-}
-
-enum RawFrame {
-    Call {
-        env: Vec<Value>,
-        dst: Option<Slot>,
-        cont: Option<usize>,
-    },
-    Local {
-        dst: Slot,
-        cont: usize,
-    },
-    Discard {
-        cont: usize,
-    },
-}
-
-impl Checkpoint {
-    /// Cumulative steps executed before parking.
-    pub fn steps_used(&self) -> u64 {
-        self.steps
-    }
-
-    /// Heap roots of the parked continuation (safe: roots live in the
-    /// captured environments, not behind the erased code pointers), for
-    /// auditing a parked session with [`crate::audit::check_heap`].
-    pub fn root_addrs(&self, heap: &Heap) -> Vec<crate::value::Addr> {
-        collect_roots(
-            heap,
-            self.env
-                .iter()
-                .chain(self.frames.iter().flat_map(|f| match f {
-                    RawFrame::Call { env, .. } => env.iter(),
-                    _ => [].iter(),
-                })),
-        )
-    }
-
-    /// Un-parks the checkpoint against its compiled program.
-    ///
-    /// Fails (safely) if `code` is not the same *instance* the
-    /// checkpoint was taken from — every [`Compiled`] carries a unique
-    /// id, fresh even across clones, so a lookup-table mixup is caught
-    /// before any raw pointer is dereferenced.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee `code` is the identical `Compiled`
-    /// value this checkpoint was parked from and that it has not been
-    /// dropped or mutated in between (e.g. it is held alive behind an
-    /// `Arc` for the checkpoint's whole lifetime). The uid check makes
-    /// accidents deterministic errors, but it cannot prove liveness:
-    /// that contract is the caller's.
-    pub unsafe fn resume<'p>(self, code: &'p Compiled) -> Result<Execution<'p>, RuntimeError> {
-        if self.code_uid != code.uid() {
-            return Err(RuntimeError::Internal(
-                "checkpoint resumed against a different compiled program".into(),
-            ));
-        }
-        // SAFETY: uid equality means `code` is the instance the erased
-        // pointers were taken from, and the caller warrants it is still
-        // alive and unmutated; node addresses are stable under moves of
-        // the `Compiled` value itself.
-        let expr = |p: usize| unsafe { &*(p as *const RExpr) };
-        let frames = self
-            .frames
-            .into_iter()
-            .map(|f| match f {
-                RawFrame::Call { env, dst, cont } => Frame::Call {
-                    env,
-                    dst,
-                    cont: cont.map(expr),
-                },
-                RawFrame::Local { dst, cont } => Frame::Local {
-                    dst,
-                    cont: expr(cont),
-                },
-                RawFrame::Discard { cont } => Frame::Discard { cont: expr(cont) },
-            })
-            .collect();
-        Ok(Execution {
-            cur: Some(expr(self.cur)),
-            frames,
-            env: self.env,
-            output: self.output,
-            steps: self.steps,
-            code_uid: self.code_uid,
-            finished: false,
-        })
+        crate::audit::live_roots(heap, self.stack.iter())
     }
 }
 
 /// Selects and binds a match arm — a borrowing bind per Fig. 1b: fields
 /// are copied into the binder slots with no retains; the compiled arm
-/// code contains the binder `dup`s and scrutinee `drop`.
-fn select_arm<'p>(
+/// code contains the binder `dup`s and scrutinee `drop`. Returns the
+/// arm's first instruction.
+fn select_arm(
     heap: &Heap,
-    types: &TypeTable,
-    env: &mut [Value],
+    program: &Compiled,
+    window: &mut [Value],
     scrut: Value,
-    arms: &'p [RArm],
-    default: &'p Option<Box<RExpr>>,
-) -> Result<&'p RExpr, RuntimeError> {
-    let (ctor, addr): (CtorId, Option<crate::value::Addr>) = match scrut {
-        Value::Enum(c) => (c, None),
+    arms: &[Arm],
+    default: Pc,
+) -> Result<Pc, RuntimeError> {
+    let (ctor, fields): (_, &[Value]) = match scrut {
+        Value::Enum(c) => (c, &[]),
         Value::Ref(a) => {
             let block = heap.view(a)?;
             match block.tag {
-                BlockTag::Ctor(c) => (c, Some(a)),
+                BlockTag::Ctor(c) => (c, block.fields),
                 _ => {
                     return Err(RuntimeError::TypeMismatch(
                         "match on a non-constructor block".into(),
@@ -1229,24 +1021,22 @@ fn select_arm<'p>(
     };
     for arm in arms {
         if arm.ctor == ctor {
-            if let Some(a) = addr {
-                let fields = heap.view(a)?.fields;
-                for (b, v) in arm.binders.iter().zip(fields.iter()) {
-                    if let Some(slot) = b {
-                        env[*slot as usize] = *v;
-                    }
+            let binders = &program.code.binders[arm.binders.range()];
+            for (slot, v) in binders.iter().zip(fields) {
+                if *slot != NO_SLOT {
+                    window[*slot as usize] = *v;
                 }
             }
-            return Ok(&arm.body);
+            return Ok(arm.body);
         }
     }
-    match default {
-        Some(d) => Ok(d),
-        None => Err(RuntimeError::MatchFailure(format!(
-            "no arm for constructor {} ({ctor:?})",
-            types.ctor(ctor).name
-        ))),
+    if default != NO_PC {
+        return Ok(default);
     }
+    Err(RuntimeError::MatchFailure(format!(
+        "no arm for constructor {} ({ctor:?})",
+        program.types.ctor(ctor).name
+    )))
 }
 
 fn ref_addr(v: &Value) -> Result<crate::value::Addr, RuntimeError> {
@@ -1264,40 +1054,6 @@ fn value_eq(a: &Value, b: &Value) -> Result<bool, RuntimeError> {
             "== on non-primitive values {a} and {b}"
         ))),
     }
-}
-
-fn is_simple(e: &RExpr) -> bool {
-    matches!(
-        e,
-        RExpr::Atom(_)
-            | RExpr::Prim { .. }
-            | RExpr::MkClosure { .. }
-            | RExpr::Con { .. }
-            | RExpr::TokenOf(_)
-            | RExpr::NullToken
-            | RExpr::Abort(_)
-    )
-}
-
-fn is_rc_instruction(e: &RExpr) -> bool {
-    // `TokenOf` belongs here too: the unfused drop-reuse expansion is
-    // `drop child…; &x` (Fig. 1f), and between the child drops and the
-    // claim the cell's fields transiently dangle — exactly the states
-    // Theorem 4's side condition ("not at a dup/drop operation")
-    // excludes. The claim itself ends the window (claimed cells' fields
-    // are not treated as references).
-    matches!(
-        e,
-        RExpr::Dup(..)
-            | RExpr::Drop(..)
-            | RExpr::DropReuse { .. }
-            | RExpr::Free(..)
-            | RExpr::DecRef(..)
-            | RExpr::DropToken(..)
-            | RExpr::IsUnique { .. }
-            | RExpr::TokenOf(_)
-            | RExpr::NullToken
-    )
 }
 
 /// A machine value read back as a tree, independent of the heap.
@@ -1654,46 +1410,44 @@ mod tests {
         assert_eq!(m.heap.stats, uninterrupted, "bit-identical schedule");
     }
 
-    /// Park a suspended execution as a lifetime-erased checkpoint,
-    /// audit it while parked, then resume it against the same program.
+    /// A suspended execution is a checkpoint that borrows nothing: park
+    /// it with its heap, audit it while parked, then run it on a new
+    /// machine for a *clone* of the program — positions are `pc`s, so
+    /// the clone is as good as the original and the schedule is
+    /// bit-identical. A machine for another program is refused.
     #[test]
-    fn checkpoint_roundtrip_preserves_result() {
+    fn checkpoint_resumes_against_a_clone_but_not_another_program() {
         let compiled = list_sum_compiled();
+        let mut m = Machine::new(&compiled, ReclaimMode::Rc, RunConfig::default());
+        let v = m.run_entry(vec![Value::Int(40)]).unwrap();
+        m.drop_result(v).unwrap();
+        let uninterrupted = m.heap.stats;
+
         let mut m = Machine::new(&compiled, ReclaimMode::Rc, RunConfig::default());
         let mut exec = m.start_entry(vec![Value::Int(40)]).unwrap();
         let StepOutcome::Suspended { .. } = exec.run(&mut m, Some(200)).unwrap() else {
             panic!("a 200-step budget must suspend this program");
         };
+        let heap = m.into_heap();
+        let roots = exec.root_addrs(&heap);
+        crate::audit::check_heap(&heap, &roots).expect("parked audit");
 
-        let checkpoint = exec.into_checkpoint().unwrap();
-        let roots = checkpoint.root_addrs(&m.heap);
-        crate::audit::check_heap(&m.heap, &roots).expect("parked audit");
+        // Structurally the same program, compiled separately: another
+        // identity, so its pcs are not trusted to mean the same.
+        let other = list_sum_compiled();
+        assert_ne!(other.uid(), compiled.uid());
+        let mut wrong = Machine::new(&other, ReclaimMode::Rc, RunConfig::default());
+        let err = exec.run(&mut wrong, Some(500)).unwrap_err();
+        assert!(matches!(err, RuntimeError::Internal(_)), "{err}");
+        assert!(
+            !exec.is_finished(),
+            "a refused resume leaves the checkpoint intact"
+        );
 
-        // A structurally identical clone is a *different* instance:
-        // resuming against it must fail before touching any pointer.
         let clone = compiled.clone();
-        assert_ne!(clone.uid(), compiled.uid());
-        let checkpoint = match unsafe { checkpoint.resume(&clone) } {
-            Err(RuntimeError::Internal(_)) => {
-                // Re-park for the real resume below.
-                let mut m2 = Machine::new(&compiled, ReclaimMode::Rc, RunConfig::default());
-                let mut e2 = m2.start_entry(vec![Value::Int(40)]).unwrap();
-                match e2.run(&mut m2, Some(200)).unwrap() {
-                    StepOutcome::Suspended { .. } => {
-                        let cp = e2.into_checkpoint().unwrap();
-                        m = m2;
-                        cp
-                    }
-                    other => panic!("expected suspension, got {other:?}"),
-                }
-            }
-            Ok(_) => panic!("resume against a clone must fail"),
-            Err(other) => panic!("unexpected error {other}"),
-        };
-
-        // SAFETY: `compiled` is the instance the checkpoint was parked
-        // from and outlives the resumed execution.
-        let mut exec = unsafe { checkpoint.resume(&compiled) }.unwrap();
+        assert_eq!(clone.uid(), compiled.uid());
+        drop(compiled);
+        let mut m = Machine::with_heap(&clone, heap, RunConfig::default());
         let v = loop {
             match exec.run(&mut m, Some(500)).unwrap() {
                 StepOutcome::Done(v) => break v,
@@ -1703,6 +1457,7 @@ mod tests {
         assert_eq!(v.as_int(), Some(40 * 41 / 2));
         m.drop_result(v).unwrap();
         assert_eq!(m.heap.live_blocks(), 0);
+        assert_eq!(m.heap.stats, uninterrupted, "bit-identical schedule");
     }
 
     /// Singleton constructors dispatch without touching the heap.

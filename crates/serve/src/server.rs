@@ -226,6 +226,10 @@ fn connection(
     max_inflight: u64,
     workers: usize,
 ) {
+    // A reply is one small segment the client is waiting for: send it
+    // at once. Held back by Nagle's algorithm, a reply written in two
+    // pieces waits for the client's delayed ACK of the first (~40 ms).
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -234,10 +238,11 @@ fn connection(
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
     let writer = std::thread::spawn(move || {
         let mut out = write_half;
-        while let Ok(line) = reply_rx.recv() {
+        while let Ok(mut line) = reply_rx.recv() {
+            // One write per reply: line and terminator together.
+            line.push('\n');
             if out
                 .write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
                 .and_then(|()| out.flush())
                 .is_err()
             {

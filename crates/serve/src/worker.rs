@@ -19,9 +19,9 @@
 //! **Resumable sessions** run on a *private* heap instead of the
 //! worker's recycled one: when their per-leg fuel runs out the machine
 //! suspends at an auditable point (Theorem 4's side condition — never
-//! mid reference-count operation), and the worker parks the
-//! lifetime-erased [`Checkpoint`] together with its heap in the shard's
-//! bounded park table. Garbage-freedom is what makes the table's
+//! mid reference-count operation), and the worker parks the suspended
+//! [`Execution`] together with its heap in the shard's bounded park
+//! table. Garbage-freedom is what makes the table's
 //! admission accounting honest: a parked heap's `live_words` is
 //! *exactly* the session's reachable data, with no slack for floating
 //! garbage, so the memory budget it is charged against means what it
@@ -48,8 +48,7 @@ use perceus_bench::COUNTER_KEYS;
 use perceus_runtime::audit;
 use perceus_runtime::machine::{Machine, RunConfig};
 use perceus_runtime::{
-    Checkpoint, Execution, Heap, Profiler, ReclaimMode, RuntimeError, SharedHeap, Stats,
-    StepOutcome, Value,
+    Execution, Heap, Profiler, ReclaimMode, RuntimeError, SharedHeap, Stats, StepOutcome, Value,
 };
 use perceus_suite::{ParallelSpec, Strategy};
 use std::fmt::Write as _;
@@ -554,7 +553,7 @@ fn resume_session(parked: &mut ParkTable, ctx: &ServeCtx, req: &ResumeRequest) -
     };
     let budget = req.fuel.unwrap_or(ctx.default_fuel).min(ctx.max_fuel);
     let ParkedSession {
-        checkpoint,
+        exec,
         heap,
         prog,
         mut meta,
@@ -573,25 +572,17 @@ fn resume_session(parked: &mut ParkTable, ctx: &ServeCtx, req: &ResumeRequest) -
         .with_memory_limit_words(Some(meta.memory))
         .with_profile(meta.profile);
     let m = Machine::with_heap(&prog.compiled, heap, config);
-    // SAFETY: `prog` is the very `Arc<CachedProgram>` instance this
-    // checkpoint was parked with (moved out of the park-table entry),
-    // so the compiled program is alive and unmutated; the uid check
-    // inside `resume` turns any table mixup into a deterministic error.
-    let exec = match unsafe { checkpoint.resume(&prog.compiled) } {
-        Ok(e) => e,
-        Err(e) => return conclude(m, ctx, &meta, Err(e)).1,
-    };
     advance(parked, ctx, m, exec, &prog, meta, budget)
 }
 
 /// Drives one leg of a resumable execution: to completion (or death),
 /// or to the next suspension — in which case the session is parked and
 /// the client gets its token.
-fn advance<'p>(
+fn advance(
     parked: &mut ParkTable,
     ctx: &ServeCtx,
-    mut m: Machine<'p>,
-    mut exec: Execution<'p>,
+    mut m: Machine<'_>,
+    mut exec: Execution,
     prog: &Arc<CachedProgram>,
     meta: SessionMeta,
     budget: u64,
@@ -609,15 +600,11 @@ fn advance<'p>(
             // before the session is parked.
             let roots = exec.root_addrs(&m.heap);
             let audit_ok = audit::check_heap(&m.heap, &roots).is_ok();
-            let checkpoint = match exec.into_checkpoint() {
-                Ok(c) => c,
-                Err(e) => return conclude(m, ctx, &meta, Err(e)).1,
-            };
             let heap = m.into_heap();
             let token = parked.park(
                 ParkedSession {
                     token: 0, // minted by `park`
-                    checkpoint,
+                    exec,
                     heap,
                     prog: Arc::clone(prog),
                     meta: meta.clone(),
@@ -782,14 +769,13 @@ fn conclude(
     (heap, b.finish())
 }
 
-/// A suspended session in a shard's park table: the lifetime-erased
-/// continuation, its private heap (cumulative stats, profiler, shared
-/// attachment and all), and the `Arc` that keeps the compiled program
-/// alive — the liveness guarantee [`Checkpoint::resume`]'s safety
-/// contract demands.
+/// A suspended session in a shard's park table: the continuation (plain
+/// data — positions are `pc`s into the program's flat code), its private
+/// heap (cumulative stats, profiler, shared attachment and all), and the
+/// program to run it against.
 struct ParkedSession {
     token: u64,
-    checkpoint: Checkpoint,
+    exec: Execution,
     heap: Heap,
     prog: Arc<CachedProgram>,
     meta: SessionMeta,
@@ -866,15 +852,10 @@ impl ParkTable {
         self.words -= s.live_words;
         ctx.parked.fetch_sub(1, Ordering::Relaxed);
         ctx.parked_words.fetch_sub(s.live_words, Ordering::Relaxed);
-        let ParkedSession {
-            checkpoint,
-            mut heap,
-            ..
-        } = s;
-        // The continuation's frames only *name* heap blocks; the heap
-        // owns them, so dropping the checkpoint leaks nothing and the
-        // reset retires the whole live set.
-        drop(checkpoint);
+        // The continuation's stack only *names* heap blocks; the heap
+        // owns them, so dropping it with the session leaks nothing and
+        // the reset retires the whole live set.
+        let mut heap = s.heap;
         let stats = heap.stats;
         heap.prof_exit(); // balance the entry frame the session never exited
         let profile = heap.take_profile();

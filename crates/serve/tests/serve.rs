@@ -237,6 +237,34 @@ fn slow_clients_survive_read_timeouts_mid_line() {
     h.join();
 }
 
+/// A client that waits for each reply before it sends the next request
+/// — with no socket options, so its kernel delays ACKs — must not be
+/// paced by them. A reply sent as two writes on a Nagle socket holds
+/// the second until the first is ACKed, ~40 ms later: 2 s for these 50.
+#[test]
+fn sequential_round_trips_are_not_paced_by_delayed_acks() {
+    let h = server(|_| {});
+    let stream = TcpStream::connect(h.addr()).expect("connect");
+    let mut w = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        w.write_all(b"{\"op\":\"health\"}\n").unwrap();
+        let mut resp = String::new();
+        assert!(reader.read_line(&mut resp).unwrap() > 0, "early EOF");
+        let v = json::parse(resp.trim()).expect("valid response json");
+        assert_eq!(field(&v, "ok").as_bool(), Some(true), "{v:?}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(1000),
+        "50 round trips took {elapsed:?}"
+    );
+    drop(w);
+    drop(reader);
+    h.join();
+}
+
 #[test]
 fn wait_parks_until_a_client_requests_shutdown() {
     let h = server(|_| {});
