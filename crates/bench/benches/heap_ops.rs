@@ -47,9 +47,9 @@ fn heap_ops(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("alloc+drop (malloc path, recycling off)", |b| {
-        // The seed discipline: every alloc boxes fresh field storage and
-        // every free returns it to the global allocator.
+    group.bench_function("alloc+drop (bump only, recycling off)", |b| {
+        // Recycling off: every alloc bumps the arena and a vacated
+        // header is never relisted.
         let mut h = Heap::with_config(
             ReclaimMode::Rc,
             HeapConfig {

@@ -364,7 +364,7 @@ fn borrow(opts: &Options) {
 }
 
 /// Allocator ablation: the size-class free lists on (default) vs. off
-/// (the seed's free-and-reallocate discipline). Hit rate and recycled
+/// (vacated headers never relisted: every allocation bumps the arena). Hit rate and recycled
 /// words quantify how much of each workload's allocation traffic the
 /// lists absorb; see docs/RUNTIME.md for the design.
 fn alloc_ablation(opts: &Options) {

@@ -162,11 +162,10 @@ mod shim {
 
     pub fn prim_ref_set(rt: &mut Rt, r: Value, v: Value) -> Result<Value, RuntimeError> {
         let addr = ref_addr(&r)?;
-        let block = rt.heap.block_mut(addr)?;
-        if block.tag != BlockTag::MutRef {
+        if rt.heap.view(addr)?.tag != BlockTag::MutRef {
             return Err(RuntimeError::TypeMismatch(":= on a non-ref".into()));
         }
-        let old = std::mem::replace(&mut block.fields[0], v);
+        let old = std::mem::replace(rt.heap.field_mut(addr, 0)?, v);
         rt.heap.drop_value(old)?;
         rt.heap.drop_value(r)?;
         Ok(Value::Unit)

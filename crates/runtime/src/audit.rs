@@ -457,7 +457,7 @@ mod tests {
         let mut h = Heap::new(ReclaimMode::Rc);
         let r = h.alloc(BlockTag::MutRef, vec![Value::Unit].into_boxed_slice());
         let holder = cell(&mut h, vec![Value::Ref(r)]);
-        h.block_mut(r).unwrap().fields[0] = Value::Ref(holder);
+        *h.field_mut(r, 0).unwrap() = Value::Ref(holder);
         // Neither is reachable from any root, but they sustain each
         // other — the §2.7.4 situation.
         let report = check_heap(&h, &[]).unwrap();
@@ -479,7 +479,7 @@ mod tests {
         );
         let child = cell(&mut h, vec![Value::Int(1)]);
         let a = cell(&mut h, vec![Value::Ref(child)]);
-        h.block_mut(a).unwrap().header = crate::heap::STICKY;
+        *h.header_mut(a).unwrap() = crate::heap::STICKY;
         // Drops on the pinned block are no-ops; it stays live.
         h.drop_value(Value::Ref(a)).unwrap();
         assert_eq!(h.live_blocks(), 2, "sticky never freed");
@@ -518,6 +518,35 @@ mod tests {
         let report = check_heap(&h, &[keep]).unwrap();
         assert_eq!(report.live_blocks, 1, "listed blocks are not live");
         assert_eq!(report.cycle_garbage, 0, "listed blocks are not garbage");
+    }
+
+    #[test]
+    fn reset_and_audit_of_a_clean_heap_do_not_scale_with_its_high_water_mark() {
+        // What a worker pays between sessions, on a heap that once
+        // held `cells` blocks and now holds none: the smallest of
+        // several batches (a neighbour can only add time).
+        fn between_sessions(cells: i64) -> std::time::Duration {
+            let mut h = Heap::new(ReclaimMode::Rc);
+            let all: Vec<Addr> = (0..cells)
+                .map(|i| cell(&mut h, vec![Value::Int(i), Value::Unit]))
+                .collect();
+            for a in all {
+                h.drop_value(Value::Ref(a)).unwrap();
+            }
+            let batch = |h: &mut Heap| {
+                let t = std::time::Instant::now();
+                for _ in 0..100 {
+                    assert_eq!(h.reset(), 0);
+                    assert_eq!(check_heap(h, &[]).unwrap().live_blocks, 0);
+                }
+                t.elapsed()
+            };
+            (0..10).map(|_| batch(&mut h)).min().unwrap()
+        }
+        let small = between_sessions(256);
+        let large = between_sessions(200_000);
+        // Walking the header table made this ratio about 2 000.
+        assert!(large <= small * 20, "{large:?} against {small:?}");
     }
 
     #[test]
@@ -583,7 +612,7 @@ mod tests {
         let mut seg2 = SharedHeap::new();
         let child = cell(&mut h2, vec![Value::Int(2)]);
         let b = cell(&mut h2, vec![Value::Ref(child)]);
-        h2.block_mut(b).unwrap().header = crate::heap::STICKY;
+        *h2.header_mut(b).unwrap() = crate::heap::STICKY;
         let _shared = h2.mark_shared(Value::Ref(b), &mut seg2).unwrap();
         let report = check_shared_at_join(&seg2).unwrap();
         assert_eq!(report.live_blocks, 2);

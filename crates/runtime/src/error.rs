@@ -25,10 +25,11 @@ pub enum RuntimeError {
     /// The configured step budget was exhausted.
     StepLimit(u64),
     /// The configured live-memory budget was exceeded: the session's
-    /// live heap grew past `limit_words` (it reached `live_words`).
-    /// Because the heap is garbage-free (Thm. 2), the live words at any
-    /// step are exactly the program's reachable data — so this limit is
-    /// a *deterministic* sandbox, not an allocator-dependent OOM.
+    /// live heap plus its value stack and frame records grew past
+    /// `limit_words` (they reached `live_words`). Because the heap is
+    /// garbage-free (Thm. 2), the live words at any step are exactly
+    /// the program's reachable data — so this limit is a
+    /// *deterministic* sandbox, not an allocator-dependent OOM.
     MemoryLimit { limit_words: u64, live_words: u64 },
     /// A value had the wrong shape for the operation (a compiler bug or
     /// an ill-typed hand-built program).

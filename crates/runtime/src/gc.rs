@@ -63,22 +63,13 @@ impl Collector {
         // harmless to handle uniformly).
         let mut marked = 0u64;
         while let Some(addr) = work.pop() {
-            let Ok(block) = heap.block_mut(addr) else {
-                // Stale root (dead slot) or a shared-segment address:
-                // neither is local garbage. The shared segment is
-                // reference-counted even for GC-mode workers and is
-                // audited at thread join instead.
-                continue;
-            };
-            if block.mark {
-                continue;
-            }
-            block.mark = true;
-            marked += 1;
-            for f in block.fields.clone().iter() {
-                if let Value::Ref(child) = f {
-                    work.push(*child);
-                }
+            // `None` for a block marked before, a stale root (dead
+            // slot) or a shared-segment address: none is local garbage.
+            // The shared segment is reference-counted even for GC-mode
+            // workers and is audited at thread join instead.
+            if let Some(fields) = heap.mark(addr) {
+                marked += 1;
+                work.extend(fields.iter().filter_map(Value::addr));
             }
         }
         heap.stats.gc_collections += 1;
@@ -114,7 +105,7 @@ mod tests {
         let swept = gc.collect(&mut h, roots.iter());
         assert_eq!(swept, 2);
         assert_eq!(h.live_blocks(), 2);
-        assert!(h.block(keep.addr().unwrap()).is_ok());
+        assert!(h.view(keep.addr().unwrap()).is_ok());
     }
 
     #[test]
@@ -124,7 +115,7 @@ mod tests {
         let mut h = Heap::new(ReclaimMode::Gc);
         let a = cell(&mut h, vec![Value::Unit]);
         let b = cell(&mut h, vec![a]);
-        h.block_mut(a.addr().unwrap()).unwrap().fields[0] = b;
+        *h.field_mut(a.addr().unwrap(), 0).unwrap() = b;
         let mut gc = Collector::new(GcConfig::default());
         let swept = gc.collect(&mut h, std::iter::empty());
         assert_eq!(swept, 2);

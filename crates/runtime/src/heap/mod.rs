@@ -20,13 +20,15 @@
 //!   (in-place build) or released by `drop-token`;
 //! * every address is generation-checked, so a use-after-free in
 //!   generated code is a deterministic error, not corruption;
-//! * freed cells are **recycled through size-class segregated free
-//!   lists** keyed by field count, the design Lean's runtime uses
-//!   (Ullrich & de Moura, *Counting Immutable Beans*): a retired
-//!   block's storage is kept and handed back to the next same-arity
-//!   allocation without touching the global allocator. See
-//!   `docs/RUNTIME.md` for the full memory model and the block state
-//!   diagram (live → token → listed → recycled).
+//! * a block is a fixed-size **header record** plus an **extent of one
+//!   field arena** the heap owns — no `malloc` per cell. The extent is
+//!   assigned when the header is first created and never split, merged
+//!   or moved; a dead header is **relisted by exact field count** on
+//!   size-class free lists, the design Lean's runtime uses (Ullrich &
+//!   de Moura, *Counting Immutable Beans*), and the next same-arity
+//!   allocation rewrites its extent in place. See `docs/RUNTIME.md`
+//!   for the full memory model and the block state diagram
+//!   (live → token → listed → recycled).
 //!
 //! The same heap serves the tracing-GC and arena baselines: in those
 //! modes the counting entry points are inert and reclamation is driven
@@ -63,49 +65,99 @@ pub enum BlockTag {
     MutRef,
 }
 
-/// A heap block.
-#[derive(Debug, Clone)]
-pub struct Block {
+/// A header record's lifecycle state (see the diagram in
+/// `docs/RUNTIME.md`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Dead and on no list: vacated with recycling off. Its extent is
+    /// never handed out again.
+    Vacant,
+    /// Dead and parked on the free list of its field count: neither
+    /// live nor a leak, and the generation has already been bumped, so
+    /// every stale address errors deterministically.
+    Listed,
+    /// A live block (or one claimed by a reuse token, count 0).
+    Used,
+}
+
+/// Which [`BlockTag`] variant a header holds; the variant's payload is
+/// [`Header::id`]. Split so the record stays within 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Ctor,
+    Closure,
+    MutRef,
+}
+
+/// The fixed-size record of one block. [`Addr::index`] is its position
+/// in [`Heap::headers`]; its fields are `arena[off .. off + len]`, an
+/// extent assigned once, when the record is created, and kept for the
+/// life of the heap.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    /// Bumped at every death, so a stale address never names the
+    /// extent's next tenant.
+    gen: u32,
     /// Signed reference count (see module docs). `0` means the cell is
     /// *claimed* by a reuse token: memory held, contents meaningless.
-    pub header: i32,
-    /// Block kind.
-    pub tag: BlockTag,
+    count: i32,
+    off: u32,
+    len: u32,
+    /// Payload of the tag ([`CtorId`] or [`LamId`]; unused for refs).
+    id: u32,
+    kind: Kind,
+    state: State,
     /// Mark bit for the tracing collector.
-    pub mark: bool,
-    /// Fields (captured values for closures, one slot for mut refs).
-    pub fields: Box<[Value]>,
+    mark: bool,
 }
 
-impl Block {
+// A million-cell heap is a million of these.
+const _: () = assert!(std::mem::size_of::<Header>() <= 24);
+
+impl Header {
+    fn new(tag: BlockTag, off: u32, len: u32) -> Self {
+        let (kind, id) = Self::split(tag);
+        Header {
+            gen: 0,
+            count: 1,
+            off,
+            len,
+            id,
+            kind,
+            state: State::Used,
+            mark: false,
+        }
+    }
+
+    fn split(tag: BlockTag) -> (Kind, u32) {
+        match tag {
+            BlockTag::Ctor(c) => (Kind::Ctor, c.0),
+            BlockTag::Closure(l) => (Kind::Closure, l.0),
+            BlockTag::MutRef => (Kind::MutRef, 0),
+        }
+    }
+
+    fn tag(&self) -> BlockTag {
+        match self.kind {
+            Kind::Ctor => BlockTag::Ctor(CtorId(self.id)),
+            Kind::Closure => BlockTag::Closure(LamId(self.id)),
+            Kind::MutRef => BlockTag::MutRef,
+        }
+    }
+
+    fn set_tag(&mut self, tag: BlockTag) {
+        (self.kind, self.id) = Self::split(tag);
+    }
+
+    /// The block's fields within the arena.
+    fn extent(&self) -> std::ops::Range<usize> {
+        self.off as usize..self.off as usize + self.len as usize
+    }
+
     /// Words occupied (fields + one header word).
-    pub fn words(&self) -> u64 {
-        self.fields.len() as u64 + 1
+    fn words(&self) -> u64 {
+        self.len as u64 + 1
     }
-
-    /// True when thread-shared (negative header, §2.7.2).
-    pub fn is_shared(&self) -> bool {
-        self.header < 0
-    }
-}
-
-/// A slot's lifecycle state (see the diagram in `docs/RUNTIME.md`).
-enum SlotState {
-    /// Empty slot with no retained storage (never yet used, or retired
-    /// with an out-of-class field count).
-    Free,
-    /// Retired block parked on a size-class free list: the field
-    /// storage is retained for recycling, but the block is dead — it is
-    /// neither live nor a leak, and its slot generation has already
-    /// been bumped, so every stale address errors deterministically.
-    Listed(Block),
-    /// A live block (or one claimed by a reuse token, header 0).
-    Used(Block),
-}
-
-struct SlotEntry {
-    gen: u32,
-    state: SlotState,
 }
 
 /// How the heap reclaims memory.
@@ -128,16 +180,17 @@ pub const STICKY: i32 = i32::MIN / 2;
 /// Number of exact size classes: field counts `0 ..= NUM_SIZE_CLASSES-1`
 /// each get their own free list. Constructor arities in practice are
 /// tiny (the suite's largest is red-black `Node` with 4 fields), so 16
-/// classes cover everything; larger blocks release their storage to the
-/// global allocator and only recycle the slot index.
+/// classes cover everything; larger blocks share one overflow list that
+/// is searched for an exact length.
 pub const NUM_SIZE_CLASSES: usize = 16;
 
 /// Allocator policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct HeapConfig {
     /// Serve allocations from the size-class free lists (on by
-    /// default); off restores the free-and-reallocate discipline, for
-    /// the allocator ablation in `figures -- allocator`.
+    /// default). Off, a vacated header is never relisted: every
+    /// allocation bumps the arena (the "off" rows of the allocator
+    /// ablation in `figures -- alloc`).
     pub recycle: bool,
     /// When active, release builds also pay the expensive runtime
     /// invariant checks (today: reuse-specialization skipped-field
@@ -156,9 +209,9 @@ impl Default for HeapConfig {
 }
 
 /// A read-only, segment-agnostic view of a block: the one shape both
-/// the thread-local heap and the shared segment can serve. Readers
-/// (the machine's match/apply/read-back, the auditor) use this instead
-/// of [`Heap::block`], which only local blocks can back.
+/// the thread-local heap and the shared segment can serve, and the
+/// only way to read a block (the machine's match/apply/read-back, the
+/// auditor).
 pub struct BlockView<'a> {
     /// Signed header at read time (for shared blocks: an atomic load).
     pub header: i32,
@@ -172,12 +225,18 @@ pub struct BlockView<'a> {
 
 /// The heap.
 pub struct Heap {
-    slots: Vec<SlotEntry>,
-    /// Size-class segregated free lists: `classes[k]` holds slot
-    /// indices whose retained storage has exactly `k` fields.
+    /// One record per block ever created, indexed by [`Addr::index`].
+    headers: Vec<Header>,
+    /// Every block's fields; a header names its extent.
+    arena: Vec<Value>,
+    /// Size-class segregated free lists: `classes[k]` holds the listed
+    /// headers whose extent has exactly `k` fields.
     classes: [Vec<u32>; NUM_SIZE_CLASSES],
-    /// Slots with no retained storage (out-of-class retirement).
-    spare: Vec<u32>,
+    /// Listed headers with `NUM_SIZE_CLASSES` fields or more.
+    overflow: Vec<u32>,
+    /// How many headers are [`State::Used`]: with none, `reset` and
+    /// `iter_live` do not walk `headers`.
+    used: usize,
     /// Reusable worklist for recursive drops (a fresh `Vec` per drop
     /// would put a malloc/free pair on the hottest rc path).
     drop_work: Vec<Addr>,
@@ -219,9 +278,11 @@ impl Heap {
     /// Creates an empty heap with an explicit allocator policy.
     pub fn with_config(mode: ReclaimMode, config: HeapConfig) -> Self {
         Heap {
-            slots: Vec::new(),
+            headers: Vec::new(),
+            arena: Vec::new(),
             classes: std::array::from_fn(|_| Vec::new()),
-            spare: Vec::new(),
+            overflow: Vec::new(),
+            used: 0,
             drop_work: Vec::new(),
             config,
             mode,
@@ -418,9 +479,10 @@ impl Heap {
         self.stats.live_blocks
     }
 
-    /// Blocks currently parked on the size-class free lists.
+    /// Blocks currently parked on the free lists.
     pub fn listed_blocks(&self) -> u64 {
-        self.classes.iter().map(|c| c.len() as u64).sum()
+        let classed: usize = self.classes.iter().map(Vec::len).sum();
+        (classed + self.overflow.len()) as u64
     }
 
     /// Free-list occupancy per size class: `(field_count, blocks)` for
@@ -436,64 +498,52 @@ impl Heap {
 
     // ---- access ----------------------------------------------------
 
-    fn entry(&self, addr: Addr) -> Result<&Block, RuntimeError> {
-        Self::lookup(&self.slots, addr)
-    }
-
-    fn lookup(slots: &[SlotEntry], addr: Addr) -> Result<&Block, RuntimeError> {
-        let e = slots
+    fn lookup(headers: &[Header], addr: Addr) -> Result<&Header, RuntimeError> {
+        let h = headers
             .get(addr.index as usize)
             .ok_or(RuntimeError::BadAddress(addr))?;
-        if e.gen != addr.gen {
+        // A dead header's generation is already stale, but stay
+        // defensive: a listed extent must never be readable.
+        if h.gen != addr.gen || h.state != State::Used {
             return Err(RuntimeError::UseAfterFree(addr));
         }
-        match &e.state {
-            SlotState::Used(b) => Ok(b),
-            // A listed slot's generation is already stale, but stay
-            // defensive: listed storage must never be readable.
-            SlotState::Free | SlotState::Listed(_) => Err(RuntimeError::UseAfterFree(addr)),
-        }
+        Ok(h)
     }
 
-    fn entry_mut(&mut self, addr: Addr) -> Result<&mut Block, RuntimeError> {
-        Self::lookup_mut(&mut self.slots, addr)
-    }
-
-    fn lookup_mut(slots: &mut [SlotEntry], addr: Addr) -> Result<&mut Block, RuntimeError> {
-        let e = slots
+    fn lookup_mut(headers: &mut [Header], addr: Addr) -> Result<&mut Header, RuntimeError> {
+        let h = headers
             .get_mut(addr.index as usize)
             .ok_or(RuntimeError::BadAddress(addr))?;
-        if e.gen != addr.gen {
+        if h.gen != addr.gen || h.state != State::Used {
             return Err(RuntimeError::UseAfterFree(addr));
         }
-        match &mut e.state {
-            SlotState::Used(b) => Ok(b),
-            SlotState::Free | SlotState::Listed(_) => Err(RuntimeError::UseAfterFree(addr)),
-        }
+        Ok(h)
     }
 
-    /// Reads a *thread-local* block (generation-checked). Shared
-    /// addresses are an error here — readers that must serve both
-    /// segments go through [`Heap::view`].
-    pub fn block(&self, addr: Addr) -> Result<&Block, RuntimeError> {
-        if addr.is_shared() {
-            return Err(RuntimeError::Internal(format!(
-                "block() on shared address {addr} (use view())"
-            )));
-        }
-        self.entry(addr)
-    }
-
-    /// Reads a block mutably (generation-checked). Used by the machine
-    /// for mutable-reference writes; shared blocks are immutable by
-    /// construction, so a shared address is an error.
-    pub fn block_mut(&mut self, addr: Addr) -> Result<&mut Block, RuntimeError> {
+    /// A *thread-local* block's header for writing; shared blocks are
+    /// immutable by construction, so a shared address is an error.
+    fn local_mut(&mut self, addr: Addr) -> Result<&mut Header, RuntimeError> {
         if addr.is_shared() {
             return Err(RuntimeError::Internal(format!(
                 "mutation of immutable shared block {addr}"
             )));
         }
-        self.entry_mut(addr)
+        Self::lookup_mut(&mut self.headers, addr)
+    }
+
+    /// Field `i` of a thread-local block, for writing
+    /// (generation-checked): the store of a mutable reference.
+    pub fn field_mut(&mut self, addr: Addr, i: usize) -> Result<&mut Value, RuntimeError> {
+        let extent = self.local_mut(addr)?.extent();
+        self.arena[extent]
+            .get_mut(i)
+            .ok_or_else(|| RuntimeError::Internal(format!("block {addr} has no field {i}")))
+    }
+
+    /// The signed reference count of a thread-local block, for writing
+    /// (generation-checked): how tests pin a count at the sticky floor.
+    pub fn header_mut(&mut self, addr: Addr) -> Result<&mut i32, RuntimeError> {
+        Ok(&mut self.local_mut(addr)?.count)
     }
 
     /// Reads a block from either segment (generation-checked locally,
@@ -506,13 +556,16 @@ impl Heap {
                 .ok_or(RuntimeError::BadAddress(addr))?;
             return sh.view(addr);
         }
-        let b = self.entry(addr)?;
-        Ok(BlockView {
-            header: b.header,
-            tag: b.tag,
-            fields: &b.fields,
+        Ok(self.view_of(Self::lookup(&self.headers, addr)?))
+    }
+
+    fn view_of(&self, h: &Header) -> BlockView<'_> {
+        BlockView {
+            header: h.count,
+            tag: h.tag(),
+            fields: &self.arena[h.extent()],
             shared: false,
-        })
+        }
     }
 
     /// True when `addr` names a live block in either segment.
@@ -522,103 +575,83 @@ impl Heap {
 
     // ---- allocation -------------------------------------------------
 
-    /// Allocates a block with reference count 1, copying `vals` into
-    /// recycled storage when the matching size class has a free block —
-    /// the hot path: a free-list hit touches no global allocator at all.
+    /// Allocates a block with reference count 1 holding `vals`. A
+    /// free-list hit rewrites a listed extent in place; a miss bumps
+    /// the arena. Neither touches the global allocator (beyond the
+    /// arena's own amortized growth).
     pub fn alloc_slice(&mut self, tag: BlockTag, vals: &[Value]) -> Addr {
         let snap = self.prof_begin();
-        let addr = match self.recycle_fit(tag, vals) {
-            Some(addr) => addr,
-            None => self.install(tag, vals.to_vec().into_boxed_slice()),
-        };
+        let addr = self.place(tag, vals);
         self.prof_commit(snap);
         addr
     }
 
-    /// Allocates a fresh block with reference count 1 from an owned
-    /// field box. Prefer [`Heap::alloc_slice`] on hot paths — this entry
-    /// point has already paid the allocation for `fields`, so a
-    /// free-list hit merely swaps which storage is kept.
+    /// [`Heap::alloc_slice`] from an owned field box (the box is copied
+    /// into the arena and dropped).
     pub fn alloc(&mut self, tag: BlockTag, fields: Box<[Value]>) -> Addr {
-        let snap = self.prof_begin();
-        let addr = match self.recycle_fit(tag, &fields) {
-            Some(addr) => addr,
-            None => self.install(tag, fields),
-        };
-        self.prof_commit(snap);
-        addr
+        self.alloc_slice(tag, &fields)
     }
 
-    /// Serves an allocation from the matching size-class free list, if
-    /// possible. On a hit the retained storage is reused in place.
-    fn recycle_fit(&mut self, tag: BlockTag, vals: &[Value]) -> Option<Addr> {
-        if !self.config.recycle {
-            return None;
-        }
-        let class = vals.len();
-        let index = match self.classes.get_mut(class).and_then(|c| c.pop()) {
-            Some(i) => i,
-            None => {
-                self.stats.freelist_misses += 1;
-                return None;
-            }
+    fn place(&mut self, tag: BlockTag, vals: &[Value]) -> Addr {
+        let len = vals.len();
+        let words = len as u64 + 1;
+        // A hit is the exact class's list being non-empty; an
+        // out-of-class length always counts a miss, even when the
+        // overflow list serves it.
+        let mut hit = false;
+        let listed = if !self.config.recycle {
+            None
+        } else if let Some(index) = self.classes.get_mut(len).and_then(Vec::pop) {
+            hit = true;
+            Some(index)
+        } else {
+            self.stats.freelist_misses += 1;
+            self.overflow
+                .iter()
+                .position(|&i| self.headers[i as usize].len as usize == len)
+                .map(|at| self.overflow.swap_remove(at))
         };
-        let e = &mut self.slots[index as usize];
-        // Re-badge the slot as used; the generation was already bumped
-        // when the previous tenant retired.
-        let state = std::mem::replace(&mut e.state, SlotState::Free);
-        let SlotState::Listed(mut b) = state else {
-            unreachable!("size-class free list holds a non-listed slot");
-        };
-        debug_assert_eq!(
-            b.fields.len(),
-            vals.len(),
-            "size class {class} served a wrong-sized block"
-        );
-        b.header = 1;
-        b.tag = tag;
-        b.mark = false;
-        b.fields.copy_from_slice(vals);
-        let block_words = b.fields.len() as u64 + 1;
-        e.state = SlotState::Used(b);
-        let addr = Addr { index, gen: e.gen };
-        self.stats.on_fresh_alloc(block_words);
-        self.stats.field_writes += vals.len() as u64;
-        self.stats.freelist_hits += 1;
-        self.stats.recycled_words += block_words;
-        self.prof_on_alloc(addr.index, tag, block_words);
-        self.tr(Event::Recycle(addr, block_words));
-        Some(addr)
-    }
-
-    /// Installs a block into a spare slot or grows the table.
-    fn install(&mut self, tag: BlockTag, fields: Box<[Value]>) -> Addr {
-        let words = fields.len() as u64 + 1;
-        self.stats.on_fresh_alloc(words);
-        self.stats.field_writes += fields.len() as u64;
-        let block = Block {
-            header: 1,
-            tag,
-            mark: false,
-            fields,
-        };
-        let addr = match self.spare.pop() {
+        let addr = match listed {
             Some(index) => {
-                let e = &mut self.slots[index as usize];
-                e.state = SlotState::Used(block);
-                Addr { index, gen: e.gen }
+                let h = &mut self.headers[index as usize];
+                debug_assert!(
+                    h.state == State::Listed && h.len as usize == len,
+                    "free list served header {index} ({:?}, {} fields) for {len} fields",
+                    h.state,
+                    h.len,
+                );
+                // The generation was bumped when the previous tenant
+                // died.
+                h.state = State::Used;
+                h.count = 1;
+                h.mark = false;
+                h.set_tag(tag);
+                self.arena[h.extent()].copy_from_slice(vals);
+                Addr { index, gen: h.gen }
             }
             None => {
-                let index = self.slots.len() as u32;
-                self.slots.push(SlotEntry {
-                    gen: 0,
-                    state: SlotState::Used(block),
-                });
+                let index = u32::try_from(self.headers.len())
+                    .ok()
+                    .filter(|i| i & Addr::SHARED_BIT == 0)
+                    .expect("local heap out of header indices");
+                let off = u32::try_from(self.arena.len()).expect("field arena out of offsets");
+                let len = u32::try_from(len).expect("block wider than the field arena");
+                self.arena.extend_from_slice(vals);
+                self.headers.push(Header::new(tag, off, len));
                 Addr { index, gen: 0 }
             }
         };
+        self.used += 1;
+        self.stats.on_fresh_alloc(words);
+        self.stats.field_writes += len as u64;
         self.prof_on_alloc(addr.index, tag, words);
-        self.tr(Event::Alloc(addr, words));
+        if hit {
+            self.stats.freelist_hits += 1;
+            self.stats.recycled_words += words;
+            self.tr(Event::Recycle(addr, words));
+        } else {
+            self.tr(Event::Alloc(addr, words));
+        }
         addr
     }
 
@@ -663,37 +696,38 @@ impl Heap {
             )));
         }
         let check_skipped = self.config.validation.active();
-        let b = self.entry_mut(token)?;
-        if b.header != 0 {
+        let h = Self::lookup_mut(&mut self.headers, token)?;
+        if h.count != 0 {
             return Err(RuntimeError::Internal(format!(
                 "reuse of unclaimed cell {token} (header {})",
-                b.header
+                h.count
             )));
         }
-        if b.fields.len() != args.len() {
+        if h.len as usize != args.len() {
             return Err(RuntimeError::Internal(format!(
                 "reuse size mismatch at {token}: cell has {} fields, constructor {}",
-                b.fields.len(),
+                h.len,
                 args.len()
             )));
         }
+        let fields = &mut self.arena[h.extent()];
         let mut written = 0;
         for (i, v) in args.iter().enumerate() {
             if skip.get(i).copied().unwrap_or(false) {
-                if check_skipped && b.fields[i] != *v {
+                if check_skipped && fields[i] != *v {
                     return Err(RuntimeError::Internal(format!(
                         "reuse skip mask at {token}: skipped field {i} holds {} but the \
                          constructor argument is {v}",
-                        b.fields[i]
+                        fields[i]
                     )));
                 }
             } else {
-                b.fields[i] = *v;
+                fields[i] = *v;
                 written += 1;
             }
         }
-        b.header = 1;
-        b.tag = BlockTag::Ctor(ctor);
+        h.count = 1;
+        h.set_tag(BlockTag::Ctor(ctor));
         self.stats.field_writes += written;
         self.stats.skipped_writes += (args.len() - written as usize) as u64;
         self.stats.on_reuse();
@@ -742,23 +776,23 @@ impl Heap {
             self.tr(Event::Dup(addr, after));
             return Ok(());
         }
-        let b = Self::lookup_mut(&mut self.slots, addr)?;
-        if b.header == 1 {
+        let h = Self::lookup_mut(&mut self.headers, addr)?;
+        if h.count == 1 {
             // Uniquely owned: the dominant case in Perceus-optimized
             // code (everything not shared is unique).
-            b.header = 2;
-        } else if b.header > 0 {
-            b.header += 1;
+            h.count = 2;
+        } else if h.count > 0 {
+            h.count += 1;
         } else {
             // Marked shared in place by an in-thread `tshare`: the
             // negative-count discipline without any atomic instruction
             // (the block never left this thread).
             self.stats.local_shared_ops += 1;
-            if b.header > STICKY {
-                b.header -= 1;
+            if h.count > STICKY {
+                h.count -= 1;
             }
         }
-        let after = b.header;
+        let after = h.count;
         self.tr(Event::Dup(addr, after));
         Ok(())
     }
@@ -789,18 +823,7 @@ impl Heap {
         }
         let Value::Ref(addr) = v else { return Ok(()) };
         self.stats.drops += 1;
-        let mut work = std::mem::take(&mut self.drop_work);
-        work.push(addr);
-        let r = self.drop_loop(&mut work);
-        work.clear();
-        self.drop_work = work;
-        // Quiescent point: this drop may have retired shared slots
-        // (directly, or through a local block's shared children), and
-        // this heap provably holds no views (we have `&mut self`) —
-        // advance the pin so reclamation can proceed. No-op when no
-        // segment is attached.
-        self.epoch_tick();
-        r
+        self.run_drop_loop(addr)
     }
 
     fn drop_loop(&mut self, work: &mut Vec<Addr>) -> Result<(), RuntimeError> {
@@ -836,50 +859,16 @@ impl Heap {
                 }
                 continue;
             }
-            let e = self
-                .slots
-                .get_mut(addr.index as usize)
-                .ok_or(RuntimeError::BadAddress(addr))?;
-            if e.gen != addr.gen {
-                return Err(RuntimeError::UseAfterFree(addr));
-            }
-            let SlotState::Used(b) = &mut e.state else {
-                return Err(RuntimeError::UseAfterFree(addr));
-            };
-            if b.header == 1 {
+            let h = Self::lookup_mut(&mut self.headers, addr)?;
+            if h.count == 1 {
                 // Last reference: free, children join the worklist.
-                // Retirement is inlined here (rather than via `retire`)
-                // so the alloc+drop hot loop pays one slot lookup, not
-                // two.
-                for f in b.fields.iter() {
-                    match f {
-                        Value::Ref(child) => work.push(*child),
-                        Value::Weak(child) => weak_drops.push(*child),
-                        _ => {}
-                    }
-                }
-                e.gen = e.gen.wrapping_add(1);
-                let state = std::mem::replace(&mut e.state, SlotState::Free);
-                let SlotState::Used(block) = state else {
-                    unreachable!()
-                };
-                let words = block.words();
-                let class = block.fields.len();
-                if self.config.recycle && class < NUM_SIZE_CLASSES {
-                    e.state = SlotState::Listed(block);
-                    self.classes[class].push(addr.index);
-                } else {
-                    self.spare.push(addr.index);
-                }
-                self.stats.on_free(words);
-                self.prof_on_release(addr.index);
                 self.tr(Event::Drop(addr, 0));
-                self.tr(Event::Free(addr));
-            } else if b.header > 1 {
-                b.header -= 1;
-                let after = b.header;
+                self.free_block(addr, work, &mut weak_drops);
+            } else if h.count > 1 {
+                h.count -= 1;
+                let after = h.count;
                 self.tr(Event::Drop(addr, after));
-            } else if b.header == 0 {
+            } else if h.count == 0 {
                 return Err(RuntimeError::Internal(format!(
                     "drop of claimed cell {addr}"
                 )));
@@ -887,19 +876,10 @@ impl Heap {
                 // In-thread `tshare` slow path (non-atomic: the block
                 // is still thread-local).
                 self.stats.local_shared_ops += 1;
-                if b.header > STICKY {
-                    b.header += 1;
-                    if b.header == 0 {
-                        let fields = std::mem::take(&mut b.fields);
-                        for f in fields.iter() {
-                            match f {
-                                Value::Ref(child) => work.push(*child),
-                                Value::Weak(child) => weak_drops.push(*child),
-                                _ => {}
-                            }
-                        }
-                        b.fields = fields;
-                        self.retire(addr)?;
+                if h.count > STICKY {
+                    h.count += 1;
+                    if h.count == 0 {
+                        self.free_block(addr, work, &mut weak_drops);
                     }
                 }
             }
@@ -909,6 +889,41 @@ impl Heap {
             sh.weak_drop(wa, &mut self.stats)?;
         }
         Ok(())
+    }
+
+    /// Frees a live block whose last reference just went: its children
+    /// join the worklists and its header is vacated.
+    fn free_block(&mut self, addr: Addr, work: &mut Vec<Addr>, weak_drops: &mut Vec<Addr>) {
+        let extent = self.headers[addr.index as usize].extent();
+        push_children(&self.arena[extent], work, weak_drops);
+        let words = self.vacate(addr.index);
+        self.stats.on_free(words);
+        self.tr(Event::Free(addr));
+    }
+
+    /// The one way a used header dies (zero count, `free`, drop-token,
+    /// sweep, eviction, reset): bumps the generation, making every
+    /// outstanding address stale, and relists the header by its exact
+    /// field count — or leaves it vacant for good when recycling is
+    /// off. The extent stays where it is. Returns the words the block
+    /// occupied; live accounting is the caller's.
+    fn vacate(&mut self, index: u32) -> u64 {
+        let h = &mut self.headers[index as usize];
+        debug_assert_eq!(h.state, State::Used, "vacating dead header {index}");
+        h.gen = h.gen.wrapping_add(1);
+        let words = h.words();
+        if self.config.recycle {
+            h.state = State::Listed;
+            match self.classes.get_mut(h.len as usize) {
+                Some(class) => class.push(index),
+                None => self.overflow.push(index),
+            }
+        } else {
+            h.state = State::Vacant;
+        }
+        self.used -= 1;
+        self.prof_on_release(index);
+        words
     }
 
     /// `decref v` — decrement without the zero check; only emitted in
@@ -931,35 +946,30 @@ impl Heap {
             // shared branch may hold the *last* reference and must
             // reclaim fully at zero — route through the drop loop,
             // which pays the real atomic RMW.
-            return self.release_shared(addr);
+            return self.run_drop_loop(addr);
         }
-        let b = Self::lookup_mut(&mut self.slots, addr)?;
-        if b.header > 1 {
-            b.header -= 1;
+        let h = Self::lookup_mut(&mut self.headers, addr)?;
+        if h.count > 1 {
+            h.count -= 1;
             Ok(())
-        } else if b.header < 0 {
+        } else if h.count < 0 {
             // In-thread `tshare`: same discipline, no atomics.
             self.stats.local_shared_ops += 1;
-            if b.header > STICKY {
-                b.header += 1;
-                if b.header == 0 {
-                    let fields: Vec<Value> = b.fields.to_vec();
-                    self.retire(addr)?;
-                    for f in fields {
-                        if f.is_ref() || matches!(f, Value::Weak(_)) {
-                            self.drop_value_inner(f)?;
-                            // The child release is part of this free, not
-                            // a program-emitted drop instruction.
-                            self.stats.drops -= 1;
-                        }
-                    }
+            if h.count > STICKY {
+                h.count += 1;
+                if h.count == 0 {
+                    // Shared count hit zero here: free fully. The drop
+                    // loop releases the children as part of this free,
+                    // not as program-emitted drop instructions.
+                    h.count = 1;
+                    return self.run_drop_loop(addr);
                 }
             }
             Ok(())
         } else {
             Err(RuntimeError::Internal(format!(
                 "decref of {addr} with header {}",
-                b.header
+                h.count
             )))
         }
     }
@@ -982,7 +992,7 @@ impl Heap {
                 self.view(addr)?;
                 false
             }
-            Value::Ref(addr) => Self::lookup(&self.slots, addr)?.header == 1,
+            Value::Ref(addr) => Self::lookup(&self.headers, addr)?.count == 1,
             _ => false,
         };
         if unique {
@@ -1010,15 +1020,14 @@ impl Heap {
                 "free of shared block {addr} (shared blocks are never unique)"
             )));
         }
-        let b = self.entry(addr)?;
-        if b.header != 1 {
+        let h = Self::lookup(&self.headers, addr)?;
+        if h.count != 1 {
             return Err(RuntimeError::Internal(format!(
                 "free of non-unique cell {addr} (header {})",
-                b.header
+                h.count
             )));
         }
-        self.retire(addr)?;
-        Ok(())
+        self.release(addr)
     }
 
     /// `&v` — claim a unique cell as a reuse token (fast path of
@@ -1032,14 +1041,14 @@ impl Heap {
                 "&x of shared block {addr} (shared blocks are never unique)"
             )));
         }
-        let b = self.entry_mut(addr)?;
-        if b.header != 1 {
+        let h = Self::lookup_mut(&mut self.headers, addr)?;
+        if h.count != 1 {
             return Err(RuntimeError::Internal(format!(
                 "&x of non-unique cell {addr} (header {})",
-                b.header
+                h.count
             )));
         }
-        b.header = 0;
+        h.count = 0;
         self.tr(Event::Claim(addr));
         Ok(Value::Token(Some(addr)))
     }
@@ -1061,28 +1070,21 @@ impl Heap {
                 // reclaiming fully) and yield the null token.
                 self.stats.unique_tests += 1;
                 self.stats.decrefs += 1;
-                self.release_shared(addr)?;
+                self.run_drop_loop(addr)?;
                 Ok(Value::Token(None))
             }
             Value::Ref(addr) => {
                 self.stats.unique_tests += 1;
-                let b = Self::lookup(&self.slots, addr)?;
-                if b.header == 1 {
+                let h = Self::lookup_mut(&mut self.headers, addr)?;
+                if h.count == 1 {
                     self.stats.unique_hits += 1;
                     // Claim first (acyclic data: the children never point
                     // back), then drop the children — via the pooled
                     // worklist, so the roundtrip allocates nothing.
                     let mut work = std::mem::take(&mut self.drop_work);
                     let mut weak_children: Vec<Addr> = Vec::new();
-                    let b = Self::lookup_mut(&mut self.slots, addr)?;
-                    b.header = 0;
-                    for f in b.fields.iter() {
-                        match f {
-                            Value::Ref(child) => work.push(*child),
-                            Value::Weak(child) => weak_children.push(*child),
-                            _ => {}
-                        }
-                    }
+                    h.count = 0;
+                    push_children(&self.arena[h.extent()], &mut work, &mut weak_children);
                     self.stats.drops += (work.len() + weak_children.len()) as u64;
                     self.tr(Event::Claim(addr));
                     let r = self.drop_loop(&mut work);
@@ -1104,38 +1106,43 @@ impl Heap {
         }
     }
 
-    /// Decrements a shared-segment reference through the drop loop
-    /// (which pays the real atomic RMW and reclaims fully at zero).
-    fn release_shared(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        debug_assert!(addr.is_shared());
+    /// Releases one reference to `addr` through the drop loop, which
+    /// reclaims fully at zero (and, for a shared-segment address, pays
+    /// the real atomic RMW). Counts no `drop` instruction.
+    fn run_drop_loop(&mut self, addr: Addr) -> Result<(), RuntimeError> {
         let mut work = std::mem::take(&mut self.drop_work);
         work.push(addr);
         let r = self.drop_loop(&mut work);
         work.clear();
         self.drop_work = work;
-        self.epoch_tick(); // quiescent point: see `drop_value_inner`
+        // Quiescent point: this drop may have retired shared slots
+        // (directly, or through a local block's shared children), and
+        // this heap provably holds no views (we have `&mut self`) —
+        // advance the pin so reclamation can proceed. No-op when no
+        // segment is attached.
+        self.epoch_tick();
         r
     }
 
     fn decref_or_shared_drop(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        let b = Self::lookup_mut(&mut self.slots, addr)?;
+        let h = Self::lookup_mut(&mut self.headers, addr)?;
         self.stats.decrefs += 1;
-        if b.header > 1 {
-            b.header -= 1;
-        } else if b.header < 0 {
+        if h.count > 1 {
+            h.count -= 1;
+        } else if h.count < 0 {
             self.stats.local_shared_ops += 1;
-            if b.header > STICKY {
-                b.header += 1;
-                if b.header == 0 {
+            if h.count > STICKY {
+                h.count += 1;
+                if h.count == 0 {
                     // Shared count hit zero here: free fully.
-                    b.header = 1;
+                    h.count = 1;
                     return self.drop_value_inner(Value::Ref(addr));
                 }
             }
         } else {
             return Err(RuntimeError::Internal(format!(
                 "drop-reuse decrement of {addr} with header {}",
-                b.header
+                h.count
             )));
         }
         Ok(())
@@ -1202,13 +1209,12 @@ impl Heap {
     fn drop_token_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         match v {
             Value::Token(Some(addr)) => {
-                let b = self.entry(addr)?;
-                if b.header != 0 {
+                if Self::lookup(&self.headers, addr)?.count != 0 {
                     return Err(RuntimeError::Internal(format!(
                         "drop-token of unclaimed cell {addr}"
                     )));
                 }
-                self.retire(addr)?;
+                self.release(addr)?;
                 self.stats.token_frees += 1;
                 Ok(())
             }
@@ -1235,24 +1241,19 @@ impl Heap {
             if addr.is_shared() {
                 continue; // already in the shared segment
             }
-            let b = Self::lookup_mut(&mut self.slots, addr)?;
-            if b.header < 0 {
+            let h = Self::lookup_mut(&mut self.headers, addr)?;
+            if h.count < 0 {
                 continue; // already shared — also breaks ref cycles
             }
-            if b.header == 0 {
+            if h.count == 0 {
                 return Err(RuntimeError::Internal(format!(
                     "tshare of claimed cell {addr}"
                 )));
             }
-            b.header = -b.header;
-            let fields = b.fields.clone();
+            h.count = -h.count;
+            work.extend(self.arena[h.extent()].iter().filter_map(Value::addr));
             self.stats.shared_marks += 1;
             self.tr(Event::Share(addr));
-            for f in fields.iter() {
-                if let Value::Ref(child) = f {
-                    work.push(*child);
-                }
-            }
         }
         Ok(())
     }
@@ -1300,7 +1301,7 @@ impl Heap {
             if i == 0 && moved.contains_key(&addr.index) {
                 continue; // diamond: already moved via another parent
             }
-            let b = self.entry(addr)?;
+            let b = self.view(addr)?;
             if b.tag == BlockTag::MutRef {
                 return Err(RuntimeError::Internal(format!(
                     "cannot share mutable reference {addr} across threads (§2.7.3)"
@@ -1341,28 +1342,16 @@ impl Heap {
         Ok(Value::Ref(moved[&root.index]))
     }
 
-    /// Removes a block whose contents have moved to the shared segment:
-    /// bumps the generation (stale local addresses fail fast) and
-    /// recycles the slot index. Live accounting transfers to the
-    /// segment — this is a move, not a free, so `Stats::frees` stays
-    /// untouched. Legal in every reclaim mode (even the arena: nothing
-    /// is reclaimed, the block just changes segment).
+    /// Removes a block whose contents have moved to the shared segment.
+    /// Live accounting transfers to the segment — this is a move, not a
+    /// free, so `Stats::frees` stays untouched. Legal in every reclaim
+    /// mode (even the arena: nothing is reclaimed, the block just
+    /// changes segment).
     fn evict(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        let e = self
-            .slots
-            .get_mut(addr.index as usize)
-            .ok_or(RuntimeError::BadAddress(addr))?;
-        if e.gen != addr.gen || !matches!(e.state, SlotState::Used(_)) {
-            return Err(RuntimeError::UseAfterFree(addr));
-        }
-        let SlotState::Used(block) = std::mem::replace(&mut e.state, SlotState::Free) else {
-            unreachable!()
-        };
-        e.gen = e.gen.wrapping_add(1);
-        self.spare.push(addr.index);
+        Self::lookup(&self.headers, addr)?;
+        let words = self.vacate(addr.index);
         self.stats.live_blocks -= 1;
-        self.stats.live_words -= block.words();
-        self.prof_on_release(addr.index);
+        self.stats.live_words -= words;
         Ok(())
     }
 
@@ -1370,40 +1359,47 @@ impl Heap {
 
     /// Resets the heap between serving sessions: every live block
     /// (including cells claimed by an abandoned reuse token) is
-    /// force-retired onto the size-class free lists, every slot
-    /// generation is bumped so *any* address the previous session might
-    /// have leaked fails deterministically, statistics are zeroed, and
-    /// the attached shared segment is detached. Returns the number of
+    /// vacated — its generation bumped, so *any* address the previous
+    /// session might have leaked fails deterministically, its header
+    /// relisted — statistics are zeroed, and the attached shared
+    /// segment is detached. A heap with no live block (the state a
+    /// well-behaved session leaves) is not walked at all. Returns the number of
     /// blocks reclaimed — zero after a well-behaved garbage-free
     /// session, nonzero when the previous session was aborted mid-run
     /// (fuel or memory exhaustion) with values still rooted in its
     /// machine.
     ///
-    /// The retained storage is the point: the next session's
-    /// allocations are served from the warm free lists
-    /// ([`HeapConfig::recycle`]), so a long-lived worker amortizes its
-    /// allocator traffic across thousands of sessions. Everything
+    /// Headers, arena and free lists are kept — that is the point: the
+    /// next session's allocations are served from the warm free lists
+    /// ([`HeapConfig::recycle`]), so a long-lived worker's arena stops
+    /// growing once it has seen its largest session. Everything
     /// *observable* is as if the heap were freshly constructed — the
     /// generation check is what makes cross-session reuse of the same
-    /// slots safe (see `docs/RUNTIME.md`).
+    /// extents safe (see `docs/RUNTIME.md`).
     pub fn reset(&mut self) -> u64 {
-        // Repay the shared-segment references held by live blocks'
-        // fields before force-retiring them: a field owns exactly one
-        // reference, so this part of an aborted session's holdings can
-        // be returned precisely (with real atomic drops). References
-        // still rooted in the dead machine's frames are *not*
-        // recoverable here — a consumed slot is indistinguishable from
-        // a live one without liveness info — so they stay on the ledger
-        // and surface through [`Heap::take_shared_drift`].
-        if self.mode == ReclaimMode::Rc && self.shared.is_some() {
+        let reclaimed = self.used as u64;
+        if self.used > 0 {
+            // Repay the shared-segment references held by live blocks'
+            // fields while vacating them: a field owns exactly one
+            // reference, so this part of an aborted session's holdings
+            // can be returned precisely (with real atomic drops).
+            // References still rooted in the dead machine's frames are
+            // *not* recoverable here — a consumed slot is
+            // indistinguishable from a live one without liveness info —
+            // so they stay on the ledger and surface through
+            // [`Heap::take_shared_drift`].
+            let repay = self.mode == ReclaimMode::Rc && self.shared.is_some();
             let mut held: Vec<Addr> = Vec::new();
             let mut weak_held: Vec<Addr> = Vec::new();
-            for e in self.slots.iter() {
-                if let SlotState::Used(block) = &e.state {
-                    if block.header == 0 {
-                        continue; // claimed by a reuse token: contents meaningless
-                    }
-                    for f in block.fields.iter() {
+            for index in 0..self.headers.len() {
+                let h = &self.headers[index];
+                if h.state != State::Used {
+                    continue;
+                }
+                // A cell claimed by a reuse token has meaningless
+                // contents.
+                if repay && h.count != 0 {
+                    for f in &self.arena[h.extent()] {
                         match f {
                             Value::Ref(a) if a.is_shared() => held.push(*a),
                             Value::Weak(a) => weak_held.push(*a),
@@ -1411,6 +1407,7 @@ impl Heap {
                         }
                     }
                 }
+                self.vacate(index as u32);
             }
             if !held.is_empty() {
                 let _ = self.drop_loop(&mut held);
@@ -1418,24 +1415,6 @@ impl Heap {
             for wa in weak_held {
                 if let Some(sh) = self.shared.as_deref() {
                     let _ = sh.weak_drop(wa, &mut self.stats);
-                }
-            }
-        }
-        let mut reclaimed = 0;
-        for (i, e) in self.slots.iter_mut().enumerate() {
-            if let SlotState::Used(_) = e.state {
-                reclaimed += 1;
-                e.gen = e.gen.wrapping_add(1);
-                let SlotState::Used(block) = std::mem::replace(&mut e.state, SlotState::Free)
-                else {
-                    unreachable!()
-                };
-                let class = block.fields.len();
-                if self.config.recycle && class < NUM_SIZE_CLASSES {
-                    e.state = SlotState::Listed(block);
-                    self.classes[class].push(i as u32);
-                } else {
-                    self.spare.push(i as u32);
                 }
             }
         }
@@ -1459,75 +1438,62 @@ impl Heap {
 
     // ---- reclamation plumbing ---------------------------------------
 
-    /// Retires a block: bumps the slot generation (making every
-    /// outstanding address stale) and parks the storage on the matching
-    /// size-class free list — or releases it to the global allocator
-    /// when the field count is out of class or recycling is off.
-    fn retire(&mut self, addr: Addr) -> Result<(), RuntimeError> {
+    /// Frees one validated cell (`free`, `drop-token`): its children
+    /// are not touched.
+    fn release(&mut self, addr: Addr) -> Result<(), RuntimeError> {
         if self.mode == ReclaimMode::Arena {
             // The arena never reclaims; callers in arena mode never get
             // here because rc entry points are inert, but be defensive.
             return Err(RuntimeError::Internal("release in arena mode".into()));
         }
-        let e = self
-            .slots
-            .get_mut(addr.index as usize)
-            .ok_or(RuntimeError::BadAddress(addr))?;
-        if e.gen != addr.gen {
-            return Err(RuntimeError::UseAfterFree(addr));
-        }
-        let state = std::mem::replace(&mut e.state, SlotState::Free);
-        let SlotState::Used(block) = state else {
-            e.state = state;
-            return Err(RuntimeError::UseAfterFree(addr));
-        };
-        e.gen = e.gen.wrapping_add(1);
-        let words = block.words();
-        let class = block.fields.len();
-        if self.config.recycle && class < NUM_SIZE_CLASSES {
-            e.state = SlotState::Listed(block);
-            self.classes[class].push(addr.index);
-        } else {
-            self.spare.push(addr.index);
-        }
+        Self::lookup(&self.headers, addr)?;
+        let words = self.vacate(addr.index);
         self.stats.on_free(words);
-        self.prof_on_release(addr.index);
         self.tr(Event::Free(addr));
         Ok(())
     }
 
-    /// How many local slots exist: every live local [`Addr::index`] is
-    /// below it (the auditor sizes its tables by it).
+    /// How many local headers exist: every live local [`Addr::index`]
+    /// is below it (the auditor sizes its tables by it).
     pub(crate) fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.headers.len()
     }
 
-    /// Iterates live blocks with their addresses (auditor and collector).
-    /// Free-listed blocks are invisible here: they are neither live nor
-    /// leaked.
-    pub fn iter_live(&self) -> impl Iterator<Item = (Addr, &Block)> + '_ {
-        self.slots
+    /// Iterates live blocks with their addresses (auditor and
+    /// collector), stopping at the last one: a heap with no live block
+    /// is not walked. Free-listed blocks are invisible here: they are
+    /// neither live nor leaked.
+    pub fn iter_live(&self) -> impl Iterator<Item = (Addr, BlockView<'_>)> + '_ {
+        self.headers
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| match &e.state {
-                SlotState::Used(b) => Some((
-                    Addr {
-                        index: i as u32,
-                        gen: e.gen,
-                    },
-                    b,
-                )),
-                SlotState::Free | SlotState::Listed(_) => None,
+            .filter(|(_, h)| h.state == State::Used)
+            .take(self.used)
+            .map(|(i, h)| {
+                let addr = Addr {
+                    index: i as u32,
+                    gen: h.gen,
+                };
+                (addr, self.view_of(h))
             })
     }
 
     /// Collector support: clear all mark bits.
     pub(crate) fn clear_marks(&mut self) {
-        for e in &mut self.slots {
-            if let SlotState::Used(b) = &mut e.state {
-                b.mark = false;
-            }
+        for h in &mut self.headers {
+            h.mark = false;
         }
+    }
+
+    /// Collector support: marks a live local block; returns its fields
+    /// the first time, `None` when it was already marked or `addr` is
+    /// stale or shared.
+    pub(crate) fn mark(&mut self, addr: Addr) -> Option<&[Value]> {
+        let h = Self::lookup_mut(&mut self.headers, addr).ok()?;
+        if std::mem::replace(&mut h.mark, true) {
+            return None;
+        }
+        Some(&self.arena[h.extent()])
     }
 
     /// Collector support: sweep unmarked blocks onto the free lists;
@@ -1541,31 +1507,28 @@ impl Heap {
 
     fn sweep_inner(&mut self) -> u64 {
         let mut swept = 0;
-        for i in 0..self.slots.len() {
-            let e = &mut self.slots[i];
-            if let SlotState::Used(b) = &mut e.state {
-                if !b.mark {
-                    let words = b.words();
-                    let class = b.fields.len();
-                    e.gen = e.gen.wrapping_add(1);
-                    let state = std::mem::replace(&mut e.state, SlotState::Free);
-                    let SlotState::Used(block) = state else {
-                        unreachable!()
-                    };
-                    if self.config.recycle && class < NUM_SIZE_CLASSES {
-                        e.state = SlotState::Listed(block);
-                        self.classes[class].push(i as u32);
-                    } else {
-                        self.spare.push(i as u32);
-                    }
-                    self.stats.on_free(words);
-                    self.prof_on_release(i as u32);
-                    swept += 1;
-                }
+        for index in 0..self.headers.len() {
+            let h = &self.headers[index];
+            if h.state == State::Used && !h.mark {
+                let words = self.vacate(index as u32);
+                self.stats.on_free(words);
+                swept += 1;
             }
         }
         self.stats.gc_swept += swept;
         swept
+    }
+}
+
+/// Sorts the references a dying (or just claimed) block held onto the
+/// drop worklists.
+fn push_children(fields: &[Value], work: &mut Vec<Addr>, weak: &mut Vec<Addr>) {
+    for f in fields {
+        match f {
+            Value::Ref(child) => work.push(*child),
+            Value::Weak(child) => weak.push(*child),
+            _ => {}
+        }
     }
 }
 
@@ -1578,6 +1541,9 @@ impl Drop for Heap {
         self.detach_shared();
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -1600,7 +1566,7 @@ mod tests {
         h.drop_value(Value::Ref(a)).unwrap();
         assert_eq!(h.live_blocks(), 0);
         // Use after free is a detected error, not corruption.
-        assert!(matches!(h.block(a), Err(RuntimeError::UseAfterFree(_))));
+        assert!(matches!(h.view(a), Err(RuntimeError::UseAfterFree(_))));
     }
 
     #[test]
@@ -1675,7 +1641,7 @@ mod tests {
         h.dup(Value::Ref(a)).unwrap();
         let tok = h.drop_reuse(Value::Ref(a)).unwrap();
         assert_eq!(tok, Value::Token(None));
-        assert_eq!(h.block(a).unwrap().header, 1);
+        assert_eq!(h.view(a).unwrap().header, 1);
         h.drop_value(Value::Ref(a)).unwrap();
     }
 
@@ -1743,13 +1709,13 @@ mod tests {
         let mut h = heap();
         let a = cell(&mut h, vec![]);
         h.tshare(Value::Ref(a)).unwrap();
-        assert!(h.block(a).unwrap().is_shared());
+        assert!(h.view(a).unwrap().header < 0);
         assert!(
             !h.is_unique(Value::Ref(a)).unwrap(),
             "shared is never unique"
         );
         h.dup(Value::Ref(a)).unwrap();
-        assert_eq!(h.block(a).unwrap().header, -2);
+        assert_eq!(h.view(a).unwrap().header, -2);
         assert!(h.stats.local_shared_ops >= 1);
         assert_eq!(
             h.stats.atomic_ops, 0,
@@ -1767,21 +1733,21 @@ mod tests {
         let r = h.alloc(BlockTag::MutRef, vec![Value::Unit].into_boxed_slice());
         let holder = cell(&mut h, vec![Value::Ref(r)]);
         // Tie the knot: r -> holder -> r.
-        h.block_mut(r).unwrap().fields[0] = Value::Ref(holder);
+        *h.field_mut(r, 0).unwrap() = Value::Ref(holder);
         h.tshare(Value::Ref(holder)).unwrap(); // must terminate
-        assert!(h.block(r).unwrap().is_shared());
-        assert!(h.block(holder).unwrap().is_shared());
+        assert!(h.view(r).unwrap().header < 0);
+        assert!(h.view(holder).unwrap().header < 0);
     }
 
     #[test]
     fn sticky_counts_are_pinned() {
         let mut h = heap();
         let a = cell(&mut h, vec![]);
-        h.block_mut(a).unwrap().header = STICKY;
+        *h.header_mut(a).unwrap() = STICKY;
         h.dup(Value::Ref(a)).unwrap();
-        assert_eq!(h.block(a).unwrap().header, STICKY);
+        assert_eq!(h.view(a).unwrap().header, STICKY);
         h.drop_value(Value::Ref(a)).unwrap();
-        assert_eq!(h.block(a).unwrap().header, STICKY, "sticky never freed");
+        assert_eq!(h.view(a).unwrap().header, STICKY, "sticky never freed");
         assert_eq!(h.live_blocks(), 1);
     }
 
@@ -1903,7 +1869,7 @@ mod tests {
         assert_eq!(seg.live_blocks(), 2);
         assert_eq!(h.stats.shared_marks, 2);
         // Stale local addresses fail deterministically.
-        assert!(matches!(h.block(root), Err(RuntimeError::UseAfterFree(_))));
+        assert!(matches!(h.view(root), Err(RuntimeError::UseAfterFree(_))));
         // The moved structure is readable through the attached segment.
         let seg = Arc::new(seg);
         h.attach_shared(seg.clone());
@@ -1985,10 +1951,10 @@ mod tests {
         let a = cell(&mut h, vec![]);
         h.drop_value(Value::Ref(a)).unwrap();
         let b = cell(&mut h, vec![]);
-        assert_eq!(a.index, b.index, "slot recycled");
+        assert_eq!(a.index, b.index, "header recycled");
         assert_ne!(a.gen, b.gen, "generation bumped");
-        assert!(h.block(a).is_err());
-        assert!(h.block(b).is_ok());
+        assert!(h.view(a).is_err());
+        assert!(h.view(b).is_ok());
         h.drop_value(Value::Ref(b)).unwrap();
     }
 
@@ -2003,11 +1969,12 @@ mod tests {
         let b = h.alloc_slice(BlockTag::Ctor(CtorId(9)), &[Value::Int(3), Value::Int(4)]);
         assert_eq!(h.stats.freelist_hits, 1);
         assert_eq!(h.stats.recycled_words, 3);
-        assert_eq!(a.index, b.index, "same slot recycled");
+        assert_eq!(a.index, b.index, "same header recycled");
         assert_ne!(a.gen, b.gen, "generation bumped across recycling");
+        assert_eq!(h.arena.len(), 2, "the listed extent was rewritten in place");
         // The stale address is a deterministic error, never the new cell.
-        assert!(matches!(h.block(a), Err(RuntimeError::UseAfterFree(_))));
-        assert_eq!(h.block(b).unwrap().fields[0], Value::Int(3));
+        assert!(matches!(h.view(a), Err(RuntimeError::UseAfterFree(_))));
+        assert_eq!(h.view(b).unwrap().fields[0], Value::Int(3));
         h.drop_value(Value::Ref(b)).unwrap();
     }
 
@@ -2027,8 +1994,8 @@ mod tests {
         assert_eq!(h.free_list_occupancy(), vec![(1, 1), (2, 1), (3, 1)]);
         // A 2-field allocation must come from the 2-field class only.
         let b = h.alloc_slice(BlockTag::Ctor(CtorId(4)), &[Value::Int(7), Value::Int(8)]);
-        assert_eq!(h.block(b).unwrap().fields.len(), 2);
-        assert_eq!(b.index, a2.index, "exact-fit class served the slot");
+        assert_eq!(h.view(b).unwrap().fields.len(), 2);
+        assert_eq!(b.index, a2.index, "exact-fit class served the header");
         assert_eq!(h.free_list_occupancy(), vec![(1, 1), (3, 1)]);
         // A 4-field allocation misses every list (no 4-class block).
         let misses_before = h.stats.freelist_misses;
@@ -2037,28 +2004,40 @@ mod tests {
             &[Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)],
         );
         assert_eq!(h.stats.freelist_misses, misses_before + 1);
-        assert_eq!(h.block(c).unwrap().fields.len(), 4);
+        assert_eq!(h.view(c).unwrap().fields.len(), 4);
+        h.check_extents().unwrap();
         h.drop_value(Value::Ref(b)).unwrap();
         h.drop_value(Value::Ref(c)).unwrap();
     }
 
     #[test]
-    fn oversize_blocks_fall_back_to_the_global_allocator() {
+    fn oversize_blocks_recycle_by_exact_length_and_always_count_a_miss() {
         let mut h = heap();
         let big: Vec<Value> = (0..NUM_SIZE_CLASSES as i64 + 4).map(Value::Int).collect();
         let a = h.alloc_slice(BlockTag::Ctor(CtorId(9)), &big);
         h.drop_value(Value::Ref(a)).unwrap();
-        assert_eq!(h.listed_blocks(), 0, "oversize storage is not retained");
-        // The slot index itself is still recycled (spare list).
+        assert_eq!(h.free_list_occupancy(), vec![], "no exact class holds it");
+        assert_eq!(h.listed_blocks(), 1, "the overflow list does");
+        // Another out-of-class length is not served by it.
+        let c = h.alloc_slice(BlockTag::Ctor(CtorId(9)), &big[1..]);
+        assert_ne!(a.index, c.index);
+        // The exact length is: header and extent recycle, no arena
+        // growth, and — out of class — it still counts as a miss.
+        let arena = h.arena.len();
         let b = h.alloc_slice(BlockTag::Ctor(CtorId(9)), &big);
         assert_eq!(a.index, b.index);
         assert_ne!(a.gen, b.gen);
+        assert_eq!(h.arena.len(), arena);
+        assert_eq!(h.view(b).unwrap().fields, &big[..]);
         assert_eq!(h.stats.freelist_hits, 0);
+        assert_eq!(h.stats.freelist_misses, 3);
+        h.check_extents().unwrap();
         h.drop_value(Value::Ref(b)).unwrap();
+        h.drop_value(Value::Ref(c)).unwrap();
     }
 
     #[test]
-    fn recycling_off_restores_malloc_discipline() {
+    fn recycling_off_never_relists_a_vacated_header() {
         let mut h = Heap::with_config(
             ReclaimMode::Rc,
             HeapConfig {
@@ -2072,11 +2051,14 @@ mod tests {
         let b = h.alloc_slice(BlockTag::Ctor(CtorId(9)), &[Value::Int(2)]);
         assert_eq!(h.stats.freelist_hits, 0);
         assert_eq!(h.stats.freelist_misses, 0, "misses not counted when off");
-        // Slot indices still recycle through the spare list; generations
-        // still protect against stale addresses.
-        assert_eq!(a.index, b.index);
-        assert!(h.block(a).is_err());
+        // Every allocation bumps the arena; the dead header stays dead
+        // and its generation still protects against stale addresses.
+        assert_ne!(a.index, b.index);
+        assert_eq!(h.arena.len(), 2);
+        assert!(matches!(h.view(a), Err(RuntimeError::UseAfterFree(_))));
+        h.check_extents().unwrap();
         h.drop_value(Value::Ref(b)).unwrap();
+        assert_eq!(h.live_blocks(), 0);
     }
 
     #[test]
@@ -2087,7 +2069,7 @@ mod tests {
         assert_eq!(h.live_blocks(), 0);
         assert_eq!(h.listed_blocks(), 1);
         assert_eq!(h.iter_live().count(), 0, "listed blocks are invisible");
-        assert!(matches!(h.block(a), Err(RuntimeError::UseAfterFree(_))));
+        assert!(matches!(h.view(a), Err(RuntimeError::UseAfterFree(_))));
     }
 
     #[test]

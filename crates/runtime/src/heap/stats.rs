@@ -48,11 +48,11 @@ pub struct Stats {
     pub token_frees: u64,
     /// Blocks marked thread-shared by `tshare` (§2.7.2).
     pub shared_marks: u64,
-    /// Allocations served from a size-class free list (storage recycled
-    /// without touching the global allocator).
+    /// Allocations served from a size-class free list (a listed extent
+    /// rewritten in place).
     pub freelist_hits: u64,
-    /// Allocations that found their size class empty and fell back to
-    /// the global allocator (or table growth).
+    /// Allocations that found their size class empty (or have none:
+    /// 16 fields or more).
     pub freelist_misses: u64,
     /// Words served from the free lists (fields + header, summed over
     /// every hit).

@@ -90,12 +90,14 @@ impl RunConfig {
         self
     }
 
-    /// Abort with [`RuntimeError::MemoryLimit`] once the live heap
-    /// exceeds this many words (`None` = unlimited). Enforced in the
-    /// machine loop against `Stats::live_words`; under a garbage-free
-    /// strategy that quantity is exactly the reachable data, so the
-    /// limit is deterministic (the same program at the same size always
-    /// hits it at the same step — or never).
+    /// Abort with [`RuntimeError::MemoryLimit`] once the session holds
+    /// more than this many words (`None` = unlimited). Enforced in the
+    /// machine loop against `Stats::live_words` plus the value stack
+    /// and the frame records (one word per slot and per pending frame),
+    /// so a deep non-tail recursion that allocates nothing is metered
+    /// too. Under a garbage-free strategy the heap part is exactly the
+    /// reachable data, so the limit is deterministic (the same program
+    /// at the same size always hits it at the same step — or never).
     pub fn with_memory_limit_words(mut self, limit: Option<u64>) -> Self {
         self.memory_limit_words = limit;
         self
@@ -122,8 +124,8 @@ impl RunConfig {
     }
 
     /// Serve allocations from the heap's size-class free lists (on by
-    /// default); off restores the free-and-reallocate discipline for
-    /// the allocator ablation.
+    /// default); off, every allocation bumps the heap's arena, for the
+    /// allocator ablation.
     pub fn with_heap_recycle(mut self, recycle: bool) -> Self {
         self.heap_recycle = recycle;
         self
@@ -373,6 +375,12 @@ impl<'p> Machine<'p> {
         self.start(entry, args)
     }
 
+    /// What a memory limit is charged: live heap words plus one word
+    /// per value-stack slot and per pending frame.
+    fn metered_words(&self) -> u64 {
+        self.heap.stats.live_words + (self.stack.len() + self.frames.len()) as u64
+    }
+
     // ---- the main loop ------------------------------------------------
 
     /// Runs from `start` until the program is done, fails, or — in a
@@ -412,10 +420,11 @@ impl<'p> Machine<'p> {
                     }
                 }
                 if let Some(limit) = self.config.memory_limit_words {
-                    if self.heap.stats.live_words > limit {
+                    let live_words = self.metered_words();
+                    if live_words > limit {
                         return Err(RuntimeError::MemoryLimit {
                             limit_words: limit,
-                            live_words: self.heap.stats.live_words,
+                            live_words,
                         });
                     }
                 }
@@ -768,11 +777,10 @@ impl<'p> Machine<'p> {
             }
             RefSet => {
                 let addr = ref_addr(&vals[0])?;
-                let block = self.heap.block_mut(addr)?;
-                if block.tag != BlockTag::MutRef {
+                if self.heap.view(addr)?.tag != BlockTag::MutRef {
                     return Err(RuntimeError::TypeMismatch(":= on a non-ref".into()));
                 }
-                let old = std::mem::replace(&mut block.fields[0], vals[1]);
+                let old = std::mem::replace(self.heap.field_mut(addr, 0)?, vals[1]);
                 self.heap.drop_value(old)?;
                 self.heap.drop_value(vals[0])?;
                 Value::Unit
@@ -853,10 +861,12 @@ pub enum StepOutcome {
     Suspended {
         /// Cumulative steps executed by this execution so far.
         steps_used: u64,
-        /// Live heap words at the suspension point — because Perceus is
-        /// garbage-free at every step (Thm. 2/4), this is *exactly* the
-        /// reachable data, so admission control can charge it against a
-        /// memory budget with no slack for floating garbage.
+        /// Words the suspended session holds: live heap words — because
+        /// Perceus is garbage-free at every step (Thm. 2/4), *exactly*
+        /// the reachable data — plus its value stack and frame records,
+        /// the same sum a memory limit is charged. Admission control can
+        /// charge it against a memory budget with no slack for floating
+        /// garbage.
         live_words: u64,
     },
 }
@@ -952,6 +962,7 @@ impl Execution {
                 Ok(StepOutcome::Done(v))
             }
             Ok(Step::Suspend(next)) => {
+                let live_words = machine.metered_words();
                 self.pc = Some(next);
                 self.stack = std::mem::take(&mut machine.stack);
                 self.base = machine.base;
@@ -959,7 +970,7 @@ impl Execution {
                 self.output = std::mem::take(&mut machine.output);
                 Ok(StepOutcome::Suspended {
                     steps_used: self.steps,
-                    live_words: machine.heap.stats.live_words,
+                    live_words,
                 })
             }
             Err(e) => {

@@ -108,7 +108,7 @@ fn pinned_shared_blocks_survive_concurrent_drops() {
     let mut seg = SharedHeap::new();
     let v = cell(&mut builder, vec![Value::Int(5)]);
     let Value::Ref(addr) = v else { panic!() };
-    builder.block_mut(addr).unwrap().header = STICKY;
+    *builder.header_mut(addr).unwrap() = STICKY;
     let shared = builder.mark_shared(v, &mut seg).unwrap();
     let seg = Arc::new(seg);
     std::thread::scope(|s| {

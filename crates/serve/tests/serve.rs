@@ -133,6 +133,27 @@ fn starved_tenant_is_reclaimed_and_next_tenant_matches_baseline() {
 }
 
 #[test]
+fn deep_recursion_trips_the_memory_limit_and_the_worker_survives() {
+    // One worker: the next session must land on the same shard.
+    let h = server(|c| c.workers = 1);
+    // Ten million pending frames and not one heap block: the limit has
+    // to meter the value stack, or the worker grows by hundreds of MB
+    // and answers `ok`.
+    let deep = r#"{"op":"run","id":1,"n":10000000,"memory":1000,"source":"fun f(n: int): int { if n == 0 then 0 else 1 + f(n - 1) }\nfun main(n: int): int { f(n) }"}"#;
+    let rs = roundtrip(h.addr(), &[deep.to_string()]);
+    let r = &rs[&1];
+    assert_eq!(field(r, "outcome").as_str(), Some("memory-limit"), "{r:?}");
+    assert_eq!(field(r, "code").as_str(), Some("memory-limit"), "{r:?}");
+    assert_eq!(field(r, "audit_ok").as_bool(), Some(true));
+
+    let next = roundtrip(h.addr(), &[run_line(2, "map", "")]);
+    assert_eq!(field(&next[&2], "outcome").as_str(), Some("ok"), "{next:?}");
+    assert_eq!(field(&next[&2], "value").as_str(), Some("125250"));
+    assert_eq!(field(&next[&2], "leaked_blocks").as_u64(), Some(0));
+    h.join();
+}
+
+#[test]
 fn shared_inputs_are_frozen_once_and_isolated() {
     let h = server(|_| {});
     let rs = roundtrip(

@@ -148,7 +148,7 @@ fn stale_addresses_from_a_dead_tenant_fail_deterministically() {
     // The slot was retired and its generation bumped: any access
     // through the smuggled address is an error, not the next tenant's
     // data.
-    assert!(heap.block(stale).is_err(), "stale address must not resolve");
+    assert!(heap.view(stale).is_err(), "stale address must not resolve");
     assert!(heap.dup(Value::Ref(stale)).is_err());
 }
 

@@ -1,8 +1,8 @@
 //! Machine-level behavioral tests: tail calls, closures, aborts, step
 //! limits, deep data, and the §2.6 constant-stack claim.
 
-use perceus_runtime::machine::RunConfig;
-use perceus_runtime::RuntimeError;
+use perceus_runtime::machine::{Machine, RunConfig};
+use perceus_runtime::{ReclaimMode, RuntimeError, Value};
 use perceus_suite::{compile_and_run, compile_workload, run_workload, Strategy, SuiteError};
 
 /// Tail calls must not grow the continuation stack: a 10-million
@@ -125,6 +125,41 @@ fun main(n: int): int { spin(n) }
         err,
         SuiteError::Runtime(RuntimeError::StepLimit(10_000))
     ));
+}
+
+/// The memory limit meters the value stack and the frame records with
+/// the heap: a deep non-tail recursion that allocates no block is
+/// stopped at the same step every time, long before its ten million
+/// frames exist.
+#[test]
+fn memory_limit_meters_the_stack_of_a_deep_recursion() {
+    let src = r#"
+fun f(n: int): int { if n == 0 then 0 else 1 + f(n - 1) }
+fun main(n: int): int { f(n) }
+"#;
+    let code = compile_workload(src, Strategy::Perceus).unwrap();
+    let trip = || {
+        let config = RunConfig::new().with_memory_limit_words(Some(1_000));
+        let mut m = Machine::new(&code, ReclaimMode::Rc, config);
+        let err = m.run_entry(vec![Value::Int(10_000_000)]).unwrap_err();
+        let RuntimeError::MemoryLimit {
+            limit_words: 1_000,
+            live_words,
+        } = err
+        else {
+            panic!("expected MemoryLimit, got {err:?}");
+        };
+        assert_eq!(m.heap.stats.live_words, 0, "all of it is stack and frames");
+        (live_words, m.heap.stats.steps)
+    };
+    let (live_words, steps) = trip();
+    assert!((1_001..1_016).contains(&live_words), "{live_words}");
+    assert!(steps < 10_000, "{steps}");
+    assert_eq!(
+        trip(),
+        (live_words, steps),
+        "the trip point is deterministic"
+    );
 }
 
 /// Closures capture their environment by value and can escape the
