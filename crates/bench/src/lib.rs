@@ -4,8 +4,8 @@
 //! evaluation. The [`measure()`] function runs a workload under a strategy
 //! with warmup and repetition and reports wall time plus the full
 //! runtime statistics; the `figures` binary (`src/bin/figures.rs`)
-//! formats the paper's tables; the Criterion benches under `benches/`
-//! provide statistically robust timing for the same experiments.
+//! formats the paper's tables. Wall-clock claims are measured by the
+//! separate `perfbench/` package (see its README), not here.
 
 //! The `counters` module turns the deterministic counter subset of
 //! [`perceus_runtime::Stats`] into a committed baseline

@@ -4,13 +4,13 @@
 //! compiling to C locals), lambdas are lifted into a code table, and
 //! atoms are pre-evaluated into immediate [`Value`]s where possible.
 //!
-//! The result has two forms of the same program. The slot-resolved
-//! [`RExpr`] tree is the native emitter's input. [`Code`] is that tree
-//! flattened: one [`Instr`] per node the machine charges a step for,
-//! in one vector shared by every function and lambda, with operand
-//! lists in a pool beside it. The abstract machine in
-//! [`crate::machine`] executes the flat form, so a position in a
-//! running program is a plain [`Pc`].
+//! The result, [`Code`], is the one executable form of a program: one
+//! [`Instr`] per node the machine charges a step for, in one vector
+//! shared by every function and lambda, with operand lists in a pool
+//! beside it. [`compile`] produces it in a single walk over the core
+//! [`Expr`]; the abstract machine in [`crate::machine`] executes it, so
+//! a position in a running program is a plain [`Pc`], and the native
+//! emitter (`perceus-codegen`) reads the same instructions.
 //!
 //! Slots are numbered per scope: a match arm, an `is-unique` branch and
 //! a let right-hand side each restart at the depth of the scope that
@@ -20,7 +20,7 @@
 use crate::error::RuntimeError;
 use crate::heap::LamId;
 use crate::value::Value;
-use perceus_core::ir::expr::{Expr, Lit, PrimOp};
+use perceus_core::ir::expr::{Expr, Lambda, Lit, PrimOp};
 use perceus_core::ir::{CtorId, FunId, Program, TypeTable, Var};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,82 +35,6 @@ pub enum Atom {
     Slot(Slot),
     /// An immediate (literal, global, or singleton constructor).
     Const(Value),
-}
-
-/// One arm of a compiled match.
-#[derive(Debug, Clone)]
-pub struct RArm {
-    /// Constructor matched (singletons compare by id, blocks by tag).
-    pub ctor: CtorId,
-    /// Destination slots for the fields (`None` = field not bound).
-    pub binders: Vec<Option<Slot>>,
-    /// Arm body.
-    pub body: RExpr,
-}
-
-/// Slot-resolved executable expressions.
-#[derive(Debug, Clone)]
-pub enum RExpr {
-    /// Produce an atom's value.
-    Atom(Atom),
-    /// Indirect application of a closure or global value.
-    App { fun: Atom, args: Vec<Atom> },
-    /// Direct call of a top-level function.
-    Call { fun: FunId, args: Vec<Atom> },
-    /// Primitive application.
-    Prim { op: PrimOp, args: Vec<Atom> },
-    /// Closure allocation (consumes the captured values' ownership).
-    MkClosure { lam: LamId, captures: Vec<Slot> },
-    /// Constructor allocation; `reuse` names a token slot; `skip` is the
-    /// reuse-specialization mask (§2.5).
-    Con {
-        ctor: CtorId,
-        args: Vec<Atom>,
-        reuse: Option<Slot>,
-        skip: Arc<[bool]>,
-    },
-    /// `val slot = rhs; body`.
-    Let {
-        slot: Slot,
-        rhs: Box<RExpr>,
-        body: Box<RExpr>,
-    },
-    /// `rhs; body` (rhs value discarded).
-    Seq(Box<RExpr>, Box<RExpr>),
-    /// Flat match on the value in a slot.
-    Match {
-        scrut: Slot,
-        arms: Vec<RArm>,
-        default: Option<Box<RExpr>>,
-    },
-    /// Runtime failure.
-    Abort(Arc<str>),
-    /// `dup`.
-    Dup(Slot, Box<RExpr>),
-    /// `drop`.
-    Drop(Slot, Box<RExpr>),
-    /// `val token = drop-reuse var; body`.
-    DropReuse {
-        var: Slot,
-        token: Slot,
-        body: Box<RExpr>,
-    },
-    /// Specialized cell free (unique fast path).
-    Free(Slot, Box<RExpr>),
-    /// Specialized decrement (shared slow path).
-    DecRef(Slot, Box<RExpr>),
-    /// Release an unused reuse token.
-    DropToken(Slot, Box<RExpr>),
-    /// The uniqueness test of Fig. 1c/1f.
-    IsUnique {
-        var: Slot,
-        unique: Box<RExpr>,
-        shared: Box<RExpr>,
-    },
-    /// `&x` — claim the cell as a token.
-    TokenOf(Slot),
-    /// The null token.
-    NullToken,
 }
 
 /// A position in [`Code::instrs`].
@@ -188,8 +112,8 @@ impl Span {
     }
 }
 
-/// One machine instruction: one [`RExpr`] node that the machine visits
-/// as its current expression, and so one step. A `Let` or `Seq` whose
+/// One machine instruction: one core [`Expr`] node that the machine
+/// visits as its current expression, and so one step. A `Let` or `Seq` whose
 /// right-hand side is a call or cannot call is a single instruction —
 /// that right-hand side with the binder (or [`Dst::DISCARD`]) as its
 /// destination; any other right-hand side gets an [`Instr::Enter`] and
@@ -328,9 +252,7 @@ pub struct CodeFun {
     pub arity: usize,
     /// Frame slots: the deepest chain of live binders.
     pub nslots: usize,
-    /// Body, as the native emitter reads it.
-    pub body: RExpr,
-    /// Body, as the machine runs it: its first instruction.
+    /// First instruction of the body.
     pub entry: Pc,
 }
 
@@ -344,9 +266,7 @@ pub struct CodeLam {
     pub nparams: usize,
     /// Frame slots: the deepest chain of live binders.
     pub nslots: usize,
-    /// Body, as the native emitter reads it.
-    pub body: RExpr,
-    /// Body, as the machine runs it: its first instruction.
+    /// First instruction of the body.
     pub entry: Pc,
 }
 
@@ -420,10 +340,50 @@ fn fresh_uid() -> u64 {
 
 /// Compiles a (pass-processed) core program to executable form.
 pub fn compile(p: &Program) -> Result<Compiled, RuntimeError> {
-    let mut out = Compiled {
+    let mut lower = Lower {
+        types: &p.types,
+        code: Code::default(),
+        pending: Vec::new(),
+        slots: HashMap::new(),
+        next: 0,
+        high: 0,
+    };
+    let mut funs = Vec::with_capacity(p.funs.len());
+    for (_, f) in p.funs() {
+        let (entry, nslots) = lower.body(f.params.iter(), &f.body)?;
+        funs.push(CodeFun {
+            name: f.name.clone(),
+            arity: f.params.len(),
+            nslots,
+            entry,
+        });
+    }
+    // Lambda bodies follow the functions, in `LamId` order. A lambda is
+    // numbered when the walk meets it, so one found inside a lambda's
+    // body takes the next id after all those known so far.
+    let mut lambdas = Vec::new();
+    while let Some(&lam) = lower.pending.get(lambdas.len()) {
+        let (entry, nslots) = lower.body(lam.captures.iter().chain(&lam.params), &lam.body)?;
+        lambdas.push(CodeLam {
+            ncaptures: lam.captures.len(),
+            nparams: lam.params.len(),
+            nslots,
+            entry,
+        });
+    }
+    // A daemon caches hundreds of compiled programs: keep no growth slack.
+    let mut code = lower.code;
+    code.instrs.shrink_to_fit();
+    code.pool.shrink_to_fit();
+    code.consts.shrink_to_fit();
+    code.arms.shrink_to_fit();
+    code.binders.shrink_to_fit();
+    code.reuse.shrink_to_fit();
+    code.aborts.shrink_to_fit();
+    Ok(Compiled {
         types: p.types.clone(),
-        funs: Vec::with_capacity(p.funs.len()),
-        lambdas: Vec::new(),
+        funs,
+        lambdas,
         entry: p.entry,
         fun_spans: p.fun_spans.clone(),
         fun_borrows: p
@@ -434,276 +394,9 @@ pub fn compile(p: &Program) -> Result<Compiled, RuntimeError> {
                     .unwrap_or_default()
             })
             .collect(),
-        code: Code::default(),
+        code,
         uid: fresh_uid(),
-    };
-    for (_, f) in p.funs() {
-        let mut cx = FrameCx::new(&p.types);
-        for par in &f.params {
-            cx.bind(par);
-        }
-        let body = cx.expr(&f.body, &mut out.lambdas)?;
-        out.funs.push(CodeFun {
-            name: f.name.clone(),
-            arity: f.params.len(),
-            nslots: cx.high as usize,
-            body,
-            entry: NO_PC,
-        });
-    }
-    for f in &mut out.funs {
-        f.entry = out.code.flatten(&f.body)?;
-    }
-    for l in &mut out.lambdas {
-        l.entry = out.code.flatten(&l.body)?;
-    }
-    // A daemon caches hundreds of compiled programs: keep no growth slack.
-    let code = &mut out.code;
-    code.instrs.shrink_to_fit();
-    code.pool.shrink_to_fit();
-    code.consts.shrink_to_fit();
-    code.arms.shrink_to_fit();
-    code.binders.shrink_to_fit();
-    code.reuse.shrink_to_fit();
-    code.aborts.shrink_to_fit();
-    Ok(out)
-}
-
-struct FrameCx<'t> {
-    types: &'t TypeTable,
-    slots: HashMap<u32, Slot>,
-    /// The next free slot in the scope being compiled.
-    next: Slot,
-    /// The most slots any scope needed: the frame size.
-    high: Slot,
-}
-
-impl<'t> FrameCx<'t> {
-    fn new(types: &'t TypeTable) -> Self {
-        FrameCx {
-            types,
-            slots: HashMap::new(),
-            next: 0,
-            high: 0,
-        }
-    }
-
-    fn bind(&mut self, v: &Var) -> Slot {
-        let s = self.next;
-        self.next += 1;
-        self.high = self.high.max(self.next);
-        self.slots.insert(v.id(), s);
-        s
-    }
-
-    /// Compiles `e` in a scope of its own: the slots its binders take are
-    /// free again afterwards, because nothing after `e` can name them.
-    fn scoped(&mut self, e: &Expr, lambdas: &mut Vec<CodeLam>) -> Result<RExpr, RuntimeError> {
-        let depth = self.next;
-        let r = self.expr(e, lambdas);
-        self.next = depth;
-        r
-    }
-
-    fn slot(&self, v: &Var) -> Result<Slot, RuntimeError> {
-        self.slots
-            .get(&v.id())
-            .copied()
-            .ok_or_else(|| RuntimeError::Internal(format!("unresolved variable {v:?}")))
-    }
-
-    fn atom(&self, e: &Expr) -> Result<Atom, RuntimeError> {
-        match e {
-            Expr::Var(v) => Ok(Atom::Slot(self.slot(v)?)),
-            Expr::Lit(Lit::Int(i)) => Ok(Atom::Const(Value::Int(*i))),
-            Expr::Lit(Lit::Unit) => Ok(Atom::Const(Value::Unit)),
-            Expr::Global(f) => Ok(Atom::Const(Value::Global(*f))),
-            Expr::Con { ctor, args, .. }
-                if args.is_empty() && self.types.ctor(*ctor).arity == 0 =>
-            {
-                Ok(Atom::Const(Value::Enum(*ctor)))
-            }
-            other => Err(RuntimeError::Internal(format!(
-                "non-atomic argument (not in ANF): {other:?}"
-            ))),
-        }
-    }
-
-    fn atoms(&self, es: &[Expr]) -> Result<Vec<Atom>, RuntimeError> {
-        es.iter().map(|e| self.atom(e)).collect()
-    }
-
-    fn expr(&mut self, e: &Expr, lambdas: &mut Vec<CodeLam>) -> Result<RExpr, RuntimeError> {
-        match e {
-            Expr::Var(_) | Expr::Lit(_) | Expr::Global(_) => Ok(RExpr::Atom(self.atom(e)?)),
-            Expr::App(f, args) => Ok(RExpr::App {
-                fun: self.atom(f)?,
-                args: self.atoms(args)?,
-            }),
-            Expr::Call(f, args) => Ok(RExpr::Call {
-                fun: *f,
-                args: self.atoms(args)?,
-            }),
-            Expr::Prim(op, args) => Ok(RExpr::Prim {
-                op: *op,
-                args: self.atoms(args)?,
-            }),
-            Expr::Lam(lam) => {
-                // Captures are read from the *enclosing* frame.
-                let cap_slots: Vec<Slot> = lam
-                    .captures
-                    .iter()
-                    .map(|c| self.slot(c))
-                    .collect::<Result<_, _>>()?;
-                let mut inner = FrameCx::new(self.types);
-                for c in &lam.captures {
-                    inner.bind(c);
-                }
-                for par in &lam.params {
-                    inner.bind(par);
-                }
-                let body = inner.expr(&lam.body, lambdas)?;
-                let id = LamId(lambdas.len() as u32);
-                lambdas.push(CodeLam {
-                    ncaptures: lam.captures.len(),
-                    nparams: lam.params.len(),
-                    nslots: inner.high as usize,
-                    body,
-                    entry: NO_PC,
-                });
-                Ok(RExpr::MkClosure {
-                    lam: id,
-                    captures: cap_slots,
-                })
-            }
-            Expr::Con {
-                ctor,
-                args,
-                reuse,
-                skip,
-            } => {
-                if args.is_empty() && self.types.ctor(*ctor).arity == 0 {
-                    return Ok(RExpr::Atom(Atom::Const(Value::Enum(*ctor))));
-                }
-                Ok(RExpr::Con {
-                    ctor: *ctor,
-                    args: self.atoms(args)?,
-                    reuse: reuse.as_ref().map(|t| self.slot(t)).transpose()?,
-                    skip: skip.clone().into(),
-                })
-            }
-            Expr::Let { var, rhs, body } => {
-                let rhs = self.scoped(rhs, lambdas)?;
-                let slot = self.bind(var);
-                let body = self.expr(body, lambdas)?;
-                Ok(RExpr::Let {
-                    slot,
-                    rhs: Box::new(rhs),
-                    body: Box::new(body),
-                })
-            }
-            Expr::Seq(a, b) => Ok(RExpr::Seq(
-                Box::new(self.scoped(a, lambdas)?),
-                Box::new(self.expr(b, lambdas)?),
-            )),
-            Expr::Match {
-                scrutinee,
-                arms,
-                default,
-            } => {
-                let scrut = self.slot(scrutinee)?;
-                let depth = self.next;
-                let mut rarms = Vec::with_capacity(arms.len());
-                for arm in arms {
-                    let binders: Vec<Option<Slot>> = arm
-                        .binders
-                        .iter()
-                        .map(|b| b.as_ref().map(|v| self.bind(v)))
-                        .collect();
-                    if let Some(t) = &arm.reuse_token {
-                        return Err(RuntimeError::Internal(format!(
-                            "unlowered reuse annotation @{t:?} reached the backend"
-                        )));
-                    }
-                    let body = self.expr(&arm.body, lambdas)?;
-                    // Sibling arms share slot numbers.
-                    self.next = depth;
-                    rarms.push(RArm {
-                        ctor: arm.ctor,
-                        binders,
-                        body,
-                    });
-                }
-                let default = match default {
-                    Some(d) => Some(Box::new(self.scoped(d, lambdas)?)),
-                    None => None,
-                };
-                Ok(RExpr::Match {
-                    scrut,
-                    arms: rarms,
-                    default,
-                })
-            }
-            Expr::Abort(msg) => Ok(RExpr::Abort(Arc::from(msg.as_str()))),
-            Expr::Dup(v, rest) => Ok(RExpr::Dup(
-                self.slot(v)?,
-                Box::new(self.expr(rest, lambdas)?),
-            )),
-            Expr::Drop(v, rest) => Ok(RExpr::Drop(
-                self.slot(v)?,
-                Box::new(self.expr(rest, lambdas)?),
-            )),
-            Expr::DropReuse { var, token, body } => {
-                let var = self.slot(var)?;
-                let token = self.bind(token);
-                Ok(RExpr::DropReuse {
-                    var,
-                    token,
-                    body: Box::new(self.expr(body, lambdas)?),
-                })
-            }
-            Expr::Free(v, rest) => Ok(RExpr::Free(
-                self.slot(v)?,
-                Box::new(self.expr(rest, lambdas)?),
-            )),
-            Expr::DecRef(v, rest) => Ok(RExpr::DecRef(
-                self.slot(v)?,
-                Box::new(self.expr(rest, lambdas)?),
-            )),
-            Expr::DropToken(v, rest) => Ok(RExpr::DropToken(
-                self.slot(v)?,
-                Box::new(self.expr(rest, lambdas)?),
-            )),
-            Expr::IsUnique {
-                var,
-                unique,
-                shared,
-                ..
-            } => Ok(RExpr::IsUnique {
-                var: self.slot(var)?,
-                unique: Box::new(self.scoped(unique, lambdas)?),
-                shared: Box::new(self.scoped(shared, lambdas)?),
-            }),
-            Expr::TokenOf(v) => Ok(RExpr::TokenOf(self.slot(v)?)),
-            Expr::NullToken => Ok(RExpr::NullToken),
-        }
-    }
-}
-
-/// True for the value-producing expressions that cannot call: as a
-/// `Let`/`Seq` right-hand side the machine evaluates them within the
-/// `Let`'s own step. The native emitter follows the same rule.
-pub fn is_simple(e: &RExpr) -> bool {
-    matches!(
-        e,
-        RExpr::Atom(_)
-            | RExpr::Prim { .. }
-            | RExpr::MkClosure { .. }
-            | RExpr::Con { .. }
-            | RExpr::TokenOf(_)
-            | RExpr::NullToken
-            | RExpr::Abort(_)
-    )
+    })
 }
 
 /// A table index as the 31 bits an [`Opnd`] leaves for it.
@@ -731,130 +424,241 @@ impl Code {
             Atom::Const(self.consts[(o.0 & !Opnd::CONST_BIT) as usize])
         }
     }
+}
 
-    /// Appends the instructions of one function or lambda body and
-    /// returns its entry point.
-    fn flatten(&mut self, body: &RExpr) -> Result<Pc, RuntimeError> {
+/// True for the expressions that are one instruction wherever they
+/// stand: a call, and everything that cannot call. As a `Let`/`Seq`
+/// right-hand side the machine evaluates them within the `Let`'s own
+/// step.
+fn is_leaf(e: &Expr) -> bool {
+    !matches!(
+        e,
+        Expr::Let { .. }
+            | Expr::Seq(..)
+            | Expr::Match { .. }
+            | Expr::IsUnique { .. }
+            | Expr::Dup(..)
+            | Expr::Drop(..)
+            | Expr::DropReuse { .. }
+            | Expr::Free(..)
+            | Expr::DecRef(..)
+            | Expr::DropToken(..)
+    )
+}
+
+/// The one walk from core IR to instructions: numbers the slots of the
+/// body it is in and appends that body's code.
+struct Lower<'p> {
+    types: &'p TypeTable,
+    code: Code,
+    /// Every lambda met so far, indexed by `LamId`; bodies are emitted
+    /// after the functions.
+    pending: Vec<&'p Lambda>,
+    slots: HashMap<u32, Slot>,
+    /// The next free slot in the scope being compiled.
+    next: Slot,
+    /// The most slots any scope of the body needed: the frame size.
+    high: Slot,
+}
+
+impl<'p> Lower<'p> {
+    /// Emits one function or lambda body whose frame starts with
+    /// `params`; returns its entry point and frame size.
+    fn body(
+        &mut self,
+        params: impl Iterator<Item = &'p Var>,
+        body: &'p Expr,
+    ) -> Result<(Pc, usize), RuntimeError> {
+        self.slots.clear();
+        self.next = 0;
+        self.high = 0;
+        for v in params {
+            self.bind(v);
+        }
         let entry = self.here()?;
         self.expr(body, Dst::TAIL)?;
-        Ok(entry)
+        Ok((entry, self.high as usize))
+    }
+
+    fn bind(&mut self, v: &Var) -> Slot {
+        let s = self.next;
+        self.next += 1;
+        self.high = self.high.max(self.next);
+        self.slots.insert(v.id(), s);
+        s
+    }
+
+    /// Emits `e` in a scope of its own: the slots its binders take are
+    /// free again afterwards, because nothing after `e` can name them.
+    fn scoped(&mut self, e: &'p Expr, end: Dst) -> Result<(), RuntimeError> {
+        let depth = self.next;
+        let r = self.expr(e, end);
+        self.next = depth;
+        r
+    }
+
+    fn slot(&self, v: &Var) -> Result<Slot, RuntimeError> {
+        self.slots
+            .get(&v.id())
+            .copied()
+            .ok_or_else(|| RuntimeError::Internal(format!("unresolved variable {v:?}")))
+    }
+
+    /// The immediate value of a literal, global or singleton constructor.
+    fn immediate(&self, e: &Expr) -> Option<Value> {
+        match e {
+            Expr::Lit(Lit::Int(i)) => Some(Value::Int(*i)),
+            Expr::Lit(Lit::Unit) => Some(Value::Unit),
+            Expr::Global(f) => Some(Value::Global(*f)),
+            Expr::Con { ctor, args, .. }
+                if args.is_empty() && self.types.ctor(*ctor).arity == 0 =>
+            {
+                Some(Value::Enum(*ctor))
+            }
+            _ => None,
+        }
+    }
+
+    fn slot_opnd(&self, v: &Var) -> Result<Opnd, RuntimeError> {
+        Ok(Opnd(index(self.slot(v)? as usize)?))
+    }
+
+    fn opnd(&mut self, e: &Expr) -> Result<Opnd, RuntimeError> {
+        if let Expr::Var(v) = e {
+            return self.slot_opnd(v);
+        }
+        let Some(v) = self.immediate(e) else {
+            return Err(RuntimeError::Internal(format!(
+                "non-atomic argument (not in ANF): {e:?}"
+            )));
+        };
+        let i = index(self.code.consts.len())?;
+        self.code.consts.push(v);
+        Ok(Opnd(i | Opnd::CONST_BIT))
+    }
+
+    fn opnds(&mut self, args: &[Expr]) -> Result<Span, RuntimeError> {
+        let start = self.code.pool.len();
+        for a in args {
+            let o = self.opnd(a)?;
+            self.code.pool.push(o);
+        }
+        span_from(start, self.code.pool.len())
     }
 
     fn here(&self) -> Result<Pc, RuntimeError> {
-        index(self.instrs.len())
-    }
-
-    fn opnd(&mut self, a: &Atom) -> Result<Opnd, RuntimeError> {
-        match a {
-            Atom::Slot(s) if *s < Opnd::CONST_BIT => Ok(Opnd(*s)),
-            Atom::Slot(_) => Err(RuntimeError::Internal("slot number out of range".into())),
-            Atom::Const(v) => {
-                let i = index(self.consts.len())?;
-                self.consts.push(*v);
-                Ok(Opnd(i | Opnd::CONST_BIT))
-            }
-        }
-    }
-
-    fn opnds(&mut self, args: impl IntoIterator<Item = Atom>) -> Result<Span, RuntimeError> {
-        let start = self.pool.len();
-        for a in args {
-            let o = self.opnd(&a)?;
-            self.pool.push(o);
-        }
-        span_from(start, self.pool.len())
+        index(self.code.instrs.len())
     }
 
     /// Emits a node in current-expression position. `end` is where the
     /// expression's own value goes: [`Dst::TAIL`] or [`Dst::RETURN`].
-    fn expr(&mut self, e: &RExpr, end: Dst) -> Result<(), RuntimeError> {
+    fn expr(&mut self, e: &'p Expr, end: Dst) -> Result<(), RuntimeError> {
         match e {
-            RExpr::Let { slot, rhs, body } => {
-                self.bound(rhs, Dst::slot(*slot))?;
+            Expr::Let { var, rhs, body } => {
+                // The binder takes the first free slot, so the right-hand
+                // side can deliver there before the binder is in scope.
+                self.bound(rhs, Dst::slot(self.next))?;
+                self.bind(var);
                 self.expr(body, end)
             }
-            RExpr::Seq(a, b) => {
+            Expr::Seq(a, b) => {
                 self.bound(a, Dst::DISCARD)?;
                 self.expr(b, end)
             }
-            RExpr::Match {
-                scrut,
+            Expr::Match {
+                scrutinee,
                 arms,
                 default,
             } => {
-                let at = self.instrs.len();
+                let scrut = self.slot(scrutinee)?;
+                let depth = self.next;
+                let at = self.code.instrs.len();
                 // The arms of one match are adjacent, so they are laid
                 // out before any body (which may hold matches itself).
-                let first = self.arms.len();
+                // Sibling arms share slot numbers: each arm's binders
+                // count up from the depth of the match.
+                let first = self.code.arms.len();
                 for arm in arms {
-                    let start = self.binders.len();
-                    self.binders
-                        .extend(arm.binders.iter().map(|b| b.unwrap_or(NO_SLOT)));
-                    self.arms.push(Arm {
+                    if let Some(t) = &arm.reuse_token {
+                        return Err(RuntimeError::Internal(format!(
+                            "unlowered reuse annotation @{t:?} reached the backend"
+                        )));
+                    }
+                    let start = self.code.binders.len();
+                    let mut slot = depth;
+                    for b in &arm.binders {
+                        self.code
+                            .binders
+                            .push(if b.is_some() { slot } else { NO_SLOT });
+                        slot += u32::from(b.is_some());
+                    }
+                    self.code.arms.push(Arm {
                         ctor: arm.ctor,
                         body: NO_PC,
-                        binders: span_from(start, self.binders.len())?,
+                        binders: span_from(start, self.code.binders.len())?,
                     });
                 }
-                self.instrs.push(Instr::Match {
-                    scrut: *scrut,
-                    arms: span_from(first, self.arms.len())?,
+                self.code.instrs.push(Instr::Match {
+                    scrut,
+                    arms: span_from(first, self.code.arms.len())?,
                     default: NO_PC,
                 });
                 for (i, arm) in arms.iter().enumerate() {
-                    self.arms[first + i].body = self.here()?;
+                    self.code.arms[first + i].body = self.here()?;
+                    for b in arm.binders.iter().flatten() {
+                        self.bind(b);
+                    }
                     self.expr(&arm.body, end)?;
+                    self.next = depth;
                 }
                 if let Some(d) = default {
                     self.land(at)?;
-                    self.expr(d, end)?;
+                    self.scoped(d, end)?;
                 }
                 Ok(())
             }
-            RExpr::IsUnique {
+            Expr::IsUnique {
                 var,
                 unique,
                 shared,
+                ..
             } => {
-                let at = self.instrs.len();
-                self.instrs.push(Instr::IsUnique {
-                    var: *var,
+                let at = self.code.instrs.len();
+                self.code.instrs.push(Instr::IsUnique {
+                    var: self.slot(var)?,
                     shared: NO_PC,
                 });
-                self.expr(unique, end)?;
+                self.scoped(unique, end)?;
                 self.land(at)?;
-                self.expr(shared, end)
+                self.scoped(shared, end)
             }
-            RExpr::Dup(s, rest) => self.then(Instr::Dup(*s), rest, end),
-            RExpr::Drop(s, rest) => self.then(Instr::Drop(*s), rest, end),
-            RExpr::Free(s, rest) => self.then(Instr::Free(*s), rest, end),
-            RExpr::DecRef(s, rest) => self.then(Instr::DecRef(*s), rest, end),
-            RExpr::DropToken(s, rest) => self.then(Instr::DropToken(*s), rest, end),
-            RExpr::DropReuse { var, token, body } => self.then(
-                Instr::DropReuse {
-                    var: *var,
-                    token: *token,
-                },
-                body,
-                end,
-            ),
+            Expr::Dup(v, rest) => self.then(Instr::Dup(self.slot(v)?), rest, end),
+            Expr::Drop(v, rest) => self.then(Instr::Drop(self.slot(v)?), rest, end),
+            Expr::Free(v, rest) => self.then(Instr::Free(self.slot(v)?), rest, end),
+            Expr::DecRef(v, rest) => self.then(Instr::DecRef(self.slot(v)?), rest, end),
+            Expr::DropToken(v, rest) => self.then(Instr::DropToken(self.slot(v)?), rest, end),
+            Expr::DropReuse { var, token, body } => {
+                let var = self.slot(var)?;
+                let token = self.bind(token);
+                self.then(Instr::DropReuse { var, token }, body, end)
+            }
             leaf => self.leaf(leaf, end),
         }
     }
 
-    fn then(&mut self, i: Instr, rest: &RExpr, end: Dst) -> Result<(), RuntimeError> {
-        self.instrs.push(i);
+    fn then(&mut self, i: Instr, rest: &'p Expr, end: Dst) -> Result<(), RuntimeError> {
+        self.code.instrs.push(i);
         self.expr(rest, end)
     }
 
     /// Emits a `Let`/`Seq` right-hand side delivering to `dst`.
-    fn bound(&mut self, rhs: &RExpr, dst: Dst) -> Result<(), RuntimeError> {
-        if is_simple(rhs) || matches!(rhs, RExpr::Call { .. } | RExpr::App { .. }) {
+    fn bound(&mut self, rhs: &'p Expr, dst: Dst) -> Result<(), RuntimeError> {
+        if is_leaf(rhs) {
             return self.leaf(rhs, dst);
         }
-        let at = self.instrs.len();
-        self.instrs.push(Instr::Enter { dst, body: NO_PC });
-        self.expr(rhs, Dst::RETURN)?;
+        let at = self.code.instrs.len();
+        self.code.instrs.push(Instr::Enter { dst, body: NO_PC });
+        self.scoped(rhs, Dst::RETURN)?;
         self.land(at)
     }
 
@@ -862,7 +666,7 @@ impl Code {
     /// which was emitted before its target was known.
     fn land(&mut self, at: usize) -> Result<(), RuntimeError> {
         let pc = self.here()?;
-        match &mut self.instrs[at] {
+        match &mut self.code.instrs[at] {
             Instr::Match {
                 default: target, ..
             }
@@ -877,74 +681,97 @@ impl Code {
         Ok(())
     }
 
-    /// Emits a call or a simple expression: one instruction.
-    fn leaf(&mut self, e: &RExpr, dst: Dst) -> Result<(), RuntimeError> {
+    /// Emits a call or an expression that cannot call: one instruction.
+    fn leaf(&mut self, e: &'p Expr, dst: Dst) -> Result<(), RuntimeError> {
         let i = match e {
-            RExpr::Atom(a) => Instr::Atom {
-                dst,
-                a: self.opnd(a)?,
-            },
-            RExpr::App { fun, args } => Instr::App {
+            Expr::App(fun, args) => Instr::App {
                 dst,
                 fun: self.opnd(fun)?,
-                args: self.opnds(args.iter().copied())?,
+                args: self.opnds(args)?,
             },
-            RExpr::Call { fun, args } => Instr::Call {
+            Expr::Call(fun, args) => Instr::Call {
                 dst,
                 fun: *fun,
-                args: self.opnds(args.iter().copied())?,
+                args: self.opnds(args)?,
             },
-            RExpr::Prim { op, args } => Instr::Prim {
+            Expr::Prim(op, args) => Instr::Prim {
                 dst,
                 op: *op,
-                args: self.opnds(args.iter().copied())?,
+                args: self.opnds(args)?,
             },
-            RExpr::MkClosure { lam, captures } => Instr::MkClosure {
-                dst,
-                lam: *lam,
-                captures: self.opnds(captures.iter().map(|s| Atom::Slot(*s)))?,
-            },
-            RExpr::Con {
-                ctor,
-                args,
-                reuse: None,
-                ..
-            } => Instr::Con {
-                dst,
-                ctor: *ctor,
-                args: self.opnds(args.iter().copied())?,
-            },
-            RExpr::Con {
-                ctor,
-                args,
-                reuse: Some(token),
-                skip,
-            } => {
-                let site = index(self.reuse.len())?;
-                let args = self.opnds(args.iter().copied())?;
-                self.reuse.push(ReuseSite {
-                    ctor: *ctor,
-                    args,
-                    token: *token,
-                    skip: skip.clone(),
-                });
-                Instr::ConReuse { dst, site }
+            Expr::Lam(lam) => {
+                // Captures are read from the *enclosing* frame.
+                let start = self.code.pool.len();
+                for c in &lam.captures {
+                    let o = self.slot_opnd(c)?;
+                    self.code.pool.push(o);
+                }
+                let id = LamId(index(self.pending.len())?);
+                self.pending.push(lam);
+                Instr::MkClosure {
+                    dst,
+                    lam: id,
+                    captures: span_from(start, self.code.pool.len())?,
+                }
             }
-            RExpr::TokenOf(s) => Instr::TokenOf { dst, var: *s },
-            RExpr::NullToken => Instr::NullToken { dst },
-            RExpr::Abort(msg) => {
-                let i = index(self.aborts.len())?;
-                self.aborts.push(msg.clone());
+            Expr::Con {
+                ctor,
+                args,
+                reuse,
+                skip,
+            } if self.immediate(e).is_none() => {
+                let ctor = *ctor;
+                match reuse {
+                    None => Instr::Con {
+                        dst,
+                        ctor,
+                        args: self.opnds(args)?,
+                    },
+                    Some(token) => {
+                        let site = index(self.code.reuse.len())?;
+                        let site_args = self.opnds(args)?;
+                        let token = self.slot(token)?;
+                        self.code.reuse.push(ReuseSite {
+                            ctor,
+                            args: site_args,
+                            token,
+                            skip: skip.as_slice().into(),
+                        });
+                        Instr::ConReuse { dst, site }
+                    }
+                }
+            }
+            Expr::TokenOf(v) => Instr::TokenOf {
+                dst,
+                var: self.slot(v)?,
+            },
+            Expr::NullToken => Instr::NullToken { dst },
+            Expr::Abort(msg) => {
+                let i = index(self.code.aborts.len())?;
+                self.code.aborts.push(Arc::from(msg.as_str()));
                 Instr::Abort { msg: i }
             }
-            compound => {
-                return Err(RuntimeError::Internal(format!(
-                    "compound expression in leaf position: {compound:?}"
-                )))
-            }
+            atom => Instr::Atom {
+                dst,
+                a: self.opnd(atom)?,
+            },
         };
-        self.instrs.push(i);
+        self.code.instrs.push(i);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Compiled {
+    /// The instructions of function `f`. Bodies are laid out back to
+    /// back: functions in order, then lambdas.
+    fn fun_instrs(&self, f: usize) -> &[Instr] {
+        let end = match (self.funs.get(f + 1), self.lambdas.first()) {
+            (Some(next), _) => next.entry,
+            (None, Some(lam)) => lam.entry,
+            (None, None) => self.code.instrs.len() as Pc,
+        };
+        &self.code.instrs[self.funs[f].entry as usize..end as usize]
     }
 }
 
@@ -964,7 +791,10 @@ mod tests {
         assert_eq!(c.funs.len(), 1);
         assert_eq!(c.funs[0].arity, 1);
         assert_eq!(c.funs[0].nslots, 1);
-        assert!(matches!(c.funs[0].body, RExpr::Atom(Atom::Slot(0))));
+        assert!(matches!(
+            c.fun_instrs(0),
+            [Instr::Atom { dst: Dst::TAIL, a }] if c.code.atom(*a) == Atom::Slot(0)
+        ));
         assert_eq!(c.find_fun("id"), Some(id));
     }
 
@@ -976,8 +806,8 @@ mod tests {
         pb.fun("f", vec![], con(ctors[0], vec![]));
         let c = compile(&pb.finish()).unwrap();
         assert!(matches!(
-            c.funs[0].body,
-            RExpr::Atom(Atom::Const(Value::Enum(_)))
+            c.fun_instrs(0),
+            [Instr::Atom { a, .. }] if matches!(c.code.atom(*a), Atom::Const(Value::Enum(_)))
         ));
     }
 
@@ -997,10 +827,14 @@ mod tests {
         assert_eq!(c.lambdas.len(), 1);
         assert_eq!(c.lambdas[0].ncaptures, 1);
         assert_eq!(c.lambdas[0].nparams, 1);
-        assert!(matches!(
-            c.funs[0].body,
-            RExpr::MkClosure { captures: ref cs, .. } if cs == &vec![0]
-        ));
+        let [Instr::MkClosure { captures, .. }] = c.fun_instrs(0) else {
+            panic!("{:?}", c.fun_instrs(0))
+        };
+        let captures: Vec<Atom> = c.code.pool[captures.range()]
+            .iter()
+            .map(|o| c.code.atom(*o))
+            .collect();
+        assert_eq!(captures, [Atom::Slot(0)]);
     }
 
     #[test]
@@ -1069,33 +903,8 @@ mod shape_tests {
         compile(&p).unwrap()
     }
 
-    fn count_nodes(e: &RExpr, pred: &dyn Fn(&RExpr) -> bool) -> usize {
-        let mut n = usize::from(pred(e));
-        match e {
-            RExpr::Let { rhs, body, .. } => {
-                n += count_nodes(rhs, pred) + count_nodes(body, pred);
-            }
-            RExpr::Seq(a, b) => n += count_nodes(a, pred) + count_nodes(b, pred),
-            RExpr::Match { arms, default, .. } => {
-                for a in arms {
-                    n += count_nodes(&a.body, pred);
-                }
-                if let Some(d) = default {
-                    n += count_nodes(d, pred);
-                }
-            }
-            RExpr::Dup(_, r)
-            | RExpr::Drop(_, r)
-            | RExpr::Free(_, r)
-            | RExpr::DecRef(_, r)
-            | RExpr::DropToken(_, r) => n += count_nodes(r, pred),
-            RExpr::DropReuse { body, .. } => n += count_nodes(body, pred),
-            RExpr::IsUnique { unique, shared, .. } => {
-                n += count_nodes(unique, pred) + count_nodes(shared, pred);
-            }
-            _ => {}
-        }
-        n
+    fn count(c: &Compiled, pred: impl Fn(&Instr) -> bool) -> usize {
+        c.fun_instrs(0).iter().filter(|i| pred(i)).count()
     }
 
     /// The fully-optimized map compiles exactly one is-unique, one
@@ -1103,18 +912,11 @@ mod shape_tests {
     #[test]
     fn optimized_map_shape() {
         let c = compile_map(PassConfig::perceus());
-        let body = &c.funs[0].body;
+        assert_eq!(count(&c, |i| matches!(i, Instr::IsUnique { .. })), 1);
+        assert_eq!(count(&c, |i| matches!(i, Instr::TokenOf { .. })), 1);
+        assert_eq!(count(&c, |i| matches!(i, Instr::ConReuse { .. })), 1);
         assert_eq!(
-            count_nodes(body, &|e| matches!(e, RExpr::IsUnique { .. })),
-            1
-        );
-        assert_eq!(count_nodes(body, &|e| matches!(e, RExpr::TokenOf(_))), 1);
-        assert_eq!(
-            count_nodes(body, &|e| matches!(e, RExpr::Con { reuse: Some(_), .. })),
-            1
-        );
-        assert_eq!(
-            count_nodes(body, &|e| matches!(e, RExpr::DropReuse { .. })),
+            count(&c, |i| matches!(i, Instr::DropReuse { .. })),
             0,
             "drop-reuse must be specialized away"
         );
@@ -1124,16 +926,9 @@ mod shape_tests {
     #[test]
     fn no_opt_map_shape() {
         let c = compile_map(PassConfig::perceus_no_opt());
-        let body = &c.funs[0].body;
-        assert_eq!(
-            count_nodes(body, &|e| matches!(e, RExpr::IsUnique { .. })),
-            0
-        );
-        assert_eq!(
-            count_nodes(body, &|e| matches!(e, RExpr::Con { reuse: Some(_), .. })),
-            0
-        );
-        assert!(count_nodes(body, &|e| matches!(e, RExpr::Drop(..))) >= 1);
+        assert_eq!(count(&c, |i| matches!(i, Instr::IsUnique { .. })), 0);
+        assert_eq!(count(&c, |i| matches!(i, Instr::ConReuse { .. })), 0);
+        assert!(count(&c, |i| matches!(i, Instr::Drop(_))) >= 1);
     }
 
     /// Arity errors at machine entry are reported cleanly.
@@ -1148,16 +943,20 @@ mod shape_tests {
     }
 }
 
-/// Frame sizing and the instruction ↔ `RExpr` correspondence, on the
-/// suite programs.
+/// Frame sizing and the instruction ↔ core `Expr` correspondence, on
+/// the suite programs.
 #[cfg(test)]
 mod flat_tests {
     use super::*;
     use perceus_core::passes::{PassConfig, Pipeline};
 
-    fn compile_src(src: &str, config: PassConfig) -> Compiled {
+    fn lower_src(src: &str, config: PassConfig) -> Program {
         let p = perceus_lang::compile_str(src).expect("front end");
-        compile(&Pipeline::new(config).run(p).expect("passes")).expect("backend")
+        Pipeline::new(config).run(p).expect("passes")
+    }
+
+    fn compile_src(src: &str, config: PassConfig) -> Compiled {
+        compile(&lower_src(src, config)).expect("backend")
     }
 
     fn suite_program(name: &str) -> String {
@@ -1194,51 +993,63 @@ mod flat_tests {
             fun main(n: int): int { f(A(n), B(n)) }";
         let c = compile_src(src, PassConfig::erased());
         let f = &c.funs[c.find_fun("f").unwrap().0 as usize];
-        let RExpr::Match { arms, .. } = &f.body else {
-            panic!("{:?}", f.body)
+        let arms = |pc: Pc| -> &[Arm] {
+            let Instr::Match { arms, .. } = c.code.instrs[pc as usize] else {
+                panic!("{:?}", c.code.instrs[pc as usize])
+            };
+            &c.code.arms[arms.range()]
         };
-        assert_eq!(arms[0].binders, vec![Some(2)], "a");
-        assert_eq!(arms[1].binders, vec![Some(2)], "b shares a's slot");
-        let RExpr::Match { arms: inner, .. } = &arms[0].body else {
-            panic!("{:?}", arms[0].body)
+        let binders = |pc: Pc| -> Vec<&[Slot]> {
+            (arms(pc).iter())
+                .map(|a| &c.code.binders[a.binders.range()])
+                .collect()
         };
-        assert_eq!(inner[0].binders, vec![Some(3)], "y sits above the live a");
-        assert_eq!(inner[1].binders, vec![Some(3)], "z shares y's slot");
+        assert_eq!(binders(f.entry), [[2], [2]], "a, and b shares a's slot");
+        assert_eq!(
+            binders(arms(f.entry)[0].body),
+            [[3], [3]],
+            "y sits above the live a, and z shares y's slot"
+        );
         assert!(f.nslots <= 5, "{}", f.nslots);
     }
 
     /// The nodes the machine charges a step for — the emitter's
     /// `rt.step()` sites: every node except a `Let`/`Seq` right-hand
-    /// side that is a call or simple.
-    fn cur_nodes(e: &RExpr) -> usize {
-        let bound = |rhs: &RExpr| {
-            if is_simple(rhs) || matches!(rhs, RExpr::Call { .. } | RExpr::App { .. }) {
-                0
-            } else {
-                cur_nodes(rhs)
-            }
+    /// side that is a call or cannot call. Lambdas met on the way join
+    /// `lambdas`, in the order the backend numbers them.
+    fn cur_nodes<'p>(e: &'p Expr, lambdas: &mut Vec<&'p Lambda>) -> usize {
+        let bound = |rhs: &'p Expr, lambdas: &mut Vec<&'p Lambda>| {
+            cur_nodes(rhs, lambdas) - usize::from(is_leaf(rhs))
         };
         1 + match e {
-            RExpr::Let { rhs, body, .. } => bound(rhs) + cur_nodes(body),
-            RExpr::Seq(a, b) => bound(a) + cur_nodes(b),
-            RExpr::Match { arms, default, .. } => {
-                arms.iter().map(|a| cur_nodes(&a.body)).sum::<usize>()
-                    + default.as_deref().map_or(0, cur_nodes)
+            Expr::Let { rhs, body, .. } => bound(rhs, lambdas) + cur_nodes(body, lambdas),
+            Expr::Seq(a, b) => bound(a, lambdas) + cur_nodes(b, lambdas),
+            Expr::Match { arms, default, .. } => {
+                arms.iter()
+                    .map(|a| cur_nodes(&a.body, lambdas))
+                    .sum::<usize>()
+                    + default.as_deref().map_or(0, |d| cur_nodes(d, lambdas))
             }
-            RExpr::IsUnique { unique, shared, .. } => cur_nodes(unique) + cur_nodes(shared),
-            RExpr::Dup(_, r)
-            | RExpr::Drop(_, r)
-            | RExpr::Free(_, r)
-            | RExpr::DecRef(_, r)
-            | RExpr::DropToken(_, r)
-            | RExpr::DropReuse { body: r, .. } => cur_nodes(r),
+            Expr::IsUnique { unique, shared, .. } => {
+                cur_nodes(unique, lambdas) + cur_nodes(shared, lambdas)
+            }
+            Expr::Dup(_, r)
+            | Expr::Drop(_, r)
+            | Expr::Free(_, r)
+            | Expr::DecRef(_, r)
+            | Expr::DropToken(_, r)
+            | Expr::DropReuse { body: r, .. } => cur_nodes(r, lambdas),
+            Expr::Lam(lam) => {
+                lambdas.push(lam);
+                0
+            }
             _ => 0,
         }
     }
 
-    /// One instruction per step-charged node, function by function, so
-    /// step counts, fuel limits and suspension points are those of the
-    /// tree by construction.
+    /// One instruction per step-charged node, body by body, so step
+    /// counts, fuel limits and suspension points are those of the core
+    /// program by construction.
     #[test]
     fn one_instruction_per_step_charged_node() {
         let dir = format!("{}/../suite/programs", env!("CARGO_MANIFEST_DIR"));
@@ -1255,23 +1066,31 @@ mod flat_tests {
                 PassConfig::perceus_no_opt(),
                 PassConfig::scoped(),
             ] {
-                let c = compile_src(&src, config);
+                let p = lower_src(&src, config);
+                let c = compile(&p).expect("backend");
                 // Bodies are laid out back to back: functions in order,
-                // then lambdas.
-                let mut bodies: Vec<(Pc, &RExpr)> = Vec::new();
-                bodies.extend(c.funs.iter().map(|f| (f.entry, &f.body)));
-                bodies.extend(c.lambdas.iter().map(|l| (l.entry, &l.body)));
-                let ends = bodies
+                // then lambdas in the order they were met.
+                let mut lambdas = Vec::new();
+                let mut nodes: Vec<usize> = p
+                    .funs
                     .iter()
-                    .skip(1)
-                    .map(|b| b.0)
-                    .chain([c.code.instrs.len() as Pc]);
-                for ((entry, body), end) in bodies.iter().zip(ends) {
+                    .map(|f| cur_nodes(&f.body, &mut lambdas))
+                    .collect();
+                while let Some(&lam) = lambdas.get(nodes.len() - p.funs.len()) {
+                    nodes.push(cur_nodes(&lam.body, &mut lambdas));
+                }
+                let entries: Vec<Pc> = (c.funs.iter().map(|f| f.entry))
+                    .chain(c.lambdas.iter().map(|l| l.entry))
+                    .chain([c.code.instrs.len() as Pc])
+                    .collect();
+                assert_eq!(entries.len(), nodes.len() + 1, "{}", path.display());
+                for (pcs, nodes) in entries.windows(2).zip(nodes) {
                     assert_eq!(
-                        (end - entry) as usize,
-                        cur_nodes(body),
-                        "{} at pc {entry}",
-                        path.display()
+                        (pcs[1] - pcs[0]) as usize,
+                        nodes,
+                        "{} at pc {}",
+                        path.display(),
+                        pcs[0]
                     );
                 }
             }

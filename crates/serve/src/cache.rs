@@ -56,6 +56,9 @@ pub struct CachedProgram {
     /// so the borrowed and owned builds of one program attach the same
     /// frozen segment instead of freezing it twice.
     pub input_key: u64,
+    /// The source text. With `strategy` and `borrow` it is what the key
+    /// hashes, kept so that a key hit can be told from a collision.
+    pub source: Box<str>,
     /// Strategy the program was compiled under.
     pub strategy: Strategy,
     /// Whether the program was compiled under borrow inference (the
@@ -72,6 +75,14 @@ pub struct CachedProgram {
     /// Default problem size (registry test size, or 0 for inline
     /// sources).
     pub default_n: i64,
+}
+
+impl CachedProgram {
+    /// True when this is the build of `(source, strategy, borrow)`, not
+    /// merely a program whose key collides with it.
+    fn is_build_of(&self, source: &str, strategy: Strategy, borrow: bool) -> bool {
+        self.strategy == strategy && self.borrow == borrow && *self.source == *source
+    }
 }
 
 /// The compiled-program cache.
@@ -102,6 +113,11 @@ impl ProgramCache {
     /// (racing misses on the same program both compile; the first
     /// insert wins and the loser's work is dropped — correct because
     /// compilation is deterministic).
+    ///
+    /// The key is a 64-bit hash that a tenant can collide on purpose, so
+    /// a key hit counts only when the resident entry is this very
+    /// program. A request whose key belongs to another program is a
+    /// miss that compiles and runs uncached; the resident entry stays.
     pub fn resolve(&self, req: &RunRequest) -> Result<(Arc<CachedProgram>, bool), SuiteError> {
         let (source, name, spec, default_n) = match (&req.workload, &req.source) {
             (Some(w), _) => {
@@ -114,7 +130,10 @@ impl ProgramCache {
             (None, None) => unreachable!("protocol validation requires one"),
         };
         let key = program_key(source, req.strategy, req.borrow);
-        if let Some(hit) = relock(&self.map).get(&key) {
+        if let Some(hit) = relock(&self.map)
+            .get(&key)
+            .filter(|p| p.is_build_of(source, req.strategy, req.borrow))
+        {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(hit), true));
         }
@@ -132,6 +151,7 @@ impl ProgramCache {
         let entry = Arc::new(CachedProgram {
             key,
             input_key: program_key(source, req.strategy, false),
+            source: source.into(),
             strategy: req.strategy,
             borrow: req.borrow,
             compiled,
@@ -140,7 +160,13 @@ impl ProgramCache {
             default_n,
         });
         let mut map = relock(&self.map);
-        if map.len() >= self.capacity && !map.contains_key(&key) {
+        if let Some(resident) = map.get(&key) {
+            // A racing miss on this program got there first, or the key
+            // is another program's and this one runs uncached.
+            let same = resident.is_build_of(source, req.strategy, req.borrow);
+            return Ok((if same { Arc::clone(resident) } else { entry }, false));
+        }
+        if map.len() >= self.capacity {
             // The population is small (the suite plus ad-hoc sources);
             // arbitrary eviction keeps the bound without LRU bookkeeping.
             if let Some(&victim) = map.keys().next() {
@@ -148,7 +174,8 @@ impl ProgramCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok((Arc::clone(map.entry(key).or_insert(entry)), false))
+        map.insert(key, Arc::clone(&entry));
+        Ok((entry, false))
     }
 
     /// `(programs, hits, misses, evictions)` for the stats endpoint.
@@ -269,6 +296,41 @@ mod tests {
         let (len, _, _, evictions) = cache.stats();
         assert_eq!(len, 1);
         assert_eq!(evictions, 1);
+    }
+
+    /// A tenant that finds a source whose key collides with another
+    /// tenant's program must not get that program: plant A under B's
+    /// key and ask for B.
+    #[test]
+    fn a_key_collision_is_served_its_own_program_uncached() {
+        use perceus_runtime::machine::RunConfig;
+        let inline = |source: &str| RunRequest {
+            workload: None,
+            source: Some(source.into()),
+            ..run_req("")
+        };
+        let req_a = inline("fun main(n: int): int { n + 1 }");
+        let req_b = inline("fun main(n: int): int { n * 2 }");
+        let (a, _) = ProgramCache::new(8).resolve(&req_a).unwrap();
+        let key_b = program_key(req_b.source.as_deref().unwrap(), req_b.strategy, false);
+
+        let cache = ProgramCache::new(8);
+        relock(&cache.map).insert(key_b, Arc::clone(&a));
+        for _ in 0..2 {
+            let (b, hit) = cache.resolve(&req_b).unwrap();
+            assert!(!hit);
+            assert_eq!(&*b.source, req_b.source.as_deref().unwrap());
+            let out =
+                perceus_suite::run_workload(&b.compiled, b.strategy, 20, RunConfig::default())
+                    .unwrap();
+            assert_eq!(out.value.to_string(), "40", "B doubles, A would say 21");
+        }
+        let (len, hits, misses, evictions) = cache.stats();
+        assert_eq!((len, hits, misses, evictions), (1, 0, 2, 0));
+        assert!(
+            Arc::ptr_eq(&relock(&cache.map)[&key_b], &a),
+            "A stays resident"
+        );
     }
 
     #[test]

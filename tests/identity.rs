@@ -73,7 +73,10 @@ fn digest(name: &str, config_name: &str, config: PassConfig, p: Program, out: &m
         .stages(p)
         .unwrap_or_else(|e| panic!("{name} under {config_name}: {e}"));
     for (pass, stage) in trace.stages() {
-        put(&format!("stage:{}", pass.label()), &program_to_string(stage));
+        put(
+            &format!("stage:{}", pass.label()),
+            &program_to_string(stage),
+        );
     }
     let compiled = code::compile(trace.final_program())
         .unwrap_or_else(|e| panic!("{name} under {config_name}: {e}"));
@@ -98,7 +101,13 @@ fn compute() -> Digests {
     for i in 0..GEN_PROGRAMS {
         let p = random_program(GEN_SEED + i, GEN_SIZES[i as usize % GEN_SIZES.len()]);
         for (config_name, config) in configs() {
-            digest(&format!("gen{i:03}"), config_name, config, p.clone(), &mut out);
+            digest(
+                &format!("gen{i:03}"),
+                config_name,
+                config,
+                p.clone(),
+                &mut out,
+            );
         }
     }
     out

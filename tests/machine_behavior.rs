@@ -3,7 +3,9 @@
 
 use perceus_runtime::machine::{Machine, RunConfig};
 use perceus_runtime::{ReclaimMode, RuntimeError, Value};
-use perceus_suite::{compile_and_run, compile_workload, run_workload, Strategy, SuiteError};
+use perceus_suite::{
+    compile_and_run, compile_workload, run_workload, run_workload_budgeted, Strategy, SuiteError,
+};
 
 /// Tail calls must not grow the continuation stack: a 10-million
 /// iteration loop completes (a frame-pushing machine would hold 10M
@@ -190,6 +192,71 @@ fun main(n: int): int {
     let out = compile_and_run(src, Strategy::Perceus, 40, RunConfig::default()).unwrap();
     assert_eq!(format!("{}", out.value), "83");
     assert_eq!(out.leaked_blocks, 0);
+}
+
+/// A lambda inside a lambda, capturing from both levels: the inner one
+/// closes over `xs` (a capture of the outer), `a` (its parameter) and
+/// `ys` (its local). The backend numbers lambdas as it meets them, so
+/// an inner lambda, found while its outer one's body is compiled, comes
+/// after every lambda that stands directly in a function.
+#[test]
+fn nested_lambdas_capture_from_both_levels() {
+    let src = r#"
+type list<a> { Nil; Cons(head: a, tail: list<a>) }
+
+fun sum(xs: list<int>): int {
+  match xs {
+    Cons(x, xx) -> x + sum(xx)
+    Nil -> 0
+  }
+}
+
+fun make(xs: list<int>): (int) -> ((int) -> int) {
+  fn(a) {
+    val ys = Cons(a, xs)
+    fn(b) { sum(xs) + sum(ys) + a * b }
+  }
+}
+
+fun main(n: int): int {
+  val f = make(Cons(n, Cons(1, Nil)))
+  val g = f(2)
+  val h = f(3)
+  g(10) + h(100) + g(1)
+}
+"#;
+    // The oracle reads capture lists, which normalization computes.
+    let mut program = perceus_lang::compile_str(src).unwrap();
+    perceus_core::passes::normalize::normalize_program(&mut program);
+    let (expected, _) = perceus_suite::driver::oracle_run_program(&program, 40, 1_000_000).unwrap();
+    for strategy in [Strategy::Perceus, Strategy::PerceusNoOpt, Strategy::Scoped] {
+        let c = compile_workload(src, strategy).unwrap();
+        let shapes: Vec<_> = c.lambdas.iter().map(|l| (l.ncaptures, l.nparams)).collect();
+        // Inlining `make` into `main` copies the pair, so there may be
+        // two of each: every outer lambda still precedes every inner one.
+        let inner = shapes.iter().position(|s| *s == (3, 1)).expect("inner");
+        assert!(
+            inner > 0 && shapes[..inner].iter().all(|s| *s == (1, 1)),
+            "{shapes:?}"
+        );
+        assert!(shapes[inner..].iter().all(|s| *s == (3, 1)), "{shapes:?}");
+        let whole = run_workload(&c, strategy, 40, RunConfig::default()).unwrap();
+        assert_eq!(whole.value, expected, "{strategy:?}");
+        assert_eq!(whole.leaked_blocks, 0, "{strategy:?}");
+        for budget in 1..=whole.stats.steps {
+            let legs =
+                run_workload_budgeted(&c, strategy, 40, RunConfig::default(), &[budget]).unwrap();
+            assert_eq!(legs.outcome.value, expected, "{strategy:?} budget {budget}");
+            assert_eq!(
+                legs.outcome.stats, whole.stats,
+                "{strategy:?} budget {budget}"
+            );
+            assert_eq!(
+                legs.outcome.leaked_blocks, 0,
+                "{strategy:?} budget {budget}"
+            );
+        }
+    }
 }
 
 /// `println` output is ordered and identical across strategies.
