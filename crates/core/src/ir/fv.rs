@@ -2,24 +2,71 @@
 
 use super::expr::{Expr, Lambda};
 use super::var::{Var, VarSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Returns the free variables of `e` as an ordered set.
 pub fn free_vars(e: &Expr) -> VarSet {
     let mut out = VarSet::new();
-    collect(e, &mut Vec::new(), &mut out);
+    collect(e, &mut Bound::default(), &mut out);
     out
 }
 
 /// Returns the free variables of a lambda: `fv(body) − params`.
 pub fn lambda_free_vars(lam: &Lambda) -> VarSet {
     let mut out = VarSet::new();
-    let mut bound: Vec<Var> = lam.params.clone();
+    let mut bound = Bound::default();
+    bound.push(&lam.params);
     collect(&lam.body, &mut bound, &mut out);
     out
 }
 
-fn collect(e: &Expr, bound: &mut Vec<Var>, out: &mut VarSet) {
-    let use_var = |v: &Var, bound: &Vec<Var>, out: &mut VarSet| {
+/// The binders in scope, as a count per id, so a membership test costs
+/// the same at any depth. A count, not a flag: an id bound again in a
+/// nested scope is still bound when the inner scope ends.
+#[derive(Default)]
+struct Bound(HashMap<u32, u32, BuildHasherDefault<IdHasher>>);
+
+impl Bound {
+    fn contains(&self, v: &Var) -> bool {
+        self.0.get(&v.id()).is_some_and(|&n| n > 0)
+    }
+
+    fn push<'a>(&mut self, vars: impl IntoIterator<Item = &'a Var>) {
+        for v in vars {
+            *self.0.entry(v.id()).or_insert(0) += 1;
+        }
+    }
+
+    fn pop<'a>(&mut self, vars: impl IntoIterator<Item = &'a Var>) {
+        for v in vars {
+            *self.0.get_mut(&v.id()).expect("pops follow pushes") -= 1;
+        }
+    }
+}
+
+/// Variable ids are small integers the compiler hands out, never chosen
+/// by a client, so one multiplication spreads them well enough (and
+/// SipHash made `free_vars` ≈ 40 % slower than the scan it replaces).
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u32 ids are hashed")
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+fn collect(e: &Expr, bound: &mut Bound, out: &mut VarSet) {
+    let use_var = |v: &Var, bound: &Bound, out: &mut VarSet| {
         if !bound.contains(v) {
             out.insert(v.clone());
         }
@@ -39,10 +86,9 @@ fn collect(e: &Expr, bound: &mut Vec<Var>, out: &mut VarSet) {
             }
         }
         Expr::Lam(lam) => {
-            let n = bound.len();
-            bound.extend(lam.params.iter().cloned());
+            bound.push(&lam.params);
             collect(&lam.body, bound, out);
-            bound.truncate(n);
+            bound.pop(&lam.params);
         }
         Expr::Con { args, reuse, .. } => {
             if let Some(t) = reuse {
@@ -54,9 +100,9 @@ fn collect(e: &Expr, bound: &mut Vec<Var>, out: &mut VarSet) {
         }
         Expr::Let { var, rhs, body } => {
             collect(rhs, bound, out);
-            bound.push(var.clone());
+            bound.push([var]);
             collect(body, bound, out);
-            bound.pop();
+            bound.pop([var]);
         }
         Expr::Seq(a, b) => {
             collect(a, bound, out);
@@ -69,13 +115,10 @@ fn collect(e: &Expr, bound: &mut Vec<Var>, out: &mut VarSet) {
         } => {
             use_var(scrutinee, bound, out);
             for arm in arms {
-                let n = bound.len();
-                bound.extend(arm.binders.iter().flatten().cloned());
-                if let Some(t) = &arm.reuse_token {
-                    bound.push(t.clone());
-                }
+                let binders = || arm.binders.iter().flatten().chain(&arm.reuse_token);
+                bound.push(binders());
                 collect(&arm.body, bound, out);
-                bound.truncate(n);
+                bound.pop(binders());
             }
             if let Some(d) = default {
                 collect(d, bound, out);
@@ -91,9 +134,9 @@ fn collect(e: &Expr, bound: &mut Vec<Var>, out: &mut VarSet) {
         }
         Expr::DropReuse { var, token, body } => {
             use_var(var, bound, out);
-            bound.push(token.clone());
+            bound.push([token]);
             collect(body, bound, out);
-            bound.pop();
+            bound.pop([token]);
         }
         Expr::IsUnique {
             var,
@@ -179,6 +222,39 @@ mod tests {
         assert!(fv.contains(&x));
         let fv = free_vars(&Expr::TokenOf(x.clone()));
         assert!(fv.contains(&x));
+    }
+
+    #[test]
+    fn rebinding_across_sibling_arms_and_nested_scopes() {
+        use crate::ir::expr::Arm;
+        use crate::ir::program::CtorId;
+        let (s, x, z) = (v(0, "s"), v(1, "x"), v(2, "z"));
+        let ids = |set: VarSet| set.iter().map(Var::id).collect::<Vec<_>>();
+        let arm = |body| Arm {
+            ctor: CtorId(0),
+            binders: vec![Some(x.clone())],
+            reuse_token: None,
+            body,
+        };
+        // Both arms bind x; the default uses it unbound, so it is free
+        // there once the arms' bindings have ended.
+        let e = Expr::Match {
+            scrutinee: s.clone(),
+            arms: vec![arm(Expr::Var(x.clone())), arm(Expr::Var(x.clone()))],
+            default: Some(Box::new(Expr::Var(x.clone()))),
+        };
+        assert_eq!(ids(free_vars(&e)), vec![0, 1]);
+        // λx. (val x = z; x); x — the inner binding of x ends, the
+        // parameter still binds the last use.
+        let lam = Lambda {
+            params: vec![x.clone()],
+            captures: vec![],
+            body: Box::new(Expr::seq(
+                Expr::let_(x.clone(), Expr::Var(z.clone()), Expr::Var(x.clone())),
+                Expr::Var(x.clone()),
+            )),
+        };
+        assert_eq!(ids(lambda_free_vars(&lam)), vec![2]);
     }
 
     #[test]

@@ -28,11 +28,28 @@
 //! in borrowed positions of a direct call are not consumed: the caller
 //! retains ownership and, when the call was the last use, releases the
 //! value right after the call returns.
+//!
+//! # Cost
+//!
+//! One derivation takes time linear in the size of the function plus
+//! the summed sizes of its nodes' free-variable sets, which bound every
+//! split, and never walks a subtree twice:
+//!
+//! - `FreeVars` computes the free variables of every node once per
+//!   function, bottom-up, into one flat array indexed by pre-order node
+//!   number. Every split — `Γ₂ = Γ ∩ fv(e₂)`, the right-to-left split of
+//!   arguments, an arm's dead set, a lambda's captures — reads it.
+//! - Γ is an ascending run of variable ids on one stack: a rule pushes
+//!   the sets of its premises and pops them when it returns.
+//! - Δ is a borrow count per id, raised before a premise that borrows
+//!   and lowered after it; a lambda body sets its captures aside.
+//! - The body is rewritten in place. A `Var` is cloned only into an
+//!   instruction the derivation inserts, and once per binder into the
+//!   table that names a dead or released variable.
 
 use crate::ir::expr::{Arm, Expr, Lambda};
-use crate::ir::fv::{free_vars, lambda_free_vars};
-use crate::ir::program::Program;
-use crate::ir::var::{Var, VarGen, VarSet};
+use crate::ir::program::{FunId, Program};
+use crate::ir::var::{Var, VarGen};
 use std::fmt;
 
 /// An error from the insertion algorithm. These indicate ill-scoped
@@ -49,28 +66,6 @@ impl fmt::Display for InsertError {
 
 impl std::error::Error for InsertError {}
 
-/// Shared context for a derivation: the program's borrow masks and a
-/// fresh-variable source (needed when a borrowed argument must be
-/// released right after its call).
-pub struct InsertCx<'a> {
-    borrows: &'a [Vec<bool>],
-    gen: &'a mut VarGen,
-}
-
-impl<'a> InsertCx<'a> {
-    /// A context with the given borrow masks (empty slice = all owned).
-    pub fn new(borrows: &'a [Vec<bool>], gen: &'a mut VarGen) -> Self {
-        InsertCx { borrows, gen }
-    }
-
-    fn mask(&self, fun: crate::ir::program::FunId) -> Option<Vec<bool>> {
-        self.borrows
-            .get(fun.0 as usize)
-            .filter(|m| m.iter().any(|b| *b))
-            .cloned()
-    }
-}
-
 /// Runs Perceus insertion over every function of the program, honoring
 /// `program.borrows` when present.
 ///
@@ -79,315 +74,356 @@ impl<'a> InsertCx<'a> {
 /// `drop-reuse` instructions and consume their owned parameters (the
 /// owned calling convention of §2.2).
 pub fn insert_program(p: &mut Program) -> Result<(), InsertError> {
-    let borrows = std::mem::take(&mut p.borrows);
-    let mut gen = std::mem::take(&mut p.var_gen);
-    let funs = std::mem::take(&mut p.funs);
-    let mut out = Vec::with_capacity(funs.len());
-    let mut failure = None;
-    for (fi, f) in funs.into_iter().enumerate() {
-        if failure.is_some() {
-            out.push(f);
-            continue;
+    let mut ins = Insert::new(&p.borrows, &mut p.var_gen);
+    for (fi, f) in p.funs.iter_mut().enumerate() {
+        let mask = p.borrows.get(fi).map_or(&[][..], Vec::as_slice);
+        ins.function(&f.params, mask, &mut f.body)?;
+    }
+    Ok(())
+}
+
+/// One node of an annotated body.
+#[derive(Clone, Copy, Default)]
+struct Node {
+    /// Its free variables are `FreeVars::ids[lo..hi]`, ascending.
+    lo: usize,
+    hi: usize,
+    /// The pre-order number one past its subtree: its next sibling's.
+    end: usize,
+}
+
+/// The free variables of every node of one body, computed bottom-up in
+/// one walk. Nodes are numbered in pre-order — the order in which the
+/// derivation meets them — so a rule finds its premises' sets from its
+/// own number: the first premise is `n + 1`, each next one starts where
+/// the previous subtree ends.
+#[derive(Default)]
+struct FreeVars {
+    nodes: Vec<Node>,
+    ids: Vec<u32>,
+    /// Each bound id's variable, to name one the rule does not have at
+    /// hand: a dead drop, a release after a borrowing call, a capture.
+    /// Sized past every id met, so it also bounds Δ's table.
+    names: Vec<Option<Var>>,
+    /// Scratch for one node's set: the union so far, its next value, and
+    /// the variables a premise binds.
+    acc: Vec<u32>,
+    tmp: Vec<u32>,
+    bound: Vec<u32>,
+}
+
+impl FreeVars {
+    /// Annotates `body`, whose free variables may include `roots`.
+    fn annotate<'v>(&mut self, body: &Expr, roots: impl IntoIterator<Item = &'v Var>) {
+        self.nodes.clear();
+        self.ids.clear();
+        for v in roots {
+            self.bind(v);
         }
-        let mask = borrows.get(fi).cloned().unwrap_or_default();
-        let fv = free_vars(&f.body);
-        let mut owned = VarSet::new();
-        let mut delta = VarSet::new();
-        let mut dead = Vec::new();
-        for (pi, par) in f.params.iter().enumerate() {
-            let borrowed = mask.get(pi).copied().unwrap_or(false);
-            if borrowed {
-                delta.insert(par.clone());
-            } else if fv.contains(par) {
-                owned.insert(par.clone());
-            } else {
-                dead.push(par.clone());
-            }
-        }
-        let mut cx = InsertCx::new(&borrows, &mut gen);
-        match infer(&mut cx, &delta, owned, f.body) {
-            Ok(body) => {
-                // Unused owned parameters are dropped on entry
-                // (slam-drop); borrowed parameters are never dropped.
-                let body = Expr::drop_all(dead, body);
-                out.push(crate::ir::program::FunDef {
-                    name: f.name,
-                    params: f.params,
-                    body,
-                });
-            }
-            Err(e) => failure = Some(e),
+        self.node(body);
+    }
+
+    fn free(&self, n: usize) -> &[u32] {
+        let Node { lo, hi, .. } = self.nodes[n];
+        &self.ids[lo..hi]
+    }
+
+    fn contains(&self, n: usize, id: u32) -> bool {
+        self.free(n).binary_search(&id).is_ok()
+    }
+
+    fn next(&self, n: usize) -> usize {
+        self.nodes[n].end
+    }
+
+    fn name(&self, id: u32) -> Var {
+        self.names[id as usize]
+            .clone()
+            .expect("an owned variable has a binder")
+    }
+
+    /// Makes room for `v` in the per-id tables.
+    fn see(&mut self, v: &Var) {
+        let i = v.id() as usize;
+        if i >= self.names.len() {
+            self.names.resize(i + 1, None);
         }
     }
-    p.funs = out;
-    p.var_gen = gen;
-    p.borrows = borrows;
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
+
+    fn bind(&mut self, v: &Var) {
+        self.see(v);
+        self.names[v.id() as usize] = Some(v.clone());
+    }
+
+    /// Numbers `e` and its subtree, then records `fv(e)`: the union of
+    /// its premises' sets, less what `e` binds in each, plus the
+    /// variables `e` uses itself.
+    fn node(&mut self, e: &Expr) {
+        let n = self.nodes.len();
+        self.nodes.push(Node::default());
+        match e {
+            Expr::Var(_)
+            | Expr::TokenOf(_)
+            | Expr::Lit(_)
+            | Expr::Global(_)
+            | Expr::Abort(_)
+            | Expr::NullToken => {}
+            Expr::App(f, args) => {
+                self.node(f);
+                args.iter().for_each(|a| self.node(a));
+            }
+            Expr::Call(_, args) | Expr::Prim(_, args) | Expr::Con { args, .. } => {
+                args.iter().for_each(|a| self.node(a));
+            }
+            Expr::Lam(lam) => {
+                lam.params.iter().for_each(|p| self.bind(p));
+                self.node(&lam.body);
+            }
+            Expr::Let { var, rhs, body } => {
+                self.bind(var);
+                self.node(rhs);
+                self.node(body);
+            }
+            Expr::Seq(a, b) => {
+                self.node(a);
+                self.node(b);
+            }
+            Expr::Match { arms, default, .. } => {
+                for arm in arms {
+                    for b in arm.binders.iter().flatten().chain(&arm.reuse_token) {
+                        self.bind(b);
+                    }
+                    self.node(&arm.body);
+                }
+                if let Some(d) = default {
+                    self.node(d);
+                }
+            }
+            Expr::Dup(_, e)
+            | Expr::Drop(_, e)
+            | Expr::Free(_, e)
+            | Expr::DecRef(_, e)
+            | Expr::DropToken(_, e) => self.node(e),
+            Expr::DropReuse { token, body, .. } => {
+                self.bind(token);
+                self.node(body);
+            }
+            Expr::IsUnique { unique, shared, .. } => {
+                self.node(unique);
+                self.node(shared);
+            }
+        }
+
+        self.acc.clear();
+        let first = n + 1;
+        match e {
+            Expr::Lam(lam) => self.union(first, &lam.params),
+            Expr::Let { var, .. } => {
+                self.union(first, []);
+                self.union(self.next(first), [var]);
+            }
+            Expr::Match { arms, default, .. } => {
+                let mut c = first;
+                for arm in arms {
+                    self.union(c, arm.binders.iter().flatten().chain(&arm.reuse_token));
+                    c = self.next(c);
+                }
+                if default.is_some() {
+                    self.union(c, []);
+                }
+            }
+            Expr::DropReuse { token, .. } => self.union(first, [token]),
+            _ => {
+                let mut c = first;
+                while c < self.nodes.len() {
+                    self.union(c, []);
+                    c = self.next(c);
+                }
+            }
+        }
+        match e {
+            Expr::Var(x)
+            | Expr::TokenOf(x)
+            | Expr::Match { scrutinee: x, .. }
+            | Expr::Dup(x, _)
+            | Expr::Drop(x, _)
+            | Expr::Free(x, _)
+            | Expr::DecRef(x, _)
+            | Expr::DropToken(x, _)
+            | Expr::DropReuse { var: x, .. }
+            | Expr::IsUnique { var: x, .. }
+            | Expr::Con { reuse: Some(x), .. } => self.add(x),
+            _ => {}
+        }
+
+        let lo = self.ids.len();
+        self.ids.extend_from_slice(&self.acc);
+        self.nodes[n] = Node {
+            lo,
+            hi: self.ids.len(),
+            end: self.nodes.len(),
+        };
+    }
+
+    /// `acc ← acc ∪ (fv(c) − bound)`, by one merge of ascending runs.
+    fn union<'v>(&mut self, c: usize, bound: impl IntoIterator<Item = &'v Var>) {
+        self.bound.clear();
+        self.bound.extend(bound.into_iter().map(Var::id));
+        self.bound.sort_unstable();
+        let Node { lo, hi, .. } = self.nodes[c];
+        let (acc, tmp, bound) = (&self.acc, &mut self.tmp, &self.bound);
+        tmp.clear();
+        let mut i = 0;
+        for &x in &self.ids[lo..hi] {
+            if bound.binary_search(&x).is_ok() {
+                continue;
+            }
+            while i < acc.len() && acc[i] < x {
+                tmp.push(acc[i]);
+                i += 1;
+            }
+            if i < acc.len() && acc[i] == x {
+                i += 1;
+            }
+            tmp.push(x);
+        }
+        tmp.extend_from_slice(&acc[i..]);
+        std::mem::swap(&mut self.acc, &mut self.tmp);
+    }
+
+    /// `acc ← acc ∪ {x}`.
+    fn add(&mut self, x: &Var) {
+        self.see(x);
+        if let Err(i) = self.acc.binary_search(&x.id()) {
+            self.acc.insert(i, x.id());
+        }
     }
 }
 
-/// The derivation `Δ | Γ ⊢ₛ e ⇝ e′`.
-///
-/// Exposed for tests and for the examples that reproduce the paper's
-/// Fig. 1 step by step.
-pub fn infer(
-    cx: &mut InsertCx<'_>,
-    delta: &VarSet,
-    gamma: VarSet,
-    e: Expr,
-) -> Result<Expr, InsertError> {
-    debug_assert!(
-        delta.intersect(&gamma).is_empty(),
-        "Δ ∩ Γ must be empty: Δ={delta:?} Γ={gamma:?}"
-    );
-    match e {
-        // [svar] / [svar-dup]
-        Expr::Var(x) => {
-            if gamma.contains(&x) && gamma.len() == 1 {
-                Ok(Expr::Var(x))
-            } else if gamma.is_empty() && delta.contains(&x) {
-                Ok(Expr::dup(x.clone(), Expr::Var(x)))
-            } else {
-                Err(InsertError(format!(
-                    "variable {x:?} not exactly owned (Γ={gamma:?}) nor borrowed (Δ={delta:?})"
-                )))
-            }
-        }
-        Expr::Lit(_) | Expr::Global(_) | Expr::Abort(_) | Expr::NullToken => {
-            expect_empty(&gamma, "literal")?;
-            Ok(e)
-        }
-        Expr::TokenOf(_) | Expr::IsUnique { .. } | Expr::Free(..) | Expr::DecRef(..) => Err(
-            InsertError("specialized instruction in insertion input".into()),
-        ),
-        Expr::Dup(..) | Expr::Drop(..) | Expr::DropReuse { .. } => Err(InsertError(
-            "reference-count instruction in insertion input".into(),
-        )),
-        // Reuse analysis runs before insertion and releases unused tokens
-        // with drop-token; the token is a linear resource consumed here.
-        Expr::DropToken(t, rest) => {
-            let mut gamma = gamma;
-            if !gamma.remove(&t) {
-                return Err(InsertError(format!("token {t:?} not owned at drop-token")));
-            }
-            Ok(Expr::DropToken(
-                t,
-                Box::new(infer(cx, delta, gamma, *rest)?),
-            ))
-        }
+/// One Γ: the ascending ids `Sets::0[lo..hi]`.
+#[derive(Clone, Copy)]
+struct Set {
+    lo: usize,
+    hi: usize,
+}
 
-        // [sapp] generalized: callee first, then arguments left to right.
-        Expr::App(f, args) => {
-            let mut exprs = Vec::with_capacity(args.len() + 1);
-            exprs.push(*f);
-            exprs.extend(args);
-            let exprs = infer_sequence(cx, delta, &gamma, exprs)?;
-            let (dups, mut exprs) = hoist_atom_dups(exprs);
-            let f = exprs.remove(0);
-            Ok(Expr::dup_all(dups, Expr::App(Box::new(f), exprs)))
-        }
-        Expr::Call(id, args) => {
-            if let Some(mask) = cx.mask(id) {
-                return infer_borrowing_call(cx, delta, gamma, id, args, mask);
-            }
-            let args = infer_sequence(cx, delta, &gamma, args)?;
-            let (dups, args) = hoist_atom_dups(args);
-            Ok(Expr::dup_all(dups, Expr::Call(id, args)))
-        }
-        Expr::Prim(op, args) => {
-            let args = infer_sequence(cx, delta, &gamma, args)?;
-            let (dups, args) = hoist_atom_dups(args);
-            Ok(Expr::dup_all(dups, Expr::Prim(op, args)))
-        }
-        // [scon]; a reuse token is consumed by the allocation itself.
-        Expr::Con {
-            ctor,
-            args,
-            reuse,
-            skip,
-        } => {
-            let mut gamma = gamma;
-            if let Some(t) = &reuse {
-                if !gamma.remove(t) {
-                    return Err(InsertError(format!(
-                        "reuse token {t:?} not owned at constructor"
-                    )));
-                }
-            }
-            let args = infer_sequence(cx, delta, &gamma, args)?;
-            let (dups, args) = hoist_atom_dups(args);
-            Ok(Expr::dup_all(
-                dups,
-                Expr::Con {
-                    ctor,
-                    args,
-                    reuse,
-                    skip,
-                },
-            ))
-        }
+impl Set {
+    fn len(self) -> usize {
+        self.hi - self.lo
+    }
+}
 
-        // [slam] / [slam-drop]
-        Expr::Lam(lam) => {
-            let ys: VarSet = lambda_free_vars(&lam).iter().cloned().collect();
-            // Invariant (2) gives Γ ⊆ ys; the rest must be borrowed and
-            // gets dup'd to take ownership for the closure (Δ₁ = ys − Γ).
-            if !gamma.difference(&ys).is_empty() {
-                return Err(InsertError(format!(
-                    "lambda owns {gamma:?} beyond its free variables {ys:?}"
-                )));
-            }
-            let dup_first = ys.difference(&gamma);
-            for d in dup_first.iter() {
-                if !delta.contains(d) {
-                    return Err(InsertError(format!(
-                        "lambda capture {d:?} neither owned nor borrowed"
-                    )));
-                }
-            }
-            let body_fv = free_vars(&lam.body);
-            let mut body_owned = VarSet::new();
-            let mut dead = Vec::new();
-            for v in ys.iter().chain(lam.params.iter()) {
-                if body_fv.contains(v) {
-                    body_owned.insert(v.clone());
-                } else {
-                    dead.push(v.clone());
-                }
-            }
-            let body = infer(cx, &VarSet::new(), body_owned, *lam.body)?;
-            let body = Expr::drop_all(dead, body);
-            let out = Expr::Lam(Lambda {
-                params: lam.params,
-                captures: ys.clone().into_vec(),
-                body: Box::new(body),
-            });
-            Ok(Expr::dup_all(dup_first.into_vec(), out))
-        }
+/// The Γ of every derivation in progress, on one stack: a rule pushes
+/// its premises' sets above its own and truncates them when it returns.
+#[derive(Default)]
+struct Sets(Vec<u32>);
 
-        // [sbind] / [sbind-drop]
-        Expr::Let { var, rhs, body } => {
-            let body_fv = free_vars(&body);
-            let gamma2 = gamma.intersect(&body_fv); // Γ ∩ (fv(e₂) − x): x ∉ Γ
-            let gamma1 = gamma.difference(&gamma2);
-            let delta1 = delta.union(&gamma2);
-            let rhs = infer(cx, &delta1, gamma1, *rhs)?;
-            let body = if body_fv.contains(&var) {
-                let mut owned = gamma2;
-                owned.insert(var.clone());
-                infer(cx, delta, owned, *body)?
-            } else {
-                Expr::drop_(var.clone(), infer(cx, delta, gamma2, *body)?)
-            };
-            Ok(Expr::let_(var, rhs, body))
-        }
-        Expr::Seq(a, b) => {
-            // Like sbind with an anonymous unit binding (never dropped:
-            // unit is a value type).
-            let b_fv = free_vars(&b);
-            let gamma2 = gamma.intersect(&b_fv);
-            let gamma1 = gamma.difference(&gamma2);
-            let delta1 = delta.union(&gamma2);
-            let a = infer(cx, &delta1, gamma1, *a)?;
-            let b = infer(cx, delta, gamma2, *b)?;
-            Ok(Expr::seq(a, b))
-        }
+impl Sets {
+    fn get(&self, s: Set) -> &[u32] {
+        &self.0[s.lo..s.hi]
+    }
 
-        // [smatch] in the compiled form of Fig. 1b.
-        Expr::Match {
-            scrutinee,
-            arms,
-            default,
-        } => {
-            if !gamma.contains(&scrutinee) {
-                if !delta.contains(&scrutinee) {
-                    return Err(InsertError(format!(
-                        "scrutinee {scrutinee:?} neither owned nor borrowed"
-                    )));
-                }
-                // Borrowed scrutinee. Without reuse tokens, the arms can
-                // simply borrow it too: no dup, no arm drop — this is
-                // what makes a borrowed `is-red(t)` entirely rc-free.
-                if arms.iter().all(|a| a.reuse_token.is_none()) {
-                    let mut out_arms = Vec::with_capacity(arms.len());
-                    for arm in arms {
-                        out_arms.push(infer_arm(
-                            cx,
-                            delta,
-                            &gamma,
-                            &scrutinee,
-                            arm,
-                            ScrutineeMode::Borrowed,
-                        )?);
-                    }
-                    let default = match default {
-                        Some(d) => Some(Box::new(infer_default(
-                            cx,
-                            delta,
-                            &gamma,
-                            &scrutinee,
-                            *d,
-                            ScrutineeMode::Borrowed,
-                        )?)),
-                        None => None,
-                    };
-                    return Ok(Expr::Match {
-                        scrutinee,
-                        arms: out_arms,
-                        default,
-                    });
-                }
-                // Reuse tokens require consumption: take ownership first
-                // (svar-dup).
-                let mut gamma = gamma;
-                gamma.insert(scrutinee.clone());
-                let delta = delta.difference(&std::iter::once(scrutinee.clone()).collect());
-                let inner = infer(
-                    cx,
-                    &delta,
-                    gamma,
-                    Expr::Match {
-                        scrutinee: scrutinee.clone(),
-                        arms,
-                        default,
-                    },
-                )?;
-                return Ok(Expr::dup(scrutinee, inner));
+    fn contains(&self, s: Set, id: u32) -> bool {
+        self.get(s).binary_search(&id).is_ok()
+    }
+
+    fn mark(&self) -> usize {
+        self.0.len()
+    }
+
+    fn truncate(&mut self, mark: usize) {
+        self.0.truncate(mark);
+    }
+
+    /// Pushes the ids of `s` that `keep` accepts, as a new set.
+    fn filter(&mut self, s: Set, keep: impl Fn(u32) -> bool) -> Set {
+        let lo = self.0.len();
+        for i in s.lo..s.hi {
+            let v = self.0[i];
+            if keep(v) {
+                self.0.push(v);
             }
-            let gamma_rest = {
-                let mut g = gamma.clone();
-                g.remove(&scrutinee);
-                g
-            };
-            let mut out_arms = Vec::with_capacity(arms.len());
-            for arm in arms {
-                out_arms.push(infer_arm(
-                    cx,
-                    delta,
-                    &gamma_rest,
-                    &scrutinee,
-                    arm,
-                    ScrutineeMode::Owned,
-                )?);
+        }
+        Set {
+            lo,
+            hi: self.0.len(),
+        }
+    }
+
+    /// Sorts and dedups the ids pushed since `lo` into one set.
+    fn close(&mut self, lo: usize) -> Set {
+        let tail = &mut self.0[lo..];
+        tail.sort_unstable();
+        let mut len = 0;
+        for i in 0..tail.len() {
+            if len == 0 || tail[i] != tail[len - 1] {
+                tail[len] = tail[i];
+                len += 1;
             }
-            let default = match default {
-                Some(d) => Some(Box::new(infer_default(
-                    cx,
-                    delta,
-                    &gamma_rest,
-                    &scrutinee,
-                    *d,
-                    ScrutineeMode::Owned,
-                )?)),
-                None => None,
-            };
-            Ok(Expr::Match {
-                scrutinee,
-                arms: out_arms,
-                default,
-            })
+        }
+        self.0.truncate(lo + len);
+        Set { lo, hi: lo + len }
+    }
+
+    /// Adds `id` to `s`, the topmost set.
+    fn insert(&mut self, s: Set, id: u32) -> Set {
+        debug_assert_eq!(s.hi, self.0.len(), "only the topmost set grows");
+        match self.get(s).binary_search(&id) {
+            Ok(_) => s,
+            Err(i) => {
+                self.0.insert(s.lo + i, id);
+                Set {
+                    lo: s.lo,
+                    hi: s.hi + 1,
+                }
+            }
+        }
+    }
+}
+
+/// Δ as a borrow count per variable id: a rule raises the ids a premise
+/// may borrow before deriving it and lowers them after, so Δ is never
+/// copied. A count, not a flag, so every raise is undone exactly.
+#[derive(Default)]
+struct Borrowed {
+    count: Vec<u32>,
+    /// Counts set aside by [`Borrowed::suspend`], innermost last.
+    saved: Vec<u32>,
+}
+
+impl Borrowed {
+    fn fit(&mut self, len: usize) {
+        if self.count.len() < len {
+            self.count.resize(len, 0);
+        }
+    }
+
+    fn has(&self, id: u32) -> bool {
+        self.count[id as usize] > 0
+    }
+
+    fn raise(&mut self, ids: &[u32]) {
+        for &v in ids {
+            self.count[v as usize] += 1;
+        }
+    }
+
+    fn lower(&mut self, ids: &[u32]) {
+        for &v in ids {
+            self.count[v as usize] -= 1;
+        }
+    }
+
+    /// Removes `ids` from Δ until the matching [`Borrowed::resume`].
+    fn suspend(&mut self, ids: &[u32]) {
+        for &v in ids {
+            self.saved.push(std::mem::take(&mut self.count[v as usize]));
+        }
+    }
+
+    fn resume(&mut self, ids: &[u32]) {
+        for &v in ids.iter().rev() {
+            self.count[v as usize] = self.saved.pop().expect("resume follows suspend");
         }
     }
 }
@@ -400,267 +436,564 @@ enum ScrutineeMode {
     Borrowed,
 }
 
-/// Hoists `dup x; x` argument atoms (produced by [svar-dup]) out of
-/// argument positions, so that application nodes stay in ANF. Sound
-/// because the remaining arguments are effect-free atoms: the `dup`s
-/// commute with them and happen in the same order, just earlier.
-fn hoist_atom_dups(exprs: Vec<Expr>) -> (Vec<Var>, Vec<Expr>) {
-    let mut dups = Vec::new();
-    let out = exprs
-        .into_iter()
-        .map(|e| match e {
-            Expr::Dup(x, inner) if inner.is_atom() => {
-                dups.push(x);
-                *inner
-            }
-            other => other,
-        })
-        .collect();
-    (dups, out)
+/// The state of the derivations of one program.
+struct Insert<'a> {
+    /// Borrow masks per function (§6); empty or all-false = all owned.
+    borrows: &'a [Vec<bool>],
+    /// Source of the `_r` results of borrowing calls.
+    gen: &'a mut VarGen,
+    fv: FreeVars,
+    gamma: Sets,
+    delta: Borrowed,
 }
 
-/// Splits Γ over a sequence of expressions evaluated left to right and
-/// derives each. Variable `γ ∈ Γ` is owned by the **last** expression
-/// whose free variables contain it; earlier expressions borrow it
-/// ([sapp]'s `Γ₂ = Γ ∩ fv(e₂)` generalized).
-fn infer_sequence(
-    cx: &mut InsertCx<'_>,
-    delta: &VarSet,
-    gamma: &VarSet,
-    exprs: Vec<Expr>,
-) -> Result<Vec<Expr>, InsertError> {
-    let fvs: Vec<VarSet> = exprs.iter().map(free_vars).collect();
-    let mut remaining = gamma.clone();
-    let mut owned: Vec<VarSet> = vec![VarSet::new(); exprs.len()];
-    for i in (0..exprs.len()).rev() {
-        let part = remaining.intersect(&fvs[i]);
-        remaining = remaining.difference(&part);
-        owned[i] = part;
-    }
-    if !remaining.is_empty() {
-        return Err(InsertError(format!(
-            "owned variables {remaining:?} unused in application"
-        )));
-    }
-    let mut out = Vec::with_capacity(exprs.len());
-    for (i, e) in exprs.into_iter().enumerate() {
-        // Everything owned by later components is surely alive while this
-        // component evaluates, so it may be borrowed here.
-        let mut d = delta.clone();
-        for later in owned.iter().skip(i + 1) {
-            d = d.union(later);
+impl<'a> Insert<'a> {
+    fn new(borrows: &'a [Vec<bool>], gen: &'a mut VarGen) -> Self {
+        Insert {
+            borrows,
+            gen,
+            fv: FreeVars::default(),
+            gamma: Sets::default(),
+            delta: Borrowed::default(),
         }
-        out.push(infer(cx, &d, owned[i].clone(), e)?);
     }
-    Ok(out)
-}
 
-/// A direct call with a borrow mask: arguments in borrowed positions
-/// are not consumed. A variable whose *last* use is such a position is
-/// released immediately after the call returns — the closest a caller
-/// can get to garbage-free under borrowing (§6).
-fn infer_borrowing_call(
-    cx: &mut InsertCx<'_>,
-    delta: &VarSet,
-    gamma: VarSet,
-    id: crate::ir::program::FunId,
-    args: Vec<Expr>,
-    mask: Vec<bool>,
-) -> Result<Expr, InsertError> {
-    let is_borrowed = |i: usize| mask.get(i).copied().unwrap_or(false);
-    // Split Γ over *owned* positions only (right-to-left, as usual).
-    let fvs: Vec<VarSet> = args
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            if is_borrowed(i) {
-                VarSet::new()
-            } else {
-                free_vars(a)
-            }
-        })
-        .collect();
-    let mut remaining = gamma.clone();
-    let mut owned: Vec<VarSet> = vec![VarSet::new(); args.len()];
-    for i in (0..args.len()).rev() {
-        let part = remaining.intersect(&fvs[i]);
-        remaining = remaining.difference(&part);
-        owned[i] = part;
+    fn annotate<'v>(&mut self, body: &Expr, roots: impl IntoIterator<Item = &'v Var>) {
+        self.fv.annotate(body, roots);
+        self.delta.fit(self.fv.names.len());
     }
-    // Leftovers must occur in a borrowed position — they are released
-    // right after the call.
-    let mut release_after = Vec::new();
-    for x in remaining.iter() {
-        let used = args
-            .iter()
-            .enumerate()
-            .any(|(i, a)| is_borrowed(i) && free_vars(a).contains(x));
-        if !used {
-            return Err(InsertError(format!(
-                "owned variable {x:?} unused in borrowing call"
-            )));
+
+    fn mask(&self, f: FunId) -> &'a [bool] {
+        self.borrows.get(f.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// One function: Δ is its borrowed parameters, Γ the owned ones its
+    /// body uses. Unused owned parameters are dropped on entry
+    /// (slam-drop); borrowed parameters are never dropped.
+    fn function(
+        &mut self,
+        params: &[Var],
+        mask: &[bool],
+        body: &mut Expr,
+    ) -> Result<(), InsertError> {
+        self.annotate(body, params);
+        let borrowed = |i: usize| mask.get(i).copied().unwrap_or(false);
+        for (i, p) in params.iter().enumerate() {
+            if borrowed(i) {
+                self.delta.raise(&[p.id()]);
+            } else if self.fv.contains(0, p.id()) {
+                self.gamma.0.push(p.id());
+            }
         }
-        release_after.push(x.clone());
-    }
-    let mut out_args = Vec::with_capacity(args.len());
-    for (i, a) in args.into_iter().enumerate() {
-        if is_borrowed(i) {
-            // Borrowed positions take atoms verbatim: no dup, no
-            // consumption. Aliveness: the variable is borrowed here, in
-            // a later owned split, or in the release set — all alive
-            // through the call.
-            if !a.is_atom() {
-                return Err(InsertError(
-                    "non-atomic argument in borrowed position (not in ANF)".into(),
-                ));
+        let g = self.gamma.close(0);
+        self.expr(0, g, body)?;
+        self.gamma.truncate(0);
+        for (i, p) in params.iter().enumerate().rev() {
+            if borrowed(i) {
+                self.delta.lower(&[p.id()]);
+            } else if !self.fv.contains(0, p.id()) {
+                wrap(body, |b| Expr::Drop(p.clone(), b));
             }
-            if let Expr::Var(v) = &a {
-                let alive =
-                    delta.contains(v) || gamma.contains(v) || owned.iter().any(|o| o.contains(v));
-                if !alive {
-                    return Err(InsertError(format!(
-                        "borrowed argument {v:?} is not alive at the call"
-                    )));
+        }
+        Ok(())
+    }
+
+    /// The derivation `Δ | Γ ⊢ₛ e ⇝ e′` of node `n`, rewriting `e` into
+    /// `e′` in place.
+    fn expr(&mut self, n: usize, g: Set, e: &mut Expr) -> Result<(), InsertError> {
+        debug_assert!(
+            self.gamma.get(g).iter().all(|&v| !self.delta.has(v)),
+            "Δ ∩ Γ must be empty: Γ={}",
+            self.show(self.gamma.get(g))
+        );
+        let mark = self.gamma.mark();
+        let dups = match e {
+            Expr::Var(x) => {
+                if self.var(g, x)? {
+                    vec![x.clone()]
+                } else {
+                    Vec::new()
                 }
             }
-            out_args.push(a);
-        } else {
-            let mut d = delta.clone();
-            for later in owned.iter().skip(i + 1) {
-                d = d.union(later);
+            Expr::Lit(_) | Expr::Global(_) | Expr::Abort(_) | Expr::NullToken => {
+                self.expect_empty(g, "literal")?;
+                Vec::new()
             }
-            for r in &release_after {
-                d.insert(r.clone());
+            Expr::TokenOf(_) | Expr::IsUnique { .. } | Expr::Free(..) | Expr::DecRef(..) => {
+                return Err(InsertError(
+                    "specialized instruction in insertion input".into(),
+                ))
             }
-            out_args.push(infer(cx, &d, owned[i].clone(), a)?);
-        }
-    }
-    let (dups, out_args) = hoist_atom_dups(out_args);
-    let call = Expr::dup_all(dups, Expr::Call(id, out_args));
-    if release_after.is_empty() {
-        Ok(call)
-    } else {
-        // val r = f(…); drop x…; r
-        let r = cx.gen.fresh("_r");
-        Ok(Expr::let_(
-            r.clone(),
-            call,
-            Expr::drop_all(release_after, Expr::Var(r)),
-        ))
-    }
-}
-
-/// Derives one match arm (Fig. 1b form; see module docs).
-fn infer_arm(
-    cx: &mut InsertCx<'_>,
-    delta: &VarSet,
-    gamma_rest: &VarSet,
-    scrutinee: &Var,
-    arm: Arm,
-    mode: ScrutineeMode,
-) -> Result<Arm, InsertError> {
-    let body_fv = free_vars(&arm.body);
-    let binders: Vec<Var> = arm.binders.iter().flatten().cloned().collect();
-    let scrut_live = body_fv.contains(scrutinee);
-    if arm.reuse_token.is_some() && (scrut_live || mode == ScrutineeMode::Borrowed) {
-        return Err(InsertError(format!(
-            "reuse token on arm that cannot consume scrutinee {scrutinee:?}"
-        )));
-    }
-
-    if mode == ScrutineeMode::Borrowed {
-        // The cell is pinned for the whole derivation, so its fields can
-        // be borrowed too: no entry dups, no scrutinee drop. Uses that
-        // consume a binder dup at the use site (svar-dup).
-        let owned = gamma_rest.intersect(&body_fv);
-        let mut arm_delta = delta.clone();
-        for b in &binders {
-            arm_delta.insert(b.clone());
-        }
-        let dead: Vec<Var> = gamma_rest.difference(&body_fv).into_vec();
-        let body = infer(cx, &arm_delta, owned, arm.body)?;
-        let body = Expr::drop_all(dead, body);
-        return Ok(Arm {
-            ctor: arm.ctor,
-            binders: arm.binders,
-            reuse_token: None,
-            body,
-        });
-    }
-
-    let used_binders: Vec<Var> = binders
-        .iter()
-        .filter(|b| body_fv.contains(b))
-        .cloned()
-        .collect();
-    // Owned environment for the body.
-    let mut owned = gamma_rest.intersect(&body_fv);
-    for b in &used_binders {
-        owned.insert(b.clone());
-    }
-    if scrut_live {
-        owned.insert(scrutinee.clone());
-    }
-    if let Some(t) = &arm.reuse_token {
-        owned.insert(t.clone());
-    }
-
-    let dead: Vec<Var> = gamma_rest.difference(&body_fv).into_vec();
-    let mut body = infer(cx, delta, owned, arm.body)?;
-    // Emission order (innermost-out): dead drops, scrutinee consumption,
-    // binder dups — so the generated code reads: dups; drop scrutinee;
-    // drop dead; body.
-    body = Expr::drop_all(dead, body);
-    if !scrut_live {
-        body = match &arm.reuse_token {
-            Some(t) => Expr::DropReuse {
-                var: scrutinee.clone(),
-                token: t.clone(),
-                body: Box::new(body),
-            },
-            None => Expr::drop_(scrutinee.clone(), body),
+            Expr::Dup(..) | Expr::Drop(..) | Expr::DropReuse { .. } => {
+                return Err(InsertError(
+                    "reference-count instruction in insertion input".into(),
+                ))
+            }
+            // Reuse analysis runs before insertion and releases unused
+            // tokens with drop-token; the token is a linear resource
+            // consumed here.
+            Expr::DropToken(t, rest) => {
+                let g = self.consume(g, t, "drop-token")?;
+                self.expr(n + 1, g, rest)?;
+                Vec::new()
+            }
+            // [sapp] generalized: callee first, then arguments left to right.
+            Expr::App(f, args) => self.sequence(n + 1, g, Some(f.as_mut()), args, &[])?.0,
+            Expr::Prim(_, args) => self.sequence(n + 1, g, None, args, &[])?.0,
+            Expr::Call(id, args) => {
+                let mask = self.mask(*id);
+                let (dups, release) = self.sequence(n + 1, g, None, args, mask)?;
+                dup_all(e, dups);
+                if !release.is_empty() {
+                    // val r = f(…); drop x…; r
+                    let r = self.gen.fresh("_r");
+                    wrap(e, |call| Expr::Let {
+                        var: r.clone(),
+                        rhs: call,
+                        body: Box::new(Expr::drop_all(release, Expr::Var(r))),
+                    });
+                }
+                Vec::new()
+            }
+            // [scon]; a reuse token is consumed by the allocation itself.
+            Expr::Con { args, reuse, .. } => {
+                let g = match reuse {
+                    Some(t) => self.consume(g, t, "constructor")?,
+                    None => g,
+                };
+                self.sequence(n + 1, g, None, args, &[])?.0
+            }
+            Expr::Lam(lam) => self.lam(n, g, lam)?,
+            Expr::Let { var, rhs, body } => {
+                self.bind(n, g, Some(var), rhs, body)?;
+                Vec::new()
+            }
+            // Like sbind with an anonymous unit binding (never dropped:
+            // unit is a value type).
+            Expr::Seq(a, b) => {
+                self.bind(n, g, None, a, b)?;
+                Vec::new()
+            }
+            Expr::Match {
+                scrutinee,
+                arms,
+                default,
+            } => self.matches(n, g, scrutinee, arms, default.as_deref_mut())?,
         };
-    }
-    body = Expr::dup_all(used_binders, body);
-    Ok(Arm {
-        ctor: arm.ctor,
-        binders: arm.binders,
-        reuse_token: None, // consumed: the DropReuse instruction carries it
-        body,
-    })
-}
-
-/// Derives the default arm of a match (no binders, no reuse).
-fn infer_default(
-    cx: &mut InsertCx<'_>,
-    delta: &VarSet,
-    gamma_rest: &VarSet,
-    scrutinee: &Var,
-    body: Expr,
-    mode: ScrutineeMode,
-) -> Result<Expr, InsertError> {
-    let body_fv = free_vars(&body);
-    let scrut_live = body_fv.contains(scrutinee);
-    let mut owned = gamma_rest.intersect(&body_fv);
-    if scrut_live && mode == ScrutineeMode::Owned {
-        owned.insert(scrutinee.clone());
-    }
-    let dead: Vec<Var> = gamma_rest.difference(&body_fv).into_vec();
-    let mut out = infer(cx, delta, owned, body)?;
-    out = Expr::drop_all(dead, out);
-    if !scrut_live && mode == ScrutineeMode::Owned {
-        out = Expr::drop_(scrutinee.clone(), out);
-    }
-    Ok(out)
-}
-
-fn expect_empty(gamma: &VarSet, what: &str) -> Result<(), InsertError> {
-    if gamma.is_empty() {
+        self.gamma.truncate(mark);
+        dup_all(e, dups);
         Ok(())
-    } else {
-        Err(InsertError(format!(
-            "owned variables {gamma:?} unused at {what}"
-        )))
+    }
+
+    /// [svar] / [svar-dup]: `x` is the one owned variable, or nothing is
+    /// owned and `x` is borrowed — then the use needs a `dup` (`true`).
+    fn var(&self, g: Set, x: &Var) -> Result<bool, InsertError> {
+        match self.gamma.get(g) {
+            [v] if *v == x.id() => Ok(false),
+            [] if self.delta.has(x.id()) => Ok(true),
+            owned => Err(InsertError(format!(
+                "variable {x:?} not exactly owned (Γ={}) nor borrowed",
+                self.show(owned)
+            ))),
+        }
+    }
+
+    fn expect_empty(&self, g: Set, what: &str) -> Result<(), InsertError> {
+        match self.gamma.get(g) {
+            [] => Ok(()),
+            owned => Err(InsertError(format!(
+                "owned variables {} unused at {what}",
+                self.show(owned)
+            ))),
+        }
+    }
+
+    /// Γ less the reuse token `t`, which must be owned: a token is a
+    /// linear resource its use consumes.
+    fn consume(&mut self, g: Set, t: &Var, at: &str) -> Result<Set, InsertError> {
+        if !self.gamma.contains(g, t.id()) {
+            return Err(InsertError(format!("token {t:?} not owned at {at}")));
+        }
+        Ok(self.gamma.filter(g, |v| v != t.id()))
+    }
+
+    /// [sapp] generalized to premises evaluated left to right from node
+    /// `first` (the callee, then the arguments): `γ ∈ Γ` is owned by the
+    /// *last* premise whose free variables contain it and borrowed by the
+    /// earlier ones. Returns the `dup`s svar-dup put on argument atoms,
+    /// to be hoisted in front of the node so arguments stay atoms (ANF):
+    /// the other arguments are effect-free atoms, so the `dup`s commute
+    /// with them and happen in the same order, just earlier.
+    ///
+    /// With a borrow `mask` (§6), an argument in a borrowed position is
+    /// passed verbatim and takes no part in the split. An owned variable
+    /// whose last use is such a position is returned second, *released*:
+    /// the caller drops it right after the call returns — the closest a
+    /// caller can get to garbage-free under borrowing.
+    fn sequence(
+        &mut self,
+        first: usize,
+        g: Set,
+        callee: Option<&mut Expr>,
+        args: &mut [Expr],
+        mask: &[bool],
+    ) -> Result<(Vec<Var>, Vec<Var>), InsertError> {
+        const UNUSED: u32 = u32::MAX;
+        const RELEASED: u32 = u32::MAX - 1;
+        let shift = usize::from(callee.is_some());
+        let borrowed = |i: usize| i >= shift && mask.get(i - shift).copied().unwrap_or(false);
+        // owner[j]: the premise that owns the j-th id of Γ.
+        let owner = self.gamma.mark();
+        self.gamma.0.resize(owner + g.len(), UNUSED);
+        let mut c = first;
+        for i in 0..shift + args.len() {
+            for &v in self.fv.free(c) {
+                if let Ok(j) = self.gamma.get(g).binary_search(&v) {
+                    let o = &mut self.gamma.0[owner + j];
+                    if !borrowed(i) {
+                        *o = i as u32;
+                    } else if *o == UNUSED {
+                        *o = RELEASED;
+                    }
+                }
+            }
+            c = self.fv.next(c);
+        }
+        let unused: Vec<u32> = (0..g.len())
+            .filter(|&j| self.gamma.0[owner + j] == UNUSED)
+            .map(|j| self.gamma.0[g.lo + j])
+            .collect();
+        if !unused.is_empty() {
+            return Err(InsertError(format!(
+                "owned variables {} unused in application",
+                self.show(&unused)
+            )));
+        }
+
+        // Every id of Γ is borrowed until its owner's turn.
+        self.delta.raise(self.gamma.get(g));
+        let mut dups = Vec::new();
+        let mut c = first;
+        for (i, e) in callee.into_iter().chain(args.iter_mut()).enumerate() {
+            if borrowed(i) {
+                self.borrowed_arg(g, e)?;
+            } else if let Expr::Var(x) = e {
+                let own = match self.gamma.get(g).binary_search(&x.id()) {
+                    Ok(j) if self.gamma.0[owner + j] == i as u32 => {
+                        self.delta.lower(&[x.id()]);
+                        Set {
+                            lo: g.lo + j,
+                            hi: g.lo + j + 1,
+                        }
+                    }
+                    _ => Set { lo: g.lo, hi: g.lo },
+                };
+                if self.var(own, x)? {
+                    dups.push(x.clone());
+                }
+            } else {
+                let lo = self.gamma.mark();
+                if !self.fv.free(c).is_empty() {
+                    for j in 0..g.len() {
+                        if self.gamma.0[owner + j] == i as u32 {
+                            let v = self.gamma.0[g.lo + j];
+                            self.gamma.0.push(v);
+                            self.delta.lower(&[v]);
+                        }
+                    }
+                }
+                let own = Set {
+                    lo,
+                    hi: self.gamma.mark(),
+                };
+                self.expr(c, own, e)?;
+                self.gamma.truncate(lo);
+            }
+            c = self.fv.next(c);
+        }
+        let mut release = Vec::new();
+        for j in 0..g.len() {
+            if self.gamma.0[owner + j] == RELEASED {
+                let v = self.gamma.0[g.lo + j];
+                self.delta.lower(&[v]);
+                release.push(self.fv.name(v));
+            }
+        }
+        self.gamma.truncate(owner);
+        Ok((dups, release))
+    }
+
+    /// A borrowed position takes an atom verbatim: no dup, no
+    /// consumption. Its variable is alive through the call: borrowed
+    /// here, owned by a later argument, or released after the call.
+    fn borrowed_arg(&self, g: Set, a: &Expr) -> Result<(), InsertError> {
+        if !a.is_atom() {
+            return Err(InsertError(
+                "non-atomic argument in borrowed position (not in ANF)".into(),
+            ));
+        }
+        match a {
+            Expr::Var(v) if !self.delta.has(v.id()) && !self.gamma.contains(g, v.id()) => Err(
+                InsertError(format!("borrowed argument {v:?} is not alive at the call")),
+            ),
+            _ => Ok(()),
+        }
+    }
+
+    /// [slam] / [slam-drop]: the closure takes one ownership of each
+    /// capture — out of Γ, or by a `dup` (returned) when the capture is
+    /// borrowed. Its body is derived afresh with Δ = ∅ and Γ = the
+    /// captures and parameters it uses, and drops the parameters it
+    /// does not.
+    fn lam(&mut self, n: usize, g: Set, lam: &mut Lambda) -> Result<Vec<Var>, InsertError> {
+        let ys = self.fv.free(n);
+        // Invariant (2) gives Γ ⊆ ys; the rest must be borrowed and gets
+        // dup'd to take ownership for the closure (Δ₁ = ys − Γ).
+        if let Some(&v) = self
+            .gamma
+            .get(g)
+            .iter()
+            .find(|v| ys.binary_search(v).is_err())
+        {
+            return Err(InsertError(format!(
+                "lambda owns {} beyond its free variables {}",
+                self.show(&[v]),
+                self.show(ys)
+            )));
+        }
+        if let Some(&y) = ys
+            .iter()
+            .find(|&&y| !self.gamma.contains(g, y) && !self.delta.has(y))
+        {
+            return Err(InsertError(format!(
+                "lambda capture {} neither owned nor borrowed",
+                self.show(&[y])
+            )));
+        }
+        if !lam.captures.iter().map(Var::id).eq(ys.iter().copied()) {
+            lam.captures = ys.iter().map(|&y| self.fv.name(y)).collect();
+        }
+        let dups = lam
+            .captures
+            .iter()
+            .filter(|c| !self.gamma.contains(g, c.id()))
+            .cloned()
+            .collect();
+
+        self.delta.suspend(self.fv.free(n));
+        let lo = self.gamma.mark();
+        self.gamma.0.extend_from_slice(self.fv.free(n + 1));
+        let owned = Set {
+            lo,
+            hi: self.gamma.mark(),
+        };
+        self.expr(n + 1, owned, &mut lam.body)?;
+        self.gamma.truncate(lo);
+        self.delta.resume(self.fv.free(n));
+
+        let used = self.fv.free(n + 1);
+        for p in lam.params.iter().rev() {
+            if used.binary_search(&p.id()).is_err() {
+                wrap(&mut lam.body, |b| Expr::Drop(p.clone(), b));
+            }
+        }
+        Ok(dups)
+    }
+
+    /// [sbind] / [sbind-drop]: `Γ₂ = Γ ∩ fv(e₂)` goes to the body and is
+    /// borrowed by the right-hand side, which owns the rest. A binder the
+    /// body does not use is dropped right after the binding (`var` is
+    /// `None` for a `Seq`).
+    fn bind(
+        &mut self,
+        n: usize,
+        g: Set,
+        var: Option<&Var>,
+        rhs: &mut Expr,
+        body: &mut Expr,
+    ) -> Result<(), InsertError> {
+        let b = self.fv.next(n + 1);
+        let in_body = self.fv.free(b);
+        let g1 = self.gamma.filter(g, |v| in_body.binary_search(&v).is_err());
+        let g2 = self.gamma.filter(g, |v| in_body.binary_search(&v).is_ok());
+        self.delta.raise(self.gamma.get(g2));
+        self.expr(n + 1, g1, rhs)?;
+        self.delta.lower(self.gamma.get(g2));
+        let live = var.filter(|x| self.fv.contains(b, x.id()));
+        let g2 = match live {
+            Some(x) => self.gamma.insert(g2, x.id()),
+            None => g2,
+        };
+        self.expr(b, g2, body)?;
+        if let (Some(x), None) = (var, live) {
+            wrap(body, |e| Expr::Drop(x.clone(), e));
+        }
+        Ok(())
+    }
+
+    /// [smatch] in the compiled form of Fig. 1b (see the module docs).
+    /// Returns the `dup` that takes ownership of a borrowed scrutinee
+    /// whose arms carry reuse tokens.
+    fn matches(
+        &mut self,
+        n: usize,
+        g: Set,
+        s: &Var,
+        arms: &mut [Arm],
+        default: Option<&mut Expr>,
+    ) -> Result<Vec<Var>, InsertError> {
+        if self.gamma.contains(g, s.id()) {
+            let rest = self.gamma.filter(g, |v| v != s.id());
+            self.arms(n, rest, s, arms, default, ScrutineeMode::Owned)?;
+            return Ok(Vec::new());
+        }
+        if !self.delta.has(s.id()) {
+            return Err(InsertError(format!(
+                "scrutinee {s:?} neither owned nor borrowed"
+            )));
+        }
+        // Borrowed scrutinee. Without reuse tokens, the arms can simply
+        // borrow it too: no dup, no arm drop — this is what makes a
+        // borrowed `is-red(t)` entirely rc-free.
+        if arms.iter().all(|a| a.reuse_token.is_none()) {
+            self.arms(n, g, s, arms, default, ScrutineeMode::Borrowed)?;
+            return Ok(Vec::new());
+        }
+        // Reuse tokens require consumption: take ownership first
+        // (svar-dup) and derive the match as owned.
+        self.delta.suspend(&[s.id()]);
+        self.arms(n, g, s, arms, default, ScrutineeMode::Owned)?;
+        self.delta.resume(&[s.id()]);
+        Ok(vec![s.clone()])
+    }
+
+    fn arms(
+        &mut self,
+        n: usize,
+        rest: Set,
+        s: &Var,
+        arms: &mut [Arm],
+        default: Option<&mut Expr>,
+        mode: ScrutineeMode,
+    ) -> Result<(), InsertError> {
+        let mut c = n + 1;
+        for arm in arms {
+            let token = arm.reuse_token.take(); // the DropReuse carries it
+            self.arm(c, rest, s, &arm.binders, token, &mut arm.body, mode)?;
+            c = self.fv.next(c);
+        }
+        if let Some(d) = default {
+            self.arm(c, rest, s, &[], None, d, mode)?;
+        }
+        Ok(())
+    }
+
+    /// One arm of a match at node `c` (the default has no binders and
+    /// no token); `rest` is Γ less the scrutinee. Owned, the generated
+    /// code reads: dup the used binders; drop (or drop-reuse into the
+    /// token) the scrutinee unless the arm uses it; drop the owned
+    /// variables dead in this arm; body. Borrowed, the cell is pinned
+    /// for the whole derivation, so its fields are borrowed too: no
+    /// entry dups, no scrutinee drop; a use of a binder dups at the use
+    /// site (svar-dup).
+    #[allow(clippy::too_many_arguments)]
+    fn arm(
+        &mut self,
+        c: usize,
+        rest: Set,
+        s: &Var,
+        binders: &[Option<Var>],
+        token: Option<Var>,
+        body: &mut Expr,
+        mode: ScrutineeMode,
+    ) -> Result<(), InsertError> {
+        let used = self.fv.free(c);
+        let scrut_live = used.binary_search(&s.id()).is_ok();
+        if token.is_some() && (scrut_live || mode == ScrutineeMode::Borrowed) {
+            return Err(InsertError(format!(
+                "reuse token on arm that cannot consume scrutinee {s:?}"
+            )));
+        }
+        let binders = binders.iter().flatten();
+        let mark = self.gamma.mark();
+        let own = self.gamma.filter(rest, |v| used.binary_search(&v).is_ok());
+        let own = match mode {
+            ScrutineeMode::Borrowed => {
+                binders.clone().for_each(|b| self.delta.raise(&[b.id()]));
+                own
+            }
+            ScrutineeMode::Owned => {
+                for b in binders.clone() {
+                    if used.binary_search(&b.id()).is_ok() {
+                        self.gamma.0.push(b.id());
+                    }
+                }
+                if scrut_live {
+                    self.gamma.0.push(s.id());
+                }
+                if let Some(t) = &token {
+                    self.gamma.0.push(t.id());
+                }
+                self.gamma.close(own.lo)
+            }
+        };
+        self.expr(c, own, body)?;
+
+        // Emission order (innermost-out): dead drops, scrutinee
+        // consumption, binder dups.
+        let used = self.fv.free(c);
+        for &v in self.gamma.get(rest).iter().rev() {
+            if used.binary_search(&v).is_err() {
+                wrap(body, |b| Expr::Drop(self.fv.name(v), b));
+            }
+        }
+        match mode {
+            ScrutineeMode::Borrowed => binders.for_each(|b| self.delta.lower(&[b.id()])),
+            ScrutineeMode::Owned => {
+                if !scrut_live {
+                    wrap(body, |b| match token {
+                        Some(token) => Expr::DropReuse {
+                            var: s.clone(),
+                            token,
+                            body: b,
+                        },
+                        None => Expr::Drop(s.clone(), b),
+                    });
+                }
+                for b in binders.rev() {
+                    if used.binary_search(&b.id()).is_ok() {
+                        wrap(body, |e| Expr::Dup(b.clone(), e));
+                    }
+                }
+            }
+        }
+        self.gamma.truncate(mark);
+        Ok(())
+    }
+
+    /// `{x#1, y#2}`, for error messages.
+    fn show(&self, ids: &[u32]) -> String {
+        let names: Vec<String> = ids
+            .iter()
+            .map(|&id| match self.fv.names.get(id as usize) {
+                Some(Some(v)) => format!("{v:?}"),
+                _ => format!("#{id}"),
+            })
+            .collect();
+        format!("{{{}}}", names.join(", "))
+    }
+}
+
+/// Replaces `*e` with `f(e)`.
+fn wrap(e: &mut Expr, f: impl FnOnce(Box<Expr>) -> Expr) {
+    let inner = std::mem::replace(e, Expr::NullToken);
+    *e = f(Box::new(inner));
+}
+
+/// Wraps `e` in a `dup` of each variable, the first outermost.
+fn dup_all(e: &mut Expr, vars: Vec<Var>) {
+    for x in vars.into_iter().rev() {
+        wrap(e, |inner| Expr::Dup(x, inner));
     }
 }
 
@@ -676,15 +1009,29 @@ mod tests {
         Var::new(id, hint)
     }
 
-    fn owned(vars: &[&Var]) -> VarSet {
-        vars.iter().map(|v| (*v).clone()).collect()
+    /// `Δ | Γ ⊢ₛ e` under the given borrow masks, as `insert_program`
+    /// derives a body.
+    fn derive(
+        borrows: &[Vec<bool>],
+        delta: &[&Var],
+        gamma: &[&Var],
+        mut e: Expr,
+    ) -> Result<Expr, InsertError> {
+        let mut gen = VarGen::starting_at(10_000);
+        let mut ins = Insert::new(borrows, &mut gen);
+        ins.annotate(&e, delta.iter().chain(gamma).copied());
+        for x in delta {
+            ins.delta.raise(&[x.id()]);
+        }
+        ins.gamma.0.extend(gamma.iter().map(|x| x.id()));
+        let g = ins.gamma.close(0);
+        ins.expr(0, g, &mut e)?;
+        Ok(e)
     }
 
-    /// Runs `infer` with no borrow masks (the default convention).
-    fn infer0(delta: &VarSet, gamma: VarSet, e: Expr) -> Result<Expr, InsertError> {
-        let mut gen = VarGen::starting_at(10_000);
-        let mut cx = InsertCx::new(&[], &mut gen);
-        infer(&mut cx, delta, gamma, e)
+    /// [`derive`] with no borrow masks (the default convention).
+    fn infer0(delta: &[&Var], gamma: &[&Var], e: Expr) -> Result<Expr, InsertError> {
+        derive(&[], delta, gamma, e)
     }
 
     #[test]
@@ -697,7 +1044,7 @@ mod tests {
             captures: vec![],
             body: Box::new(Expr::Var(x.clone())),
         });
-        let out = infer0(&VarSet::new(), VarSet::new(), lam).unwrap();
+        let out = infer0(&[], &[], lam).unwrap();
         match out {
             Expr::Lam(l) => assert_eq!(*l.body, Expr::drop_(y, Expr::Var(x))),
             other => panic!("expected lambda, got {other:?}"),
@@ -713,7 +1060,7 @@ mod tests {
             PrimOp::Add,
             vec![Expr::Var(x.clone()), Expr::Var(x.clone())],
         );
-        let out = infer0(&VarSet::new(), owned(&[&x]), e).unwrap();
+        let out = infer0(&[], &[&x], e).unwrap();
         assert_eq!(
             out,
             Expr::dup(
@@ -729,8 +1076,7 @@ mod tests {
     #[test]
     fn borrowed_variable_gets_dup() {
         let x = v(0, "x");
-        let delta = owned(&[&x]);
-        let out = infer0(&delta, VarSet::new(), Expr::Var(x.clone())).unwrap();
+        let out = infer0(&[&x], &[], Expr::Var(x.clone())).unwrap();
         assert_eq!(out, Expr::dup(x.clone(), Expr::Var(x)));
     }
 
@@ -740,7 +1086,7 @@ mod tests {
         let x = v(0, "x");
         let y = v(1, "y");
         let e = Expr::let_(y.clone(), Expr::Var(x.clone()), Expr::int(42));
-        let out = infer0(&VarSet::new(), owned(&[&x]), e).unwrap();
+        let out = infer0(&[], &[&x], e).unwrap();
         assert_eq!(
             out,
             Expr::let_(y.clone(), Expr::Var(x), Expr::drop_(y, Expr::int(42)))
@@ -801,7 +1147,7 @@ mod tests {
             ],
             default: None,
         };
-        let out = infer0(&VarSet::new(), owned(&[&xs, &f]), body.clone()).unwrap();
+        let out = infer0(&[], &[&xs, &f], body.clone()).unwrap();
         let printed = expr_to_string(&out, &types);
         // Cons arm: dup x; dup xx; drop xs — then f is dup'd at its first
         // use because it is borrowed there (used again by the map call).
@@ -829,7 +1175,7 @@ mod tests {
     fn rejects_rc_instructions_in_input() {
         let x = v(0, "x");
         let e = Expr::dup(x.clone(), Expr::Var(x.clone()));
-        assert!(infer0(&VarSet::new(), owned(&[&x]), e).is_err());
+        assert!(infer0(&[], &[&x], e).is_err());
     }
 
     #[test]
@@ -845,10 +1191,10 @@ mod tests {
                 vec![Expr::Var(x.clone()), Expr::Var(y.clone())],
             )),
         });
-        let out = infer0(&VarSet::new(), owned(&[&x]), lam.clone()).unwrap();
+        let out = infer0(&[], &[&x], lam.clone()).unwrap();
         assert!(matches!(out, Expr::Lam(_)), "no dup expected: {out:?}");
         // With x merely borrowed, the closure must dup it first.
-        let out = infer0(&owned(&[&x]), VarSet::new(), lam).unwrap();
+        let out = infer0(&[&x], &[], lam).unwrap();
         assert!(matches!(out, Expr::Dup(ref d, _) if *d == x), "{out:?}");
     }
 
@@ -879,10 +1225,61 @@ mod tests {
             ],
             default: None,
         };
-        let out = infer0(&owned(&[&t]), VarSet::new(), e).unwrap();
+        let out = infer0(&[&t], &[], e).unwrap();
         let s = expr_to_string(&out, &types);
         assert!(!s.contains("dup"), "{s}");
         assert!(!s.contains("drop"), "{s}");
+    }
+
+    #[test]
+    fn borrowed_match_with_reuse_token_takes_ownership_first() {
+        // match t (borrowed) { C(a) with token ru -> C@ru(a) }: the
+        // token needs the cell, so the match dups t and consumes it.
+        let mut types = TypeTable::new();
+        let d = types.add_data("t");
+        let c1 = types.add_ctor_arity(d, "C", 1);
+        let t = v(0, "t");
+        let a = v(1, "a");
+        let ru = v(2, "ru");
+        let e = Expr::Match {
+            scrutinee: t.clone(),
+            arms: vec![Arm {
+                ctor: c1,
+                binders: vec![Some(a.clone())],
+                reuse_token: Some(ru.clone()),
+                body: Expr::Con {
+                    ctor: c1,
+                    args: vec![Expr::Var(a.clone())],
+                    reuse: Some(ru.clone()),
+                    skip: vec![],
+                },
+            }],
+            default: None,
+        };
+        let out = infer0(&[&t], &[], e).unwrap();
+        let Expr::Dup(d, inner) = out else {
+            panic!("expected dup t first, got {out:?}")
+        };
+        assert_eq!(d, t);
+        let Expr::Match { arms, .. } = *inner else {
+            panic!("expected the match under the dup")
+        };
+        assert_eq!(
+            arms[0].body,
+            Expr::dup(
+                a.clone(),
+                Expr::DropReuse {
+                    var: t,
+                    token: ru.clone(),
+                    body: Box::new(Expr::Con {
+                        ctor: c1,
+                        args: vec![Expr::Var(a)],
+                        reuse: Some(ru),
+                        skip: vec![],
+                    }),
+                }
+            )
+        );
     }
 
     #[test]
@@ -891,13 +1288,15 @@ mod tests {
         // emits  val r = g(x); drop x; r.
         let x = v(1, "x");
         let g = crate::ir::program::FunId(0);
-        let borrows = vec![vec![true]];
-        let mut gen = VarGen::starting_at(100);
-        let mut cx = InsertCx::new(&borrows, &mut gen);
         let e = Expr::Call(g, vec![Expr::Var(x.clone())]);
-        let out = infer(&mut cx, &VarSet::new(), owned(&[&x]), e).unwrap();
+        let out = derive(&[vec![true]], &[], &[&x], e).unwrap();
         match out {
-            Expr::Let { rhs, body, .. } => {
+            Expr::Let { var, rhs, body } => {
+                assert_eq!(
+                    var.id(),
+                    10_000,
+                    "the fresh result comes from the program's VarGen"
+                );
                 assert!(matches!(*rhs, Expr::Call(..)));
                 assert!(matches!(*body, Expr::Drop(ref d, _) if *d == x), "{body:?}");
             }
@@ -912,15 +1311,12 @@ mod tests {
         let x = v(1, "x");
         let r = v(2, "r");
         let g = crate::ir::program::FunId(0);
-        let borrows = vec![vec![true]];
-        let mut gen = VarGen::starting_at(100);
-        let mut cx = InsertCx::new(&borrows, &mut gen);
         let e = Expr::let_(
             r.clone(),
             Expr::Call(g, vec![Expr::Var(x.clone())]),
             Expr::Var(x.clone()),
         );
-        let out = infer(&mut cx, &VarSet::new(), owned(&[&x]), e).unwrap();
+        let out = derive(&[vec![true]], &[], &[&x], e).unwrap();
         let types = TypeTable::new();
         let s = expr_to_string(&out, &types);
         assert!(!s.contains("dup x"), "{s}");
@@ -934,15 +1330,84 @@ mod tests {
         let a = v(1, "a");
         let b = v(2, "b");
         let g = crate::ir::program::FunId(0);
-        let borrows = vec![vec![true, false]];
-        let mut gen = VarGen::starting_at(100);
-        let mut cx = InsertCx::new(&borrows, &mut gen);
         let e = Expr::Call(g, vec![Expr::Var(a.clone()), Expr::Var(b.clone())]);
-        let out = infer(&mut cx, &VarSet::new(), owned(&[&a, &b]), e).unwrap();
+        let out = derive(&[vec![true, false]], &[], &[&a, &b], e).unwrap();
         let types = TypeTable::new();
         let s = expr_to_string(&out, &types);
         assert!(s.contains("drop a"), "{s}");
         assert!(!s.contains("drop b"), "{s}");
         assert!(!s.contains("dup"), "{s}");
+    }
+
+    #[test]
+    fn dead_drops_come_out_in_ascending_id_order() {
+        // match s { C -> 0 } with z, y, x owned (given out of order) and
+        // unused: the arm drops s, then x, y, z by id.
+        let mut types = TypeTable::new();
+        let d = types.add_data("t");
+        let c0 = types.add_ctor_arity(d, "C", 0);
+        let s = v(0, "s");
+        let (x, y, z) = (v(3, "x"), v(5, "y"), v(7, "z"));
+        let e = Expr::Match {
+            scrutinee: s.clone(),
+            arms: vec![Arm {
+                ctor: c0,
+                binders: vec![],
+                reuse_token: None,
+                body: Expr::int(0),
+            }],
+            default: None,
+        };
+        let out = infer0(&[], &[&z, &s, &y, &x], e).unwrap();
+        let Expr::Match { arms, .. } = out else {
+            panic!("expected a match")
+        };
+        let expected = Expr::drop_all([s, x, y, z], Expr::int(0));
+        assert_eq!(arms[0].body, expected);
+    }
+
+    /// The annotation agrees with `free_vars` (the reference) on every
+    /// node of every suite-like body, numbered as `Expr::visit` meets
+    /// them.
+    #[test]
+    fn annotation_matches_free_vars_on_every_node() {
+        use crate::ir::fv::free_vars;
+        let (a, b, c, t) = (v(0, "a"), v(1, "b"), v(2, "c"), v(3, "t"));
+        let body = Expr::let_(
+            b.clone(),
+            Expr::Lam(Lambda {
+                params: vec![c.clone()],
+                captures: vec![a.clone()],
+                body: Box::new(Expr::Prim(
+                    PrimOp::Add,
+                    vec![Expr::Var(a.clone()), Expr::Var(c.clone())],
+                )),
+            }),
+            Expr::Match {
+                scrutinee: a.clone(),
+                arms: vec![Arm {
+                    ctor: crate::ir::program::CtorId(0),
+                    binders: vec![Some(c.clone()), None],
+                    reuse_token: Some(t.clone()),
+                    body: Expr::DropToken(
+                        t.clone(),
+                        Box::new(Expr::App(
+                            Box::new(Expr::Var(b.clone())),
+                            vec![Expr::Var(c.clone())],
+                        )),
+                    ),
+                }],
+                default: Some(Box::new(Expr::seq(Expr::unit(), Expr::Var(b.clone())))),
+            },
+        );
+        let mut fv = FreeVars::default();
+        fv.annotate(&body, []);
+        let mut n = 0;
+        body.visit(&mut |sub| {
+            let expected: Vec<u32> = free_vars(sub).iter().map(Var::id).collect();
+            assert_eq!(fv.free(n), expected, "node {n}: {sub:?}");
+            n += 1;
+        });
+        assert_eq!(n, fv.nodes.len());
     }
 }

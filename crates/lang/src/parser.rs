@@ -38,12 +38,31 @@ impl Parser {
         &self.toks[i].tok
     }
 
+    /// Consumes the next token. The parser never looks back, so the
+    /// token is moved out of the stream; the final `Eof` stays in place
+    /// for every later peek.
     fn bump(&mut self) -> Spanned {
-        let t = self.toks[self.pos].clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+        if self.pos + 1 == self.toks.len() {
+            return self.toks[self.pos].clone();
         }
-        t
+        self.pos += 1;
+        let t = &mut self.toks[self.pos - 1];
+        Spanned {
+            tok: std::mem::replace(&mut t.tok, Tok::Eof),
+            span: t.span,
+        }
+    }
+
+    /// Consumes the identifier or constructor the caller peeked and
+    /// returns its text.
+    fn bump_text(&mut self) -> (String, Span) {
+        match self.bump() {
+            Spanned {
+                tok: Tok::Ident(s) | Tok::ConId(s),
+                span,
+            } => (s, span),
+            other => unreachable!("bump_text on {}", other.tok),
+        }
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
@@ -99,11 +118,8 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<(String, Span), LangError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                let span = self.bump().span;
-                Ok((s, span))
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok(self.bump_text()),
             other => Err(LangError::parse(
                 format!("expected an identifier, found {other}"),
                 self.peek_span(),
@@ -164,11 +180,8 @@ impl Parser {
     }
 
     fn ctordef(&mut self) -> Result<SCtorDef, LangError> {
-        let (name, span) = match self.peek().clone() {
-            Tok::ConId(s) => {
-                let span = self.bump().span;
-                (s, span)
-            }
+        let (name, span) = match self.peek() {
+            Tok::ConId(_) => self.bump_text(),
             other => {
                 return Err(LangError::parse(
                     format!("expected a constructor name, found {other}"),
@@ -500,17 +513,17 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<SExpr, LangError> {
-        match self.peek().clone() {
-            Tok::Int(i) => {
+        match self.peek() {
+            &Tok::Int(i) => {
                 let span = self.bump().span;
                 Ok(SExpr::Int(i, span))
             }
-            Tok::Ident(s) => {
-                let span = self.bump().span;
+            Tok::Ident(_) => {
+                let (s, span) = self.bump_text();
                 Ok(SExpr::Var(s, span))
             }
-            Tok::ConId(s) => {
-                let span = self.bump().span;
+            Tok::ConId(_) => {
+                let (s, span) = self.bump_text();
                 Ok(SExpr::Con(s, span))
             }
             Tok::LParen => {
@@ -660,23 +673,23 @@ impl Parser {
     }
 
     fn pattern(&mut self) -> Result<SPat, LangError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                let span = self.bump().span;
+        match self.peek() {
+            Tok::Ident(_) => {
+                let (s, span) = self.bump_text();
                 if s == "_" {
                     Ok(SPat::Wild(span))
                 } else {
                     Ok(SPat::Var(s, span))
                 }
             }
-            Tok::Int(i) => {
+            &Tok::Int(i) => {
                 let span = self.bump().span;
                 Ok(SPat::Int(i, span))
             }
             Tok::Minus => {
                 let start = self.bump().span;
-                match self.peek().clone() {
-                    Tok::Int(i) => {
+                match self.peek() {
+                    &Tok::Int(i) => {
                         let span = start.merge(self.bump().span);
                         Ok(SPat::Int(-i, span))
                     }
@@ -686,8 +699,8 @@ impl Parser {
                     )),
                 }
             }
-            Tok::ConId(s) => {
-                let mut span = self.bump().span;
+            Tok::ConId(_) => {
+                let (s, mut span) = self.bump_text();
                 let mut fields = Vec::new();
                 if self.eat(&Tok::LParen) {
                     self.skip_newlines();

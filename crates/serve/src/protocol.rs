@@ -284,12 +284,13 @@ pub fn error_response(id: u64, outcome: Outcome, code: &str, msg: &str) -> Strin
         .finish()
 }
 
-/// Renders a protocol-level error (unparsable line, unknown op).
-pub fn protocol_error(msg: &str) -> String {
+/// Renders a protocol-level error: a line with no session (unparsable,
+/// unknown op: `bad-request`; over the length cap: `request-too-large`).
+pub fn protocol_error(code: &str, msg: &str) -> String {
     response()
         .bool("ok", false)
         .str("outcome", "bad-request")
-        .str("code", "bad-request")
+        .str("code", code)
         .str("error", msg)
         .finish()
 }
@@ -405,7 +406,7 @@ mod tests {
     fn every_response_is_version_stamped() {
         for resp in [
             error_response(1, Outcome::Failed, "abort", "boom"),
-            protocol_error("nope"),
+            protocol_error("bad-request", "nope"),
             version_error(3, None),
             response().bool("ok", true).finish(),
         ] {

@@ -34,6 +34,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// The longest request line a connection may send, without its `\n`.
+/// Past it the daemon answers `request-too-large` once and closes the
+/// connection, so one client cannot grow a reader's buffer without
+/// bound. The largest line the tests, the loadtest or perfbench send
+/// carries an inline suite program: about 3 KB.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -265,10 +272,16 @@ fn connection(
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut scanned = 0; // bytes before this hold no '\n'
+    let mut too_large = false;
     'conn: while !shutdown.load(Ordering::Relaxed) {
         while let Some(nl) = buf[scanned..].iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..scanned + nl + 1).collect();
+            let len = scanned + nl;
             scanned = 0;
+            if len > MAX_REQUEST_BYTES {
+                too_large = true;
+                break 'conn;
+            }
+            let line: Vec<u8> = buf.drain(..=len).collect();
             let line = String::from_utf8_lossy(&line);
             let trimmed = line.trim();
             if trimmed.is_empty() {
@@ -287,6 +300,10 @@ fn connection(
                 break 'conn; // client-initiated shutdown
             }
         }
+        if buf.len() > MAX_REQUEST_BYTES {
+            too_large = true;
+            break;
+        }
         scanned = buf.len();
         match stream.read(&mut chunk) {
             Ok(0) => break, // EOF
@@ -303,6 +320,12 @@ fn connection(
             }
             Err(_) => break,
         }
+    }
+    if too_large {
+        let _ = reply_tx.send(protocol::protocol_error(
+            "request-too-large",
+            &format!("request line longer than {MAX_REQUEST_BYTES} bytes; closing the connection"),
+        ));
     }
     drop(reply_tx);
     let _ = writer.join();
@@ -323,7 +346,7 @@ fn dispatch(
 ) -> bool {
     match protocol::parse_request(trimmed) {
         Err(ParseError::Bad(e)) => {
-            let _ = reply_tx.send(protocol::protocol_error(&e));
+            let _ = reply_tx.send(protocol::protocol_error("bad-request", &e));
         }
         Err(ParseError::Version { got, id }) => {
             let _ = reply_tx.send(protocol::version_error(got, id));

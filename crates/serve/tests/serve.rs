@@ -5,7 +5,7 @@
 
 use perceus_serve::json::{self, Json};
 use perceus_serve::loadtest::{self, LoadConfig};
-use perceus_serve::server::{start, ServeConfig};
+use perceus_serve::server::{start, ServeConfig, MAX_REQUEST_BYTES};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -327,6 +327,32 @@ fn health_shutdown_and_bad_requests() {
     );
     let _ = roundtrip(h.addr(), &[r#"{"op":"shutdown"}"#.to_string()]);
     // The flag is up; join must complete rather than hang.
+    h.join();
+}
+
+/// A line past the cap with no newline yet is answered once with
+/// `request-too-large`, then the connection closes; the daemon keeps
+/// serving other connections.
+#[test]
+fn an_oversized_request_line_is_refused_and_its_connection_closed() {
+    let h = server(|_| {});
+    let mut stream = TcpStream::connect(h.addr()).expect("connect");
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut resp = String::new();
+    assert!(reader.read_line(&mut resp).unwrap() > 0, "early EOF");
+    let v = json::parse(resp.trim()).expect("valid response json");
+    assert_eq!(
+        field(&v, "code").as_str(),
+        Some("request-too-large"),
+        "{v:?}"
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "then EOF: {rest}");
+    let rs = roundtrip(h.addr(), &[r#"{"op":"health"}"#.to_string()]);
+    assert_eq!(field(&rs[&(CONTROL_BASE + 1)], "ok").as_bool(), Some(true));
     h.join();
 }
 

@@ -4,13 +4,17 @@
 //! calls inside a run are the doublings of a handful of vectors. The
 //! backend lowers core IR straight into those vectors' compile-time
 //! counterparts, so `code::compile` allocates little more than they do.
+//! Perceus insertion rewrites each body in place and allocates the
+//! instructions it inserts plus side arrays linear in the body.
 
-use perceus_core::passes::Pipeline;
+use perceus_core::passes::{insert, PassName, Pipeline};
+use perceus_core::Program;
 use perceus_runtime::machine::{Machine, RunConfig};
 use perceus_runtime::{code, ReclaimMode, Value};
 use perceus_suite::{compile_workload, workload, workloads, Strategy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write;
 
 thread_local! {
     /// Allocator calls made by this thread (tests run on threads of
@@ -129,4 +133,121 @@ fn lowering_allocates_little_beyond_the_code_tables() {
     }
     assert!(calls <= 18_797 / 3, "{calls} allocator calls");
     assert!(bytes <= 1_579_304 / 2, "{bytes} bytes requested");
+}
+
+/// The program `strategy`'s pipeline hands to `insert_program`.
+fn before_insert(source: &str, strategy: Strategy) -> Program {
+    let lowered = perceus_lang::compile_str(source).unwrap();
+    let trace = Pipeline::new(strategy.pass_config())
+        .stages(lowered)
+        .unwrap();
+    let stages = trace.records();
+    let at = stages
+        .iter()
+        .position(|s| s.pass == PassName::Insert)
+        .expect("a perceus pipeline inserts");
+    stages[at - 1].program.clone()
+}
+
+/// Allocator calls and bytes requested by `insert_program` alone.
+fn insertion_cost(mut p: Program) -> (u64, u64) {
+    let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    insert::insert_program(&mut p).unwrap();
+    (
+        CALLS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
+/// Runs `f` on a thread with room for the recursion of every pass over
+/// a few thousand nested lets (depth limits are a separate concern).
+fn on_big_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(512 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+const LIST: &str = "type list<a> { Nil; Cons(head: a, tail: list<a>) }\n";
+
+/// `val a = Cons(n, Nil); val b = …; val x0 = n; val x{i} = x{i-1} + 1 …`
+/// then a match on `a` and `b`: two binders live across every let.
+fn let_chain(lets: usize) -> String {
+    let mut s = format!("{LIST}fun main(n: int): int {{\n  val a = Cons(n, Nil)\n  val b = Cons(n, Nil)\n  val x0 = n\n");
+    for i in 1..=lets {
+        writeln!(s, "  val x{i} = x{} + 1", i - 1).unwrap();
+    }
+    writeln!(
+        s,
+        "  match a {{\n    Cons(h, _) -> match b {{\n      Cons(k, _) -> h + k + x{lets}\n      Nil -> 0\n    }}\n    Nil -> 0\n  }}\n}}"
+    )
+    .unwrap();
+    s
+}
+
+/// `n` lists, then `n` cells each holding one of them: the owned set Γ
+/// holds every list not yet stored, so it is as large as the chain.
+fn all_live_chain(n: usize) -> String {
+    let mut s = format!("{LIST}fun main(n: int): list<list<int>> {{\n");
+    for i in 1..=n {
+        writeln!(s, "  val l{i} = Cons(n, Nil)").unwrap();
+    }
+    writeln!(s, "  val c0 = Nil").unwrap();
+    for i in 1..=n {
+        writeln!(s, "  val c{i} = Cons(l{i}, c{})", i - 1).unwrap();
+    }
+    writeln!(s, "  c{n}\n}}").unwrap();
+    s
+}
+
+/// Insertion over the 13 suite programs under perceus and perceus-no-opt.
+/// When every `let`, argument and arm recomputed the free variables of
+/// its continuation and cloned `VarSet`s, the 26 insertions made 42 773
+/// allocator calls for 4 053 088 bytes; rewriting each body in place
+/// over one free-variable annotation, they make 3 167 calls for
+/// 485 356 bytes — less than a plain clone of their output (7 117
+/// calls, 816 336 bytes).
+#[test]
+fn insertion_allocates_little_beyond_its_output() {
+    let (mut calls, mut bytes) = (0, 0);
+    for w in workloads() {
+        for strategy in [Strategy::Perceus, Strategy::PerceusNoOpt] {
+            let (c, b) = insertion_cost(before_insert(w.source, strategy));
+            calls += c;
+            bytes += b;
+        }
+    }
+    assert!(calls <= 42_773 / 3, "{calls} allocator calls");
+    assert!(bytes <= 4_053_088 / 3, "{bytes} bytes requested");
+}
+
+/// Bytes requested by insertion grow linearly with let depth. When each
+/// `let` re-walked its continuation, 4 000 lets asked for 3.9 × the
+/// bytes of 2 000 (264.8 MB against 67.7 MB); now 2.0 × (800 kB against
+/// 401 kB).
+#[test]
+fn insertion_bytes_are_linear_in_let_depth() {
+    on_big_stack(|| {
+        let bytes = |lets| insertion_cost(before_insert(&let_chain(lets), Strategy::Perceus)).1;
+        let (half, full) = (bytes(2_000), bytes(4_000));
+        assert!(
+            full * 2 <= half * 5,
+            "{full} bytes at 4 000 lets, {half} at 2 000"
+        );
+    });
+}
+
+/// A chain whose owned set is as large as the chain itself: 1 000 lists
+/// and 1 000 cells. With cloned sets per node it asked for 272.5 MB; it
+/// now asks for 9.1 MB: the free-variable annotation and the stack of Γ
+/// sets, each about the sum of the live sets along the chain.
+#[test]
+fn insertion_of_an_all_live_chain_stays_small() {
+    on_big_stack(|| {
+        let p = before_insert(&all_live_chain(1_000), Strategy::PerceusNoOpt);
+        let (_, bytes) = insertion_cost(p);
+        assert!(bytes <= 27_250_000, "{bytes} bytes requested");
+    });
 }
