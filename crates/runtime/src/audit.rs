@@ -56,8 +56,8 @@ pub fn check_machine(m: &Machine<'_>) -> Result<AuditReport, String> {
 }
 
 /// The addresses among `values` (a machine's value stack) that name a
-/// live block. A slot whose scope ended, or that a freed callee's window
-/// left behind, can hold a generation-stale address: not a root.
+/// live block. A slot whose variable is dead, or that a freed callee's
+/// window left behind, can hold a generation-stale address: not a root.
 pub(crate) fn live_roots<'a>(heap: &Heap, values: impl Iterator<Item = &'a Value>) -> Vec<Addr> {
     values
         .filter_map(|v| match v {

@@ -441,8 +441,14 @@ fn borrowed_snapshot_sessions_pay_zero_atomics_over_tcp() {
     h.join();
 }
 
+/// The 240-session loadtest runs only when `PERCEUS_SLOW_TESTS` is set
+/// (CI sets it); the smaller loadtest below always runs.
 #[test]
 fn loadtest_sustains_concurrent_mixed_sessions_with_zero_drift() {
+    if std::env::var_os("PERCEUS_SLOW_TESTS").is_none() {
+        eprintln!("skipped: set PERCEUS_SLOW_TESTS=1 to run the 240-session loadtest");
+        return;
+    }
     let h = server(|c| {
         c.max_inflight = 4096;
         c.queue_depth = 256;

@@ -1,10 +1,13 @@
 //! Machine-level behavioral tests: tail calls, closures, aborts, step
 //! limits, deep data, and the §2.6 constant-stack claim.
 
+use perceus_core::passes::{PassConfig, RcStrategy};
+use perceus_runtime::code::{Atom, Compiled, Instr, Slot};
 use perceus_runtime::machine::{Machine, RunConfig};
 use perceus_runtime::{ReclaimMode, RuntimeError, Value};
 use perceus_suite::{
-    compile_and_run, compile_workload, run_workload, run_workload_budgeted, Strategy, SuiteError,
+    compile_and_run, compile_with_config, compile_workload, run_workload, run_workload_budgeted,
+    NativeHarness, Strategy, SuiteError,
 };
 
 /// Tail calls must not grow the continuation stack: a 10-million
@@ -132,7 +135,8 @@ fun main(n: int): int { spin(n) }
 /// The memory limit meters the value stack and the frame records with
 /// the heap: a deep non-tail recursion that allocates no block is
 /// stopped at the same step every time, long before its ten million
-/// frames exist.
+/// frames exist. `f`'s frame is 2 slots, so each level costs 3 words and
+/// the limit trips at step 2 002 (with 3-slot frames it tripped at 1 602).
 #[test]
 fn memory_limit_meters_the_stack_of_a_deep_recursion() {
     let src = r#"
@@ -330,5 +334,251 @@ fn repeated_runs_share_compiled_code() {
             assert_eq!(a.value, b.value);
             assert_eq!(a.stats, b.stats, "stats deterministic across runs");
         }
+    }
+}
+
+/// One way slot packing (`perceus_runtime::code`) lets a value take the
+/// frame slot of another that is dead where the first is defined.
+struct Shape {
+    name: &'static str,
+    src: &'static str,
+    /// The passes that produce the sharing, and the strategy to run them
+    /// under.
+    config: fn() -> PassConfig,
+    strategy: Strategy,
+    n: i64,
+    /// Finds the sharing in the compiled code.
+    found: fn(&Compiled) -> bool,
+}
+
+const LIST: &str = "type list<a> { Nil; Cons(head: a, tail: list<a>) }
+fun sum(xs: list<int>): int { match xs { Cons(x, t) -> x + sum(t)  Nil -> 0 } }
+";
+
+/// `ys` takes the slot of `xs`, which its constructor consumes, and `zs`
+/// the slot of `ys`.
+const DYING_OPERAND: &str = "
+fun grow(xs: list<int>, n: int): int {
+  val ys = Cons(n, xs)
+  val zs = Cons(1, ys)
+  sum(zs)
+}
+fun main(n: int): int { grow(Cons(n, Nil), n + 1) }
+";
+
+/// The arms never read `s` again, so their binders take its slot.
+const SCRUTINEE: &str = "
+type shape { Circle(r: int)  Rect(w: int, h: int) }
+fun area(s: shape): int {
+  match s {
+    Circle(r) -> 3 * r * r
+    Rect(w, h) -> w * h
+  }
+}
+fun main(n: int): int { area(Circle(n)) + area(Rect(n, n + 1)) }
+";
+
+/// `k` is delivered after its right-hand side's temporary `t` is dead,
+/// so both use the slot `c` leaves.
+const ENTER_DST: &str = "
+fun pick(c: bool, n: int): int {
+  val k = if c then {
+    val t = n * 2
+    t + 1
+  } else n
+  k + n
+}
+fun main(n: int): int { pick(n > 2, n) + pick(n > 100, n) }
+";
+
+/// Without drop specialization the reuse token of `xs` stays a
+/// `drop-reuse`, and takes the slot of `xs`.
+const TOKEN: &str = "
+fun inc(xs: list<int>): list<int> {
+  match xs {
+    Cons(x, t) -> Cons(x + 1, inc(t))
+    Nil -> Nil
+  }
+}
+fun build(n: int): list<int> { if n == 0 then Nil else Cons(n, build(n - 1)) }
+fun main(n: int): int { sum(inc(build(n))) }
+";
+
+/// The slot an instruction writes as it runs, if any.
+fn writes(ins: &Instr) -> Option<Slot> {
+    match *ins {
+        Instr::Atom { dst, .. }
+        | Instr::Prim { dst, .. }
+        | Instr::MkClosure { dst, .. }
+        | Instr::Con { dst, .. }
+        | Instr::ConReuse { dst, .. }
+        | Instr::TokenOf { dst, .. }
+        | Instr::NullToken { dst }
+        | Instr::Call { dst, .. }
+        | Instr::App { dst, .. }
+        | Instr::Enter { dst, .. } => dst.as_slot(),
+        Instr::DropReuse { token, .. } => Some(token),
+        _ => None,
+    }
+}
+
+fn shapes() -> [Shape; 5] {
+    let dying_operand = |c: &Compiled| {
+        c.code.instrs.iter().any(|i| match *i {
+            Instr::Con { dst, args, .. } => dst.as_slot().is_some_and(|d| {
+                (c.code.pool[args.range()].iter()).any(|o| c.code.atom(*o) == Atom::Slot(d))
+            }),
+            _ => false,
+        })
+    };
+    let scrutinee = |c: &Compiled| {
+        c.code.instrs.iter().any(|i| match *i {
+            Instr::Match { scrut, arms, .. } => (c.code.arms[arms.range()].iter())
+                .any(|arm| c.code.binders[arm.binders.range()].contains(&scrut)),
+            _ => false,
+        })
+    };
+    let enter_dst = |c: &Compiled| {
+        (c.code.instrs.iter().enumerate()).any(|(pc, i)| match *i {
+            Instr::Enter { dst, body } => dst.as_slot().is_some_and(|d| {
+                c.code.instrs[pc + 1..body as usize]
+                    .iter()
+                    .any(|i| writes(i) == Some(d))
+            }),
+            _ => false,
+        })
+    };
+    let token = |c: &Compiled| {
+        (c.code.instrs.iter())
+            .any(|i| matches!(*i, Instr::DropReuse { var, token } if var == token))
+    };
+    let without_drop_spec = || PassConfig::for_strategy(RcStrategy::Perceus).with_drop_spec(false);
+    [
+        Shape {
+            name: "dying-operand",
+            src: DYING_OPERAND,
+            config: PassConfig::perceus,
+            strategy: Strategy::Perceus,
+            n: 5,
+            found: dying_operand,
+        },
+        Shape {
+            name: "scrutinee-erased",
+            src: SCRUTINEE,
+            config: PassConfig::erased,
+            strategy: Strategy::Gc,
+            n: 4,
+            found: scrutinee,
+        },
+        // A borrowed scrutinee is never dropped either: the same sharing
+        // under reference counting, which the native executor can run.
+        Shape {
+            name: "scrutinee-borrowed",
+            src: SCRUTINEE,
+            config: PassConfig::perceus_borrowing,
+            strategy: Strategy::Perceus,
+            n: 4,
+            found: scrutinee,
+        },
+        Shape {
+            name: "enter-dst",
+            src: ENTER_DST,
+            config: PassConfig::perceus,
+            strategy: Strategy::Perceus,
+            n: 7,
+            found: enter_dst,
+        },
+        Shape {
+            name: "drop-reuse-token",
+            src: TOKEN,
+            config: without_drop_spec,
+            strategy: Strategy::Perceus,
+            n: 6,
+            found: token,
+        },
+    ]
+}
+
+impl Shape {
+    fn source(&self) -> String {
+        match self.src.contains("list<int>") {
+            true => format!("{LIST}{}", self.src),
+            false => self.src.to_string(),
+        }
+    }
+
+    fn compile(&self) -> Compiled {
+        let c = compile_with_config(&self.source(), (self.config)()).unwrap();
+        assert!(
+            (self.found)(&c),
+            "{}: the sharing is not in the code",
+            self.name
+        );
+        c
+    }
+}
+
+/// Every sharing shape runs like its Fig. 6 semantics: the same value,
+/// no leak under reference counting, a garbage-free audit at every step,
+/// and the same value and counters when suspended and resumed after any
+/// number of steps.
+#[test]
+fn slot_sharing_shapes_run_like_the_oracle() {
+    for s in shapes() {
+        let mut program = perceus_lang::compile_str(&s.source()).unwrap();
+        perceus_core::passes::normalize::normalize_program(&mut program);
+        let (expected, _) =
+            perceus_suite::driver::oracle_run_program(&program, s.n, 1_000_000).unwrap();
+        let c = s.compile();
+        let audited = RunConfig::new().with_audit_every(Some(1));
+        let whole = run_workload(&c, s.strategy, s.n, audited).unwrap();
+        assert_eq!(whole.value, expected, "{}", s.name);
+        assert!(whole.audits > 0, "{}", s.name);
+        // The tracing collector holds its garbage until it next runs.
+        if s.strategy.is_rc() {
+            assert_eq!(whole.leaked_blocks, 0, "{}", s.name);
+        }
+        for budget in 1..=whole.stats.steps {
+            let legs = run_workload_budgeted(&c, s.strategy, s.n, RunConfig::default(), &[budget])
+                .unwrap();
+            let name = s.name;
+            assert_eq!(legs.outcome.value, expected, "{name} budget {budget}");
+            assert_eq!(legs.outcome.stats, whole.stats, "{name} budget {budget}");
+            assert_eq!(
+                legs.outcome.leaked_blocks, whole.leaked_blocks,
+                "{name} budget {budget}"
+            );
+        }
+    }
+}
+
+/// The reference-counted sharing shapes, compiled to Rust by
+/// `perceus-codegen`, match the machine bit for bit: value, output,
+/// leaks and all 18 counters. A nested cargo build, so it runs only when
+/// `PERCEUS_SLOW_TESTS` is set.
+#[test]
+fn slot_sharing_shapes_run_natively() {
+    if std::env::var_os("PERCEUS_SLOW_TESTS").is_none() {
+        eprintln!("skipped: set PERCEUS_SLOW_TESTS=1 to build and run the native executor");
+        return;
+    }
+    let rc: Vec<Shape> = shapes()
+        .into_iter()
+        .filter(|s| s.strategy.is_rc())
+        .collect();
+    let programs = rc
+        .iter()
+        .map(|s| (s.name.to_string(), s.compile()))
+        .collect();
+    let harness = NativeHarness::from_programs(programs).expect("build");
+    for s in &rc {
+        let check = harness.check(s.name, s.n).expect("run");
+        assert!(
+            check.passed(),
+            "{} diverged:\n  {}",
+            s.name,
+            check.mismatches.join("\n  ")
+        );
+        assert_eq!(check.native.leaked_blocks, 0, "{}", s.name);
     }
 }
