@@ -340,6 +340,13 @@ impl Expr {
         vars.into_iter().rev().fold(e, |acc, v| Expr::drop_(v, acc))
     }
 
+    /// Replaces the expression with `f` of it, in place: the way a pass
+    /// puts an instruction in front of a subtree it is rewriting.
+    pub(crate) fn wrap(&mut self, f: impl FnOnce(Box<Expr>) -> Expr) {
+        let inner = std::mem::replace(self, Expr::NullToken);
+        *self = f(Box::new(inner));
+    }
+
     /// True when the expression is an *atom*: a trivial value whose
     /// evaluation allocates nothing and cannot diverge. ANF normalization
     /// ([`crate::passes::normalize`]) arranges for all argument positions
@@ -374,6 +381,12 @@ impl Expr {
     /// Calls `f` on this expression and every sub-expression, pre-order.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
+        self.for_each_child(|c| c.visit(f));
+    }
+
+    /// Calls `f` on each direct sub-expression, in the order
+    /// [`Expr::visit`] meets them.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         match self {
             Expr::Var(_)
             | Expr::Lit(_)
@@ -382,48 +395,82 @@ impl Expr {
             | Expr::TokenOf(_)
             | Expr::NullToken => {}
             Expr::App(fun, args) => {
-                fun.visit(f);
-                for a in args {
-                    a.visit(f);
-                }
+                f(fun);
+                args.iter().for_each(f);
             }
-            Expr::Call(_, args) | Expr::Prim(_, args) => {
-                for a in args {
-                    a.visit(f);
-                }
+            Expr::Call(_, args) | Expr::Prim(_, args) | Expr::Con { args, .. } => {
+                args.iter().for_each(f)
             }
-            Expr::Lam(lam) => lam.body.visit(f),
-            Expr::Con { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
+            Expr::Lam(lam) => f(&lam.body),
+            Expr::Let {
+                rhs: a, body: b, ..
             }
-            Expr::Let { rhs, body, .. } => {
-                rhs.visit(f);
-                body.visit(f);
-            }
-            Expr::Seq(a, b) => {
-                a.visit(f);
-                b.visit(f);
+            | Expr::Seq(a, b)
+            | Expr::IsUnique {
+                unique: a,
+                shared: b,
+                ..
+            } => {
+                f(a);
+                f(b);
             }
             Expr::Match { arms, default, .. } => {
-                for arm in arms {
-                    arm.body.visit(f);
-                }
+                arms.iter().for_each(|arm| f(&arm.body));
                 if let Some(d) = default {
-                    d.visit(f);
+                    f(d);
                 }
             }
             Expr::Dup(_, e)
             | Expr::Drop(_, e)
             | Expr::Free(_, e)
             | Expr::DecRef(_, e)
-            | Expr::DropToken(_, e) => e.visit(f),
-            Expr::DropReuse { body, .. } => body.visit(f),
-            Expr::IsUnique { unique, shared, .. } => {
-                unique.visit(f);
-                shared.visit(f);
+            | Expr::DropToken(_, e)
+            | Expr::DropReuse { body: e, .. } => f(e),
+        }
+    }
+
+    /// Calls `f` on each direct sub-expression, in the order
+    /// [`Expr::visit`] meets them.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Var(_)
+            | Expr::Lit(_)
+            | Expr::Global(_)
+            | Expr::Abort(_)
+            | Expr::TokenOf(_)
+            | Expr::NullToken => {}
+            Expr::App(fun, args) => {
+                f(fun);
+                args.iter_mut().for_each(f);
             }
+            Expr::Call(_, args) | Expr::Prim(_, args) | Expr::Con { args, .. } => {
+                args.iter_mut().for_each(f)
+            }
+            Expr::Lam(lam) => f(&mut lam.body),
+            Expr::Let {
+                rhs: a, body: b, ..
+            }
+            | Expr::Seq(a, b)
+            | Expr::IsUnique {
+                unique: a,
+                shared: b,
+                ..
+            } => {
+                f(a);
+                f(b);
+            }
+            Expr::Match { arms, default, .. } => {
+                arms.iter_mut().for_each(|arm| f(&mut arm.body));
+                if let Some(d) = default {
+                    f(d);
+                }
+            }
+            Expr::Dup(_, e)
+            | Expr::Drop(_, e)
+            | Expr::Free(_, e)
+            | Expr::DecRef(_, e)
+            | Expr::DropToken(_, e)
+            | Expr::DropReuse { body: e, .. } => f(e),
         }
     }
 
@@ -433,6 +480,29 @@ impl Expr {
         let mut n = 0;
         self.visit(&mut |_| n += 1);
         n
+    }
+
+    /// Drops the expression a node at a time. Dropping a tree as a whole
+    /// recurses once per level, so one deeper than the stack holds (a
+    /// body rejected for its depth) is taken apart this way instead.
+    pub fn dismantle(self) {
+        let mut stack = vec![self];
+        while let Some(mut e) = stack.pop() {
+            e.for_each_child_mut(|c| stack.push(std::mem::replace(c, Expr::NullToken)));
+        }
+    }
+
+    /// The number of nodes on the longest path from this expression down
+    /// to a leaf. Measured without recursion, so it is safe on a body of
+    /// any depth: the passes recurse once per level.
+    pub fn depth(&self) -> usize {
+        let mut deepest = 0;
+        let mut stack = vec![(self, 1)];
+        while let Some((e, d)) = stack.pop() {
+            deepest = deepest.max(d);
+            e.for_each_child(|c| stack.push((c, d + 1)));
+        }
+        deepest
     }
 }
 
@@ -489,6 +559,23 @@ mod tests {
         let x = v(0, "x");
         let e = Expr::let_(x.clone(), Expr::int(1), Expr::Var(x));
         assert_eq!(e.size(), 3);
+    }
+
+    #[test]
+    fn depth_follows_the_longest_path() {
+        let x = v(0, "x");
+        assert_eq!(Expr::int(1).depth(), 1);
+        // val x = (1; 2); x — the right-hand side is the deeper child.
+        let e = Expr::let_(
+            x.clone(),
+            Expr::seq(Expr::int(1), Expr::int(2)),
+            Expr::Var(x.clone()),
+        );
+        assert_eq!(e.depth(), 3);
+        // A chain far deeper than any test thread's stack.
+        let chain = (0..200_000).fold(Expr::Var(x.clone()), |e, _| Expr::dup(x.clone(), e));
+        assert_eq!(chain.depth(), 200_001);
+        chain.dismantle();
     }
 
     #[test]

@@ -12,6 +12,5 @@ pub mod wf;
 
 pub use erase::{erase, erase_program};
 pub use expr::{Arm, Expr, Lambda, Lit, PrimOp};
-pub use fv::{free_vars, lambda_free_vars};
 pub use program::{CtorId, CtorInfo, DataId, DataInfo, FunDef, FunId, Program, TypeTable};
 pub use var::{Var, VarGen, VarSet};

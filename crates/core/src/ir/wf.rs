@@ -1,11 +1,25 @@
 //! Well-formedness checking for core programs: scoping, arities, and
 //! consistency of pass-introduced annotations. Run between passes in
-//! debug builds and by the test suite to catch transformation bugs early.
+//! debug builds and by the test suite to catch transformation bugs early,
+//! and once at the end of every release compile.
+//!
+//! # Cost
+//!
+//! One check takes time linear in the size of each function:
+//!
+//! - The scope is a table indexed by variable id holding the lambda
+//!   nesting level that binds the id, raised at a binder and restored
+//!   when its scope ends, so a scope test costs the same at any depth.
+//!   A lambda body is checked one level up, where only its captures and
+//!   parameters are bound.
+//! - A lambda's captures are compared with its free variables from the
+//!   function's free-variable annotation ([`ir::fv`](crate::ir::fv)),
+//!   made on the first lambda the check meets.
 
 use super::expr::{Expr, Lambda};
-use super::fv::lambda_free_vars;
+use super::fv::FreeVars;
 use super::program::{FunId, Program, TypeTable};
-use super::var::Var;
+use super::var::{Var, VarSet};
 use std::fmt;
 
 /// A well-formedness violation.
@@ -39,19 +53,31 @@ pub fn check_program(p: &Program) -> Result<(), WfError> {
             });
         }
     }
+    let mut cx = Cx {
+        p,
+        fun: FunId(0),
+        body: &Expr::NullToken,
+        scope: vec![0; p.var_gen.peek() as usize],
+        saved: Vec::new(),
+        level: 1,
+        node: 0,
+        fv: FreeVars::default(),
+        annotated: false,
+        ids: Vec::new(),
+    };
     for (id, f) in p.funs() {
-        let mut cx = Cx {
-            p,
-            fun: id,
-            scope: Vec::new(),
-        };
+        cx.fun = id;
+        cx.body = &f.body;
+        cx.node = 0;
+        cx.annotated = false;
         for par in &f.params {
-            if cx.scope.contains(par) {
+            if cx.in_scope(par) {
                 return Err(cx.err(format!("duplicate parameter {par:?}")));
             }
-            cx.scope.push(par.clone());
+            cx.bind(par)?;
         }
         cx.expr(&f.body)?;
+        cx.restore(0);
     }
     Ok(())
 }
@@ -59,7 +85,20 @@ pub fn check_program(p: &Program) -> Result<(), WfError> {
 struct Cx<'a> {
     p: &'a Program,
     fun: FunId,
-    scope: Vec<Var>,
+    body: &'a Expr,
+    /// Per id, the lambda nesting level whose scope binds it (0: none).
+    /// An id is in scope when it is bound at the current level.
+    scope: Vec<u32>,
+    /// `(id, previous level)` per binding in force, innermost last.
+    saved: Vec<(u32, u32)>,
+    level: u32,
+    /// The pre-order number of the node being checked.
+    node: usize,
+    /// The function's free-variable annotation, once `annotated`.
+    fv: FreeVars,
+    annotated: bool,
+    /// Scratch: a lambda's capture ids, sorted.
+    ids: Vec<u32>,
 }
 
 impl<'a> Cx<'a> {
@@ -70,8 +109,12 @@ impl<'a> Cx<'a> {
         }
     }
 
+    fn in_scope(&self, v: &Var) -> bool {
+        self.scope.get(v.id() as usize) == Some(&self.level)
+    }
+
     fn use_var(&self, v: &Var, what: &str) -> Result<(), WfError> {
-        if self.scope.contains(v) {
+        if self.in_scope(v) {
             Ok(())
         } else {
             Err(self.err(format!("{what} {v:?} is not in scope")))
@@ -80,11 +123,23 @@ impl<'a> Cx<'a> {
 
     fn bind(&mut self, v: &Var) -> Result<(), WfError> {
         // Shadowing by id is a pass bug: ids are globally unique.
-        if self.scope.contains(v) {
+        if self.in_scope(v) {
             return Err(self.err(format!("rebinding of variable {v:?}")));
         }
-        self.scope.push(v.clone());
+        let i = v.id() as usize;
+        if i >= self.scope.len() {
+            self.scope.resize(i + 1, 0);
+        }
+        self.saved.push((v.id(), self.scope[i]));
+        self.scope[i] = self.level;
         Ok(())
+    }
+
+    /// Ends every binding made since `saved` had length `mark`.
+    fn restore(&mut self, mark: usize) {
+        for (id, level) in self.saved.drain(mark..).rev() {
+            self.scope[id as usize] = level;
+        }
     }
 
     fn ctor_arity(&self, id: super::program::CtorId) -> Result<usize, WfError> {
@@ -94,7 +149,9 @@ impl<'a> Cx<'a> {
         Ok(self.p.types.ctor(id).arity)
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(), WfError> {
+    fn expr(&mut self, e: &'a Expr) -> Result<(), WfError> {
+        let n = self.node;
+        self.node += 1;
         match e {
             Expr::Var(v) => self.use_var(v, "variable"),
             Expr::Lit(_) | Expr::Abort(_) | Expr::NullToken => Ok(()),
@@ -137,7 +194,7 @@ impl<'a> Cx<'a> {
                 }
                 Ok(())
             }
-            Expr::Lam(lam) => self.lambda(lam),
+            Expr::Lam(lam) => self.lambda(n, lam),
             Expr::Con {
                 ctor,
                 args,
@@ -173,10 +230,10 @@ impl<'a> Cx<'a> {
             }
             Expr::Let { var, rhs, body } => {
                 self.expr(rhs)?;
-                let n = self.scope.len();
+                let mark = self.saved.len();
                 self.bind(var)?;
                 self.expr(body)?;
-                self.scope.truncate(n);
+                self.restore(mark);
                 Ok(())
             }
             Expr::Seq(a, b) => {
@@ -198,7 +255,7 @@ impl<'a> Cx<'a> {
                             arm.binders.len()
                         )));
                     }
-                    let n = self.scope.len();
+                    let mark = self.saved.len();
                     for b in arm.binders.iter().flatten() {
                         self.bind(b)?;
                     }
@@ -209,7 +266,7 @@ impl<'a> Cx<'a> {
                         self.bind(t)?;
                     }
                     self.expr(&arm.body)?;
-                    self.scope.truncate(n);
+                    self.restore(mark);
                 }
                 if let Some(d) = default {
                     self.expr(d)?;
@@ -226,10 +283,10 @@ impl<'a> Cx<'a> {
             }
             Expr::DropReuse { var, token, body } => {
                 self.use_var(var, "drop-reuse operand")?;
-                let n = self.scope.len();
+                let mark = self.saved.len();
                 self.bind(token)?;
                 self.expr(body)?;
-                self.scope.truncate(n);
+                self.restore(mark);
                 Ok(())
             }
             Expr::IsUnique {
@@ -249,25 +306,38 @@ impl<'a> Cx<'a> {
         }
     }
 
-    fn lambda(&mut self, lam: &Lambda) -> Result<(), WfError> {
+    /// Lambda node `n`.
+    fn lambda(&mut self, n: usize, lam: &'a Lambda) -> Result<(), WfError> {
         // Captures must be exactly the free variables, each in scope.
-        let fv = lambda_free_vars(lam);
+        if !self.annotated {
+            self.fv.annotate(self.body);
+            self.annotated = true;
+        }
         for c in &lam.captures {
             self.use_var(c, "capture")?;
         }
-        let declared: super::var::VarSet = lam.captures.iter().cloned().collect();
-        if declared != fv {
+        self.ids.clear();
+        self.ids.extend(lam.captures.iter().map(Var::id));
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        if self.ids != self.fv.free(n) {
+            let declared: VarSet = lam.captures.iter().cloned().collect();
+            let params = &self.p.funs[self.fun.0 as usize].params;
+            self.fv.annotate_named(self.body, params);
+            let fv: VarSet = self.fv.free(n).iter().map(|&id| self.fv.name(id)).collect();
             return Err(self.err(format!(
                 "lambda captures {declared:?} do not match free variables {fv:?}"
             )));
         }
         // The body is checked in its own scope: params + captures only.
-        let saved = std::mem::take(&mut self.scope);
+        let mark = self.saved.len();
+        self.level += 1;
         for v in lam.captures.iter().chain(lam.params.iter()) {
             self.bind(v)?;
         }
         self.expr(&lam.body)?;
-        self.scope = saved;
+        self.restore(mark);
+        self.level -= 1;
         Ok(())
     }
 }

@@ -111,13 +111,11 @@ fn collect_owning(e: &Expr, masks: &BorrowMasks, out: &mut HashSet<Var>) {
             }
         }
         Expr::Lam(lam) => {
-            // Captures are consumed by the closure; anything free in
-            // the body is owning.
-            for fv in crate::ir::fv::lambda_free_vars(lam).iter() {
-                out.insert(fv.clone());
-            }
-            // Body occurrences of *other* variables are the lambda's
-            // own business (params are local).
+            // Captures are consumed by the closure. Normalization set
+            // them to the lambda's free variables from the function's
+            // free-variable annotation; body occurrences of *other*
+            // variables are the lambda's own business (params are local).
+            out.extend(lam.captures.iter().cloned());
         }
         Expr::Con { args, reuse, .. } => {
             if let Some(t) = reuse {

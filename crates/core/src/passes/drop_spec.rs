@@ -25,12 +25,15 @@
 //! In the unique branch, the cell's ownership of its children transfers
 //! to the arm binders (recorded in [`Expr::IsUnique::binders`]); the
 //! resource checker relies on this to validate the output.
+//!
+//! Whether a continuation uses a child is read from the function's
+//! free-variable annotation ([`ir::fv`](crate::ir::fv)), so the pass
+//! walks each body once, in place, plus the annotation's walk.
 
-use crate::ir::expr::{Arm, Expr};
-use crate::ir::fv::free_vars;
+use crate::ir::expr::Expr;
+use crate::ir::fv::FreeVars;
 use crate::ir::program::Program;
 use crate::ir::var::Var;
-use std::collections::HashMap;
 
 /// Which specializations to perform.
 #[derive(Debug, Clone, Copy)]
@@ -50,37 +53,69 @@ impl Default for DropSpecConfig {
     }
 }
 
-/// Information about the innermost match arm that bound a variable.
-#[derive(Clone)]
-struct ArmInfo {
-    binders: Vec<Var>,
-    /// All fields must be named for the cell to be dismantled statically.
-    complete: bool,
-}
-
 /// Runs the pass over every function.
 pub fn drop_spec_program(p: &mut Program, config: &DropSpecConfig) {
+    let mut fv = FreeVars::default();
     for f in &mut p.funs {
-        let body = std::mem::replace(&mut f.body, Expr::unit());
-        f.body = rewrite(body, &mut HashMap::new(), config);
+        fv.annotate(&f.body);
+        let mut cx = Cx {
+            fv: &fv,
+            config,
+            arms: Vec::new(),
+            floor: 0,
+            node: 0,
+        };
+        cx.rewrite(&mut f.body);
     }
 }
 
-fn rewrite(e: Expr, ctx: &mut HashMap<Var, ArmInfo>, config: &DropSpecConfig) -> Expr {
-    match e {
-        Expr::Drop(x, rest) => {
-            let rest_fv_has_child = ctx.get(&x).map(|info| {
-                let fv = free_vars(&rest);
-                info.binders.iter().any(|b| fv.contains(b))
-            });
-            match ctx.get(&x) {
-                Some(info)
-                    if config.specialize_drop
-                        && info.complete
-                        && !info.binders.is_empty()
-                        && rest_fv_has_child == Some(true) =>
-                {
-                    let bs = info.binders.clone();
+struct Cx<'a> {
+    /// The free variables of the original body, by pre-order node.
+    fv: &'a FreeVars,
+    config: &'a DropSpecConfig,
+    /// The enclosing match arms, innermost last: each scrutinee's id and
+    /// the arm's binders, lent by the arm while its body is rewritten.
+    arms: Vec<(u32, Vec<Option<Var>>)>,
+    /// Where the arms of the innermost enclosing lambda body start: the
+    /// closure may not capture the binders of arms outside it, so it
+    /// cannot dismantle their cells.
+    floor: usize,
+    /// The pre-order number of the next node of the original body.
+    node: usize,
+}
+
+impl Cx<'_> {
+    /// The binders of the innermost enclosing arm that matched `x`, when
+    /// that arm names every field, so the cell can be dismantled.
+    fn binders(&self, x: &Var) -> Option<&[Option<Var>]> {
+        let (_, binders) = self.arms[self.floor..]
+            .iter()
+            .rfind(|(s, _)| *s == x.id())?;
+        binders.iter().all(Option::is_some).then_some(binders)
+    }
+
+    /// Rewrites `e` in place, the next node of the original body.
+    fn rewrite(&mut self, e: &mut Expr) {
+        let n = self.node;
+        self.node += 1;
+        match e {
+            Expr::Drop(x, rest) => {
+                // The continuation is the next node.
+                let bs = self
+                    .binders(x)
+                    .filter(|bs| {
+                        self.config.specialize_drop
+                            && bs
+                                .iter()
+                                .flatten()
+                                .any(|b| self.fv.contains(self.node, b.id()))
+                    })
+                    .map(children);
+                self.rewrite(rest);
+                if let Some(bs) = bs {
+                    let Expr::Drop(x, rest) = std::mem::replace(e, Expr::NullToken) else {
+                        unreachable!("matched above")
+                    };
                     let unique =
                         Expr::drop_all(bs.clone(), Expr::Free(x.clone(), Box::new(Expr::unit())));
                     let shared = Expr::DecRef(x.clone(), Box::new(Expr::unit()));
@@ -90,99 +125,93 @@ fn rewrite(e: Expr, ctx: &mut HashMap<Var, ArmInfo>, config: &DropSpecConfig) ->
                         unique: Box::new(unique),
                         shared: Box::new(shared),
                     };
-                    Expr::seq(test, rewrite(*rest, ctx, config))
+                    *e = Expr::Seq(Box::new(test), rest);
                 }
-                _ => Expr::drop_(x, rewrite(*rest, ctx, config)),
             }
-        }
-        Expr::DropReuse { var, token, body } => match ctx.get(&var) {
-            Some(info) if config.specialize_drop_reuse && info.complete => {
-                let bs = info.binders.clone();
-                let unique = Expr::drop_all(bs.clone(), Expr::TokenOf(var.clone()));
-                let shared = Expr::DecRef(var.clone(), Box::new(Expr::NullToken));
-                let rhs = Expr::IsUnique {
-                    var,
-                    binders: bs,
-                    unique: Box::new(unique),
-                    shared: Box::new(shared),
-                };
-                Expr::let_(token, rhs, rewrite(*body, ctx, config))
+            Expr::DropReuse { var, body, .. } => {
+                let bs = self
+                    .binders(var)
+                    .filter(|_| self.config.specialize_drop_reuse)
+                    .map(children);
+                self.rewrite(body);
+                if let Some(bs) = bs {
+                    let Expr::DropReuse { var, token, body } =
+                        std::mem::replace(e, Expr::NullToken)
+                    else {
+                        unreachable!("matched above")
+                    };
+                    let unique = Expr::drop_all(bs.clone(), Expr::TokenOf(var.clone()));
+                    let shared = Expr::DecRef(var.clone(), Box::new(Expr::NullToken));
+                    let rhs = Expr::IsUnique {
+                        var,
+                        binders: bs,
+                        unique: Box::new(unique),
+                        shared: Box::new(shared),
+                    };
+                    *e = Expr::Let {
+                        var: token,
+                        rhs: Box::new(rhs),
+                        body,
+                    };
+                }
             }
-            _ => Expr::DropReuse {
-                var,
-                token,
-                body: Box::new(rewrite(*body, ctx, config)),
-            },
-        },
-        Expr::Match {
-            scrutinee,
-            arms,
-            default,
-        } => {
-            let arms = arms
-                .into_iter()
-                .map(|arm| {
-                    let binders: Vec<Var> = arm.binders.iter().flatten().cloned().collect();
-                    let complete = binders.len() == arm.binders.len();
-                    let saved = ctx.insert(scrutinee.clone(), ArmInfo { binders, complete });
-                    let body = rewrite(arm.body, ctx, config);
-                    match saved {
-                        Some(s) => {
-                            ctx.insert(scrutinee.clone(), s);
-                        }
-                        None => {
-                            ctx.remove(&scrutinee);
-                        }
-                    }
-                    Arm { body, ..arm }
-                })
-                .collect();
-            let default = default.map(|d| Box::new(rewrite(*d, ctx, config)));
             Expr::Match {
                 scrutinee,
                 arms,
                 default,
+            } => {
+                for arm in arms.iter_mut() {
+                    self.arms
+                        .push((scrutinee.id(), std::mem::take(&mut arm.binders)));
+                    self.rewrite(&mut arm.body);
+                    arm.binders = self.arms.pop().expect("pushed above").1;
+                }
+                if let Some(d) = default {
+                    self.rewrite(d);
+                }
             }
+            Expr::Lam(lam) => {
+                let floor = std::mem::replace(&mut self.floor, self.arms.len());
+                self.rewrite(&mut lam.body);
+                self.floor = floor;
+            }
+            Expr::Let {
+                rhs: a, body: b, ..
+            }
+            | Expr::Seq(a, b)
+            | Expr::IsUnique {
+                unique: a,
+                shared: b,
+                ..
+            } => {
+                self.rewrite(a);
+                self.rewrite(b);
+            }
+            Expr::Dup(_, rest)
+            | Expr::Free(_, rest)
+            | Expr::DecRef(_, rest)
+            | Expr::DropToken(_, rest) => self.rewrite(rest),
+            // ANF: argument positions are atoms; nothing to rewrite inside.
+            Expr::App(f, _) => {
+                self.rewrite(f);
+                self.node = self.fv.next(n);
+            }
+            Expr::Call(..)
+            | Expr::Prim(..)
+            | Expr::Con { .. }
+            | Expr::Var(_)
+            | Expr::Lit(_)
+            | Expr::Global(_)
+            | Expr::Abort(_)
+            | Expr::TokenOf(_)
+            | Expr::NullToken => self.node = self.fv.next(n),
         }
-        Expr::Lam(mut lam) => {
-            // Binders of enclosing arms may not be captured by the
-            // closure; dismantling is not available inside it.
-            let body = std::mem::replace(&mut *lam.body, Expr::unit());
-            let mut inner = HashMap::new();
-            *lam.body = rewrite(body, &mut inner, config);
-            Expr::Lam(lam)
-        }
-        Expr::Let { var, rhs, body } => {
-            Expr::let_(var, rewrite(*rhs, ctx, config), rewrite(*body, ctx, config))
-        }
-        Expr::Seq(a, b) => Expr::seq(rewrite(*a, ctx, config), rewrite(*b, ctx, config)),
-        Expr::Dup(v, rest) => Expr::dup(v, rewrite(*rest, ctx, config)),
-        Expr::Free(v, rest) => Expr::Free(v, Box::new(rewrite(*rest, ctx, config))),
-        Expr::DecRef(v, rest) => Expr::DecRef(v, Box::new(rewrite(*rest, ctx, config))),
-        Expr::DropToken(v, rest) => Expr::DropToken(v, Box::new(rewrite(*rest, ctx, config))),
-        Expr::IsUnique {
-            var,
-            binders,
-            unique,
-            shared,
-        } => Expr::IsUnique {
-            var,
-            binders,
-            unique: Box::new(rewrite(*unique, ctx, config)),
-            shared: Box::new(rewrite(*shared, ctx, config)),
-        },
-        Expr::App(f, args) => Expr::App(Box::new(rewrite(*f, ctx, config)), args),
-        // ANF: argument positions are atoms; nothing to rewrite inside.
-        Expr::Call(..)
-        | Expr::Prim(..)
-        | Expr::Con { .. }
-        | Expr::Var(_)
-        | Expr::Lit(_)
-        | Expr::Global(_)
-        | Expr::Abort(_)
-        | Expr::TokenOf(_)
-        | Expr::NullToken => e,
     }
+}
+
+/// The variables of a cell's children, from [`Cx::binders`].
+fn children(binders: &[Option<Var>]) -> Vec<Var> {
+    binders.iter().flatten().cloned().collect()
 }
 
 #[cfg(test)]

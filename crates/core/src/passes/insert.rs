@@ -35,10 +35,11 @@
 //! the summed sizes of its nodes' free-variable sets, which bound every
 //! split, and never walks a subtree twice:
 //!
-//! - `FreeVars` computes the free variables of every node once per
-//!   function, bottom-up, into one flat array indexed by pre-order node
-//!   number. Every split — `Γ₂ = Γ ∩ fv(e₂)`, the right-to-left split of
-//!   arguments, an arm's dead set, a lambda's captures — reads it.
+//! - The annotation of [`ir::fv`](crate::ir::fv) computes the free
+//!   variables of every node once per function, bottom-up, into one flat
+//!   array indexed by pre-order node number. Every split — `Γ₂ = Γ ∩
+//!   fv(e₂)`, the right-to-left split of arguments, an arm's dead set, a
+//!   lambda's captures — reads it.
 //! - Γ is an ascending run of variable ids on one stack: a rule pushes
 //!   the sets of its premises and pops them when it returns.
 //! - Δ is a borrow count per id, raised before a premise that borrows
@@ -48,6 +49,7 @@
 //!   table that names a dead or released variable.
 
 use crate::ir::expr::{Arm, Expr, Lambda};
+use crate::ir::fv::FreeVars;
 use crate::ir::program::{FunId, Program};
 use crate::ir::var::{Var, VarGen};
 use std::fmt;
@@ -80,224 +82,6 @@ pub fn insert_program(p: &mut Program) -> Result<(), InsertError> {
         ins.function(&f.params, mask, &mut f.body)?;
     }
     Ok(())
-}
-
-/// One node of an annotated body.
-#[derive(Clone, Copy, Default)]
-struct Node {
-    /// Its free variables are `FreeVars::ids[lo..hi]`, ascending.
-    lo: usize,
-    hi: usize,
-    /// The pre-order number one past its subtree: its next sibling's.
-    end: usize,
-}
-
-/// The free variables of every node of one body, computed bottom-up in
-/// one walk. Nodes are numbered in pre-order — the order in which the
-/// derivation meets them — so a rule finds its premises' sets from its
-/// own number: the first premise is `n + 1`, each next one starts where
-/// the previous subtree ends.
-#[derive(Default)]
-struct FreeVars {
-    nodes: Vec<Node>,
-    ids: Vec<u32>,
-    /// Each bound id's variable, to name one the rule does not have at
-    /// hand: a dead drop, a release after a borrowing call, a capture.
-    /// Sized past every id met, so it also bounds Δ's table.
-    names: Vec<Option<Var>>,
-    /// Scratch for one node's set: the union so far, its next value, and
-    /// the variables a premise binds.
-    acc: Vec<u32>,
-    tmp: Vec<u32>,
-    bound: Vec<u32>,
-}
-
-impl FreeVars {
-    /// Annotates `body`, whose free variables may include `roots`.
-    fn annotate<'v>(&mut self, body: &Expr, roots: impl IntoIterator<Item = &'v Var>) {
-        self.nodes.clear();
-        self.ids.clear();
-        for v in roots {
-            self.bind(v);
-        }
-        self.node(body);
-    }
-
-    fn free(&self, n: usize) -> &[u32] {
-        let Node { lo, hi, .. } = self.nodes[n];
-        &self.ids[lo..hi]
-    }
-
-    fn contains(&self, n: usize, id: u32) -> bool {
-        self.free(n).binary_search(&id).is_ok()
-    }
-
-    fn next(&self, n: usize) -> usize {
-        self.nodes[n].end
-    }
-
-    fn name(&self, id: u32) -> Var {
-        self.names[id as usize]
-            .clone()
-            .expect("an owned variable has a binder")
-    }
-
-    /// Makes room for `v` in the per-id tables.
-    fn see(&mut self, v: &Var) {
-        let i = v.id() as usize;
-        if i >= self.names.len() {
-            self.names.resize(i + 1, None);
-        }
-    }
-
-    fn bind(&mut self, v: &Var) {
-        self.see(v);
-        self.names[v.id() as usize] = Some(v.clone());
-    }
-
-    /// Numbers `e` and its subtree, then records `fv(e)`: the union of
-    /// its premises' sets, less what `e` binds in each, plus the
-    /// variables `e` uses itself.
-    fn node(&mut self, e: &Expr) {
-        let n = self.nodes.len();
-        self.nodes.push(Node::default());
-        match e {
-            Expr::Var(_)
-            | Expr::TokenOf(_)
-            | Expr::Lit(_)
-            | Expr::Global(_)
-            | Expr::Abort(_)
-            | Expr::NullToken => {}
-            Expr::App(f, args) => {
-                self.node(f);
-                args.iter().for_each(|a| self.node(a));
-            }
-            Expr::Call(_, args) | Expr::Prim(_, args) | Expr::Con { args, .. } => {
-                args.iter().for_each(|a| self.node(a));
-            }
-            Expr::Lam(lam) => {
-                lam.params.iter().for_each(|p| self.bind(p));
-                self.node(&lam.body);
-            }
-            Expr::Let { var, rhs, body } => {
-                self.bind(var);
-                self.node(rhs);
-                self.node(body);
-            }
-            Expr::Seq(a, b) => {
-                self.node(a);
-                self.node(b);
-            }
-            Expr::Match { arms, default, .. } => {
-                for arm in arms {
-                    for b in arm.binders.iter().flatten().chain(&arm.reuse_token) {
-                        self.bind(b);
-                    }
-                    self.node(&arm.body);
-                }
-                if let Some(d) = default {
-                    self.node(d);
-                }
-            }
-            Expr::Dup(_, e)
-            | Expr::Drop(_, e)
-            | Expr::Free(_, e)
-            | Expr::DecRef(_, e)
-            | Expr::DropToken(_, e) => self.node(e),
-            Expr::DropReuse { token, body, .. } => {
-                self.bind(token);
-                self.node(body);
-            }
-            Expr::IsUnique { unique, shared, .. } => {
-                self.node(unique);
-                self.node(shared);
-            }
-        }
-
-        self.acc.clear();
-        let first = n + 1;
-        match e {
-            Expr::Lam(lam) => self.union(first, &lam.params),
-            Expr::Let { var, .. } => {
-                self.union(first, []);
-                self.union(self.next(first), [var]);
-            }
-            Expr::Match { arms, default, .. } => {
-                let mut c = first;
-                for arm in arms {
-                    self.union(c, arm.binders.iter().flatten().chain(&arm.reuse_token));
-                    c = self.next(c);
-                }
-                if default.is_some() {
-                    self.union(c, []);
-                }
-            }
-            Expr::DropReuse { token, .. } => self.union(first, [token]),
-            _ => {
-                let mut c = first;
-                while c < self.nodes.len() {
-                    self.union(c, []);
-                    c = self.next(c);
-                }
-            }
-        }
-        match e {
-            Expr::Var(x)
-            | Expr::TokenOf(x)
-            | Expr::Match { scrutinee: x, .. }
-            | Expr::Dup(x, _)
-            | Expr::Drop(x, _)
-            | Expr::Free(x, _)
-            | Expr::DecRef(x, _)
-            | Expr::DropToken(x, _)
-            | Expr::DropReuse { var: x, .. }
-            | Expr::IsUnique { var: x, .. }
-            | Expr::Con { reuse: Some(x), .. } => self.add(x),
-            _ => {}
-        }
-
-        let lo = self.ids.len();
-        self.ids.extend_from_slice(&self.acc);
-        self.nodes[n] = Node {
-            lo,
-            hi: self.ids.len(),
-            end: self.nodes.len(),
-        };
-    }
-
-    /// `acc ← acc ∪ (fv(c) − bound)`, by one merge of ascending runs.
-    fn union<'v>(&mut self, c: usize, bound: impl IntoIterator<Item = &'v Var>) {
-        self.bound.clear();
-        self.bound.extend(bound.into_iter().map(Var::id));
-        self.bound.sort_unstable();
-        let Node { lo, hi, .. } = self.nodes[c];
-        let (acc, tmp, bound) = (&self.acc, &mut self.tmp, &self.bound);
-        tmp.clear();
-        let mut i = 0;
-        for &x in &self.ids[lo..hi] {
-            if bound.binary_search(&x).is_ok() {
-                continue;
-            }
-            while i < acc.len() && acc[i] < x {
-                tmp.push(acc[i]);
-                i += 1;
-            }
-            if i < acc.len() && acc[i] == x {
-                i += 1;
-            }
-            tmp.push(x);
-        }
-        tmp.extend_from_slice(&acc[i..]);
-        std::mem::swap(&mut self.acc, &mut self.tmp);
-    }
-
-    /// `acc ← acc ∪ {x}`.
-    fn add(&mut self, x: &Var) {
-        self.see(x);
-        if let Err(i) = self.acc.binary_search(&x.id()) {
-            self.acc.insert(i, x.id());
-        }
-    }
 }
 
 /// One Γ: the ascending ids `Sets::0[lo..hi]`.
@@ -459,8 +243,8 @@ impl<'a> Insert<'a> {
     }
 
     fn annotate<'v>(&mut self, body: &Expr, roots: impl IntoIterator<Item = &'v Var>) {
-        self.fv.annotate(body, roots);
-        self.delta.fit(self.fv.names.len());
+        self.fv.annotate_named(body, roots);
+        self.delta.fit(self.fv.id_bound());
     }
 
     fn mask(&self, f: FunId) -> &'a [bool] {
@@ -492,7 +276,7 @@ impl<'a> Insert<'a> {
             if borrowed(i) {
                 self.delta.lower(&[p.id()]);
             } else if !self.fv.contains(0, p.id()) {
-                wrap(body, |b| Expr::Drop(p.clone(), b));
+                body.wrap(|b| Expr::Drop(p.clone(), b));
             }
         }
         Ok(())
@@ -547,7 +331,7 @@ impl<'a> Insert<'a> {
                 if !release.is_empty() {
                     // val r = f(…); drop x…; r
                     let r = self.gen.fresh("_r");
-                    wrap(e, |call| Expr::Let {
+                    e.wrap(|call| Expr::Let {
                         var: r.clone(),
                         rhs: call,
                         body: Box::new(Expr::drop_all(release, Expr::Var(r))),
@@ -794,7 +578,7 @@ impl<'a> Insert<'a> {
         let used = self.fv.free(n + 1);
         for p in lam.params.iter().rev() {
             if used.binary_search(&p.id()).is_err() {
-                wrap(&mut lam.body, |b| Expr::Drop(p.clone(), b));
+                lam.body.wrap(|b| Expr::Drop(p.clone(), b));
             }
         }
         Ok(dups)
@@ -826,7 +610,7 @@ impl<'a> Insert<'a> {
         };
         self.expr(b, g2, body)?;
         if let (Some(x), None) = (var, live) {
-            wrap(body, |e| Expr::Drop(x.clone(), e));
+            body.wrap(|e| Expr::Drop(x.clone(), e));
         }
         Ok(())
     }
@@ -944,14 +728,14 @@ impl<'a> Insert<'a> {
         let used = self.fv.free(c);
         for &v in self.gamma.get(rest).iter().rev() {
             if used.binary_search(&v).is_err() {
-                wrap(body, |b| Expr::Drop(self.fv.name(v), b));
+                body.wrap(|b| Expr::Drop(self.fv.name(v), b));
             }
         }
         match mode {
             ScrutineeMode::Borrowed => binders.for_each(|b| self.delta.lower(&[b.id()])),
             ScrutineeMode::Owned => {
                 if !scrut_live {
-                    wrap(body, |b| match token {
+                    body.wrap(|b| match token {
                         Some(token) => Expr::DropReuse {
                             var: s.clone(),
                             token,
@@ -962,7 +746,7 @@ impl<'a> Insert<'a> {
                 }
                 for b in binders.rev() {
                     if used.binary_search(&b.id()).is_ok() {
-                        wrap(body, |e| Expr::Dup(b.clone(), e));
+                        body.wrap(|e| Expr::Dup(b.clone(), e));
                     }
                 }
             }
@@ -975,25 +759,19 @@ impl<'a> Insert<'a> {
     fn show(&self, ids: &[u32]) -> String {
         let names: Vec<String> = ids
             .iter()
-            .map(|&id| match self.fv.names.get(id as usize) {
-                Some(Some(v)) => format!("{v:?}"),
-                _ => format!("#{id}"),
+            .map(|&id| match self.fv.get_name(id) {
+                Some(v) => format!("{v:?}"),
+                None => format!("#{id}"),
             })
             .collect();
         format!("{{{}}}", names.join(", "))
     }
 }
 
-/// Replaces `*e` with `f(e)`.
-fn wrap(e: &mut Expr, f: impl FnOnce(Box<Expr>) -> Expr) {
-    let inner = std::mem::replace(e, Expr::NullToken);
-    *e = f(Box::new(inner));
-}
-
 /// Wraps `e` in a `dup` of each variable, the first outermost.
 fn dup_all(e: &mut Expr, vars: Vec<Var>) {
     for x in vars.into_iter().rev() {
-        wrap(e, |inner| Expr::Dup(x, inner));
+        e.wrap(|inner| Expr::Dup(x, inner));
     }
 }
 
@@ -1364,50 +1142,5 @@ mod tests {
         };
         let expected = Expr::drop_all([s, x, y, z], Expr::int(0));
         assert_eq!(arms[0].body, expected);
-    }
-
-    /// The annotation agrees with `free_vars` (the reference) on every
-    /// node of every suite-like body, numbered as `Expr::visit` meets
-    /// them.
-    #[test]
-    fn annotation_matches_free_vars_on_every_node() {
-        use crate::ir::fv::free_vars;
-        let (a, b, c, t) = (v(0, "a"), v(1, "b"), v(2, "c"), v(3, "t"));
-        let body = Expr::let_(
-            b.clone(),
-            Expr::Lam(Lambda {
-                params: vec![c.clone()],
-                captures: vec![a.clone()],
-                body: Box::new(Expr::Prim(
-                    PrimOp::Add,
-                    vec![Expr::Var(a.clone()), Expr::Var(c.clone())],
-                )),
-            }),
-            Expr::Match {
-                scrutinee: a.clone(),
-                arms: vec![Arm {
-                    ctor: crate::ir::program::CtorId(0),
-                    binders: vec![Some(c.clone()), None],
-                    reuse_token: Some(t.clone()),
-                    body: Expr::DropToken(
-                        t.clone(),
-                        Box::new(Expr::App(
-                            Box::new(Expr::Var(b.clone())),
-                            vec![Expr::Var(c.clone())],
-                        )),
-                    ),
-                }],
-                default: Some(Box::new(Expr::seq(Expr::unit(), Expr::Var(b.clone())))),
-            },
-        );
-        let mut fv = FreeVars::default();
-        fv.annotate(&body, []);
-        let mut n = 0;
-        body.visit(&mut |sub| {
-            let expected: Vec<u32> = free_vars(sub).iter().map(Var::id).collect();
-            assert_eq!(fv.free(n), expected, "node {n}: {sub:?}");
-            n += 1;
-        });
-        assert_eq!(n, fv.nodes.len());
     }
 }

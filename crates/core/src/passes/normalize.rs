@@ -13,9 +13,13 @@
 //! * propagates variable-to-variable `val` bindings (copy propagation),
 //!   which keeps the ownership environments of the Perceus rules free of
 //!   aliases.
+//!
+//! Captures are set once an outermost lambda is normalized, from one
+//! free-variable annotation ([`ir::fv`](crate::ir::fv)) of it, so nested
+//! lambdas do not walk their bodies again.
 
 use crate::ir::expr::{Arm, Expr, Lambda};
-use crate::ir::fv::lambda_free_vars;
+use crate::ir::fv::FreeVars;
 use crate::ir::program::Program;
 use crate::ir::var::{Var, VarGen};
 use std::collections::HashMap;
@@ -23,20 +27,47 @@ use std::collections::HashMap;
 /// Normalizes every function of the program in place.
 pub fn normalize_program(p: &mut Program) {
     let mut gen = std::mem::take(&mut p.var_gen);
+    let mut n = Normalizer {
+        gen: &mut gen,
+        fv: FreeVars::default(),
+        lambdas: 0,
+    };
     for f in &mut p.funs {
         let body = std::mem::replace(&mut f.body, Expr::unit());
-        f.body = Normalizer { gen: &mut gen }.expr(body, &mut HashMap::new());
+        f.body = n.expr(body, &mut HashMap::new());
     }
     p.var_gen = gen;
 }
 
 /// Normalizes a single expression (used by unit tests).
 pub fn normalize_expr(e: Expr, gen: &mut VarGen) -> Expr {
-    Normalizer { gen }.expr(e, &mut HashMap::new())
+    Normalizer {
+        gen,
+        fv: FreeVars::default(),
+        lambdas: 0,
+    }
+    .expr(e, &mut HashMap::new())
+}
+
+/// Sets the captures of every lambda in `e`, node `n` of `fv`, to the
+/// lambda's free variables in ascending id order.
+fn set_captures(fv: &FreeVars, e: &mut Expr, n: usize) {
+    if let Expr::Lam(lam) = e {
+        lam.captures = fv.free(n).iter().map(|&id| fv.name(id)).collect();
+    }
+    let mut c = n + 1;
+    e.for_each_child_mut(|child| {
+        set_captures(fv, child, c);
+        c = fv.next(c);
+    });
 }
 
 struct Normalizer<'a> {
     gen: &'a mut VarGen,
+    /// The annotation of the outermost lambda just normalized.
+    fv: FreeVars,
+    /// How many lambdas enclose the expression being normalized.
+    lambdas: usize,
 }
 
 type Subst = HashMap<Var, Var>;
@@ -95,7 +126,17 @@ impl<'a> Normalizer<'a> {
                     },
                 )
             }
-            Expr::Lam(lam) => Expr::Lam(self.lambda(lam, sub)),
+            Expr::Lam(lam) => {
+                self.lambdas += 1;
+                let mut e = Expr::Lam(self.lambda(lam, sub));
+                self.lambdas -= 1;
+                if self.lambdas == 0 {
+                    // The captures of this lambda and every lambda in it.
+                    self.fv.annotate_named(&e, []);
+                    set_captures(&self.fv, &mut e, 0);
+                }
+                e
+            }
             Expr::Let { var, rhs, body } => {
                 let rhs = self.expr(*rhs, sub);
                 if let Expr::Var(alias) = &rhs {
@@ -175,14 +216,11 @@ impl<'a> Normalizer<'a> {
     }
 
     fn lambda(&mut self, lam: Lambda, sub: &mut Subst) -> Lambda {
-        let body = self.expr(*lam.body, sub);
-        let mut out = Lambda {
+        Lambda {
             params: lam.params,
             captures: Vec::new(),
-            body: Box::new(body),
-        };
-        out.captures = lambda_free_vars(&out).into_vec();
-        out
+            body: Box::new(self.expr(*lam.body, sub)),
+        }
     }
 
     /// Normalizes `e` to an atom, hoisting a binding when necessary.

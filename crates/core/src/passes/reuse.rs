@@ -14,9 +14,13 @@
 //! Tokens never flow into lambda bodies (the closure may outlive or never
 //! reach the allocation) and are consumed exactly once per path, which
 //! the resource checker verifies after insertion.
+//!
+//! Whether a scrutinee is dead in an arm is read from the function's
+//! free-variable annotation ([`ir::fv`](crate::ir::fv)), so the pass
+//! walks each body once, in place, plus the annotation's walk.
 
 use crate::ir::expr::{Arm, Expr};
-use crate::ir::fv::free_vars;
+use crate::ir::fv::FreeVars;
 use crate::ir::program::{CtorId, Program, TypeTable};
 use crate::ir::var::{Var, VarGen};
 use std::collections::HashSet;
@@ -39,28 +43,27 @@ impl Default for ReuseConfig {
 /// borrowed (`p.borrows`, §6) — and anything destructured out of them —
 /// can never be consumed, so their matches are skipped.
 pub fn reuse_program(p: &mut Program, config: &ReuseConfig) {
-    let mut gen = std::mem::take(&mut p.var_gen);
-    let types = p.types.clone();
-    let borrows = p.borrows.clone();
+    let mut fv = FreeVars::default();
     for (fi, f) in p.funs.iter_mut().enumerate() {
-        let body = std::mem::replace(&mut f.body, Expr::unit());
         let mut tainted: HashSet<Var> = HashSet::new();
-        if let Some(mask) = borrows.get(fi) {
+        if let Some(mask) = p.borrows.get(fi) {
             for (pi, par) in f.params.iter().enumerate() {
                 if mask.get(pi).copied().unwrap_or(false) {
                     tainted.insert(par.clone());
                 }
             }
         }
+        fv.annotate(&f.body);
         let mut cx = Cx {
-            types: &types,
-            gen: &mut gen,
+            types: &p.types,
+            gen: &mut p.var_gen,
             config,
             tainted,
+            fv: &fv,
+            node: 0,
         };
-        f.body = cx.expr(body, &mut Vec::new());
+        cx.expr(&mut f.body, &mut Vec::new());
     }
-    p.var_gen = gen;
 }
 
 /// A reuse token that is available on the current path.
@@ -80,81 +83,58 @@ struct Cx<'a> {
     config: &'a ReuseConfig,
     /// Variables that live in borrowed cells: never reuse candidates.
     tainted: HashSet<Var>,
+    /// The free variables of the original body, by pre-order node.
+    fv: &'a FreeVars,
+    /// The pre-order number of the next node of the original body.
+    node: usize,
 }
 
 impl<'a> Cx<'a> {
-    /// Rewrites `e`, consuming available tokens along each path. Any
-    /// token in `avail` marked used stays used; tokens left unused by the
-    /// caller's path are released by the caller.
-    fn expr(&mut self, e: Expr, avail: &mut Vec<Avail>) -> Expr {
+    /// Rewrites `e` in place, the next node of the original body,
+    /// consuming available tokens along each path. Any token in `avail`
+    /// marked used stays used; tokens left unused by the caller's path
+    /// are released by the caller.
+    fn expr(&mut self, e: &mut Expr, avail: &mut Vec<Avail>) {
+        let n = self.node;
+        self.node += 1;
         match e {
-            // Allocation sites: try to pair with an available token.
             Expr::Con {
-                ctor,
-                args,
-                reuse: None,
-                skip,
-            } if self.types.ctor(ctor).arity >= self.config.min_arity.max(1) => {
-                let args = args
-                    .into_iter()
-                    .map(|a| self.expr(a, avail))
-                    .collect::<Vec<_>>();
-                let arity = self.types.ctor(ctor).arity;
-                let reuse = self.take_token(arity, ctor, avail);
-                Expr::Con {
-                    ctor,
-                    args,
-                    reuse,
-                    skip,
+                ctor, args, reuse, ..
+            } => {
+                self.all(args, avail);
+                // Allocation sites: try to pair with an available token.
+                let arity = self.types.ctor(*ctor).arity;
+                if reuse.is_none() && arity >= self.config.min_arity.max(1) {
+                    *reuse = self.take_token(arity, *ctor, avail);
                 }
             }
-            Expr::Con {
-                ctor,
-                args,
-                reuse,
-                skip,
-            } => Expr::Con {
-                ctor,
-                args: args.into_iter().map(|a| self.expr(a, avail)).collect(),
-                reuse,
-                skip,
-            },
-            Expr::Let { var, rhs, body } => {
-                let rhs = self.expr(*rhs, avail);
-                let body = self.expr(*body, avail);
-                Expr::let_(var, rhs, body)
+            Expr::Let {
+                rhs: a, body: b, ..
             }
-            Expr::Seq(a, b) => {
-                let a = self.expr(*a, avail);
-                let b = self.expr(*b, avail);
-                Expr::seq(a, b)
+            | Expr::Seq(a, b) => {
+                self.expr(a, avail);
+                self.expr(b, avail);
             }
             Expr::Match {
                 scrutinee,
                 arms,
                 default,
-            } => self.match_(scrutinee, arms, default, avail),
-            Expr::Lam(mut lam) => {
-                // Tokens do not flow into closures: analyze the body with
-                // a fresh (empty) availability.
-                let body = std::mem::replace(&mut *lam.body, Expr::unit());
-                *lam.body = self.expr(body, &mut Vec::new());
-                Expr::Lam(lam)
-            }
+            } => self.match_(scrutinee, arms, default.as_deref_mut(), avail),
+            // Tokens do not flow into closures: analyze the body with a
+            // fresh (empty) availability.
+            Expr::Lam(lam) => self.expr(&mut lam.body, &mut Vec::new()),
             Expr::App(f, args) => {
-                let f = self.expr(*f, avail);
-                let args = args.into_iter().map(|a| self.expr(a, avail)).collect();
-                Expr::App(Box::new(f), args)
+                self.expr(f, avail);
+                self.all(args, avail);
             }
-            Expr::Call(id, args) => {
-                Expr::Call(id, args.into_iter().map(|a| self.expr(a, avail)).collect())
-            }
-            Expr::Prim(op, args) => {
-                Expr::Prim(op, args.into_iter().map(|a| self.expr(a, avail)).collect())
-            }
+            Expr::Call(_, args) | Expr::Prim(_, args) => self.all(args, avail),
             // Leaves and RC instructions (absent in the user fragment).
-            other => other,
+            _ => self.node = self.fv.next(n),
         }
+    }
+
+    fn all(&mut self, es: &mut [Expr], avail: &mut Vec<Avail>) {
+        es.iter_mut().for_each(|e| self.expr(e, avail));
     }
 
     /// Takes the best available token of the given arity: prefer the most
@@ -172,31 +152,30 @@ impl<'a> Cx<'a> {
     #[allow(clippy::ptr_arg)] // arms push/pop their own tokens on the Vec
     fn match_(
         &mut self,
-        scrutinee: Var,
-        arms: Vec<Arm>,
-        default: Option<Box<Expr>>,
+        scrutinee: &Var,
+        arms: &mut [Arm],
+        mut default: Option<&mut Expr>,
         avail: &mut Vec<Avail>,
-    ) -> Expr {
-        let mut out_arms = Vec::with_capacity(arms.len());
+    ) {
         // Each arm is a separate path: it sees the tokens available at
         // the match, and must settle its own additions.
         let mut any_used = vec![false; avail.len()];
-        for arm in arms {
+        let mut locals = Vec::with_capacity(arms.len() + 1);
+        for arm in arms.iter_mut() {
             let mut local = avail.clone();
-            let arm = self.arm(scrutinee.clone(), arm, &mut local);
+            self.arm(scrutinee, arm, &mut local);
+            locals.push(local);
+        }
+        if let Some(d) = &mut default {
+            let mut local = avail.clone();
+            self.expr(d, &mut local);
+            locals.push(local);
+        }
+        for local in &locals {
             for (i, t) in local.iter().take(any_used.len()).enumerate() {
                 any_used[i] |= t.used;
             }
-            out_arms.push((arm, local));
         }
-        let default = default.map(|d| {
-            let mut local = avail.clone();
-            let d = self.expr(*d, &mut local);
-            for (i, t) in local.iter().enumerate() {
-                any_used[i] |= t.used;
-            }
-            (d, local)
-        });
         // A token used on *any* path is consumed by the match as a whole:
         // mark it used for the caller, and release it explicitly on the
         // paths that did not use it.
@@ -205,46 +184,33 @@ impl<'a> Cx<'a> {
                 avail[i].used = true;
             }
         }
-        let finalize = |(body, local): (Expr, Vec<Avail>)| {
-            let mut body = body;
+        let bodies = arms.iter_mut().map(|arm| &mut arm.body).chain(default);
+        for (body, local) in bodies.zip(&locals) {
             for (i, t) in local.iter().take(any_used.len()).enumerate() {
                 if any_used[i] && !t.used {
-                    body = Expr::DropToken(t.token.clone(), Box::new(body));
+                    body.wrap(|b| Expr::DropToken(t.token.clone(), b));
                 }
             }
-            body
-        };
-        let out_arms = out_arms
-            .into_iter()
-            .map(|(mut arm, local)| {
-                arm.body = finalize((arm.body, local));
-                arm
-            })
-            .collect();
-        let default = default.map(|d| Box::new(finalize(d)));
-        Expr::Match {
-            scrutinee,
-            arms: out_arms,
-            default,
         }
     }
 
-    fn arm(&mut self, scrutinee: Var, arm: Arm, avail: &mut Vec<Avail>) -> Arm {
+    fn arm(&mut self, scrutinee: &Var, arm: &mut Arm, avail: &mut Vec<Avail>) {
         let arity = self.types.ctor(arm.ctor).arity;
         // Binders of a tainted (borrowed) cell are tainted too.
-        if self.tainted.contains(&scrutinee) {
+        if self.tainted.contains(scrutinee) {
             for b in arm.binders.iter().flatten() {
                 self.tainted.insert(b.clone());
             }
         }
         let can_reuse = arm.reuse_token.is_none()
             && arity >= self.config.min_arity.max(1)
-            && !self.tainted.contains(&scrutinee)
-            && !free_vars(&arm.body).contains(&scrutinee)
+            && !self.tainted.contains(scrutinee)
+            // The arm body is the next node.
+            && !self.fv.contains(self.node, scrutinee.id())
             && has_alloc_of_arity(&arm.body, arity, self.types);
         if !can_reuse {
-            let body = self.expr(arm.body, avail);
-            return Arm { body, ..arm };
+            self.expr(&mut arm.body, avail);
+            return;
         }
         let token = self.gen.fresh("ru");
         avail.push(Avail {
@@ -253,20 +219,15 @@ impl<'a> Cx<'a> {
             ctor: arm.ctor,
             used: false,
         });
-        let mut body = self.expr(arm.body, avail);
+        self.expr(&mut arm.body, avail);
         let mine = avail.pop().expect("own token still on stack");
         debug_assert_eq!(mine.token, token);
         if !mine.used {
             // No path ended up using it after all (e.g. the candidate
             // allocations all took other tokens): release at arm entry.
-            body = Expr::DropToken(token.clone(), Box::new(body));
+            arm.body.wrap(|b| Expr::DropToken(token.clone(), b));
         }
-        Arm {
-            ctor: arm.ctor,
-            binders: arm.binders,
-            reuse_token: Some(token),
-            body,
-        }
+        arm.reuse_token = Some(token);
     }
 }
 

@@ -41,6 +41,9 @@ pub enum Phase {
     Parse,
     Resolve,
     Type,
+    /// A source nested past a front-end limit (`parser::MAX_NESTING`,
+    /// `MAX_DEPTH`): the daemon's `source-too-deep`.
+    Depth,
 }
 
 impl fmt::Display for Phase {
@@ -50,6 +53,7 @@ impl fmt::Display for Phase {
             Phase::Parse => "parse",
             Phase::Resolve => "resolve",
             Phase::Type => "type",
+            Phase::Depth => "depth",
         })
     }
 }
@@ -117,6 +121,14 @@ impl LangError {
     pub(crate) fn ty(message: String, span: Span) -> Self {
         LangError {
             phase: Phase::Type,
+            message,
+            span,
+        }
+    }
+
+    pub(crate) fn depth(message: String, span: Span) -> Self {
+        LangError {
+            phase: Phase::Depth,
             message,
             span,
         }

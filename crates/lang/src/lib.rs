@@ -28,8 +28,45 @@ pub mod token;
 pub mod types;
 
 pub use error::{LangError, LangWarning, Span};
+pub use parser::MAX_NESTING;
 
 use perceus_core::ir::Program;
+
+/// The deepest a lowered function body may be, counting every node on
+/// a path from the body to a leaf. Each block statement becomes a `let`
+/// around the rest of its block, so a statement is a level. The passes,
+/// both checks and the backend recurse once per level; a body past this
+/// is rejected by [`check_depth`] with a [`error::Phase::Depth`] error
+/// (the daemon's `source-too-deep`). The largest generated programs the
+/// tests and the benchmark compile reach about 400.
+pub const MAX_DEPTH: usize = 512;
+
+/// Returns the program if every function body is within [`MAX_DEPTH`],
+/// measured without recursion. Otherwise it takes the program apart a
+/// node at a time, since dropping it whole would recurse as deep as it
+/// is, and returns the error.
+///
+/// [`compile_str`] does not apply this limit: the compiler itself works
+/// at any depth given the stack for it. Callers that compile untrusted
+/// sources on threads of a known stack apply it before the passes.
+pub fn check_depth(p: Program) -> Result<Program, LangError> {
+    let Some((id, f)) = p.funs().find(|(_, f)| f.body.depth() > MAX_DEPTH) else {
+        return Ok(p);
+    };
+    let (start, end) = p.fun_spans.get(id.0 as usize).copied().unwrap_or_default();
+    let err = LangError::depth(
+        format!(
+            "the body of `{}` is more than {MAX_DEPTH} levels deep once lowered \
+             (each statement is a level)",
+            f.name
+        ),
+        Span::new(start, end),
+    );
+    for f in p.funs {
+        f.body.dismantle();
+    }
+    Err(err)
+}
 
 /// Compiles surface source text to a core program (user fragment).
 ///
@@ -96,6 +133,26 @@ fun main(): int { double(21) }
     fn reports_type_errors_with_phase() {
         let err = compile_str("fun main(): int { 1 + True }").unwrap_err();
         assert_eq!(err.phase, error::Phase::Type);
+    }
+
+    #[test]
+    fn bodies_past_the_depth_limit_are_rejected() {
+        let body = |lets: usize| {
+            let mut s = String::from("fun main(n: int): int {\n  val x0 = n\n");
+            for i in 1..=lets {
+                s.push_str(&format!("  val x{i} = x{} + 1\n", i - 1));
+            }
+            s + &format!("  x{lets}\n}}")
+        };
+        // Each statement is one level; the last `let`'s right-hand side
+        // ends two levels below it.
+        let depth = |lets| compile_str(&body(lets)).unwrap().funs[0].body.depth();
+        assert_eq!(depth(10), 13);
+        let at_limit = MAX_DEPTH - 3;
+        check_depth(compile_str(&body(at_limit)).unwrap()).unwrap();
+        let err = check_depth(compile_str(&body(at_limit + 1)).unwrap()).unwrap_err();
+        assert_eq!(err.phase, error::Phase::Depth);
+        assert!(err.message.contains("`main`"), "{err}");
     }
 
     #[test]

@@ -3,24 +3,92 @@
 //! Newlines are statement separators inside blocks and arm separators in
 //! `match`/`type` bodies; they are transparent inside parentheses,
 //! argument lists, and after binary operators and `->`.
+//!
+//! Nesting is bounded by [`MAX_NESTING`], so that neither the parser nor
+//! the phases after it, which recurse once per level, can run out of
+//! stack on a hostile source.
 
 use crate::ast::*;
 use crate::error::{LangError, Span};
 use crate::token::{lex, Spanned, Tok};
 
+/// The deepest a source may nest, counted per expression level: no
+/// expression tree may be more than this many nodes deep (`a + b + c` is
+/// three), and no parse may open more levels at once — each parenthesis,
+/// operand, argument, branch, statement, type and pattern opens one.
+/// Deeper sources are rejected with a [`Phase::Depth`] error (the
+/// daemon's `source-too-deep`) as soon as the parser meets the level
+/// past the limit, so nothing deeper is ever built.
+///
+/// [`Phase::Depth`]: crate::error::Phase::Depth
+pub const MAX_NESTING: usize = 256;
+
 /// Parses a whole source file.
 pub fn parse(src: &str) -> Result<SProgram, LangError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        tree: 0,
+    };
     p.program()
+}
+
+fn too_deep(span: Span) -> LangError {
+    LangError::depth(
+        format!("expression nested deeper than {MAX_NESTING} levels"),
+        span,
+    )
 }
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Levels the parse has open at the current token.
+    depth: usize,
+    /// The tree depth of the expression parsed last.
+    tree: usize,
 }
 
 impl Parser {
+    /// Opens one level for `parse`.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.depth >= MAX_NESTING {
+            return Err(too_deep(self.peek_span()));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Records that the expression about to be built sits one node
+    /// above children `below` deep.
+    fn level(&mut self, below: usize, span: Span) -> Result<(), LangError> {
+        if below >= MAX_NESTING {
+            return Err(too_deep(span));
+        }
+        self.tree = below + 1;
+        Ok(())
+    }
+
+    /// An expression and its tree depth.
+    fn measured(&mut self) -> Result<(SExpr, usize), LangError> {
+        let e = self.expr()?;
+        Ok((e, self.tree))
+    }
+
+    /// Builds `lhs op rhs`, whose operands are `dl` and `self.tree` deep.
+    fn binop(&mut self, op: BinOp, lhs: SExpr, dl: usize, rhs: SExpr) -> Result<SExpr, LangError> {
+        let span = lhs.span().merge(rhs.span());
+        self.level(dl.max(self.tree), span)?;
+        Ok(SExpr::Binop(op, Box::new(lhs), Box::new(rhs), span))
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -272,6 +340,10 @@ impl Parser {
     // ---- types ---------------------------------------------------------
 
     fn type_(&mut self) -> Result<SType, LangError> {
+        self.nested(Self::bare_type)
+    }
+
+    fn bare_type(&mut self) -> Result<SType, LangError> {
         // `( … )` may open a function-type parameter list or a
         // parenthesized/unit type.
         if self.eat(&Tok::LParen) {
@@ -327,6 +399,8 @@ impl Parser {
         let start = self.expect(Tok::LBrace)?;
         self.skip_seps();
         let mut stmts: Vec<SStmt> = Vec::new();
+        // A unit tail is one node below the block.
+        let mut below = 1;
         while !matches!(self.peek(), Tok::RBrace) {
             if self.eat(&Tok::Val) {
                 let (name, vspan) = self.ident()?;
@@ -339,6 +413,7 @@ impl Parser {
                 let e = self.expr()?;
                 stmts.push(SStmt::Expr(e));
             }
+            below = below.max(self.tree);
             // A statement ends at a newline, semicolon or the brace.
             if !matches!(self.peek(), Tok::RBrace) {
                 if !matches!(self.peek(), Tok::Newline | Tok::Semi) {
@@ -362,27 +437,23 @@ impl Parser {
             }
             None => SExpr::Unit(span),
         };
+        self.level(below, span)?;
         Ok(SExpr::Block(stmts, Box::new(tail), span))
     }
 
     // ---- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<SExpr, LangError> {
-        self.assign_expr()
+        self.nested(Self::assign_expr)
     }
 
     fn assign_expr(&mut self) -> Result<SExpr, LangError> {
         let lhs = self.or_expr()?;
         if self.eat(&Tok::Assign) {
+            let dl = self.tree;
             self.skip_newlines();
-            let rhs = self.assign_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            return Ok(SExpr::Binop(
-                BinOp::Assign,
-                Box::new(lhs),
-                Box::new(rhs),
-                span,
-            ));
+            let rhs = self.nested(Self::assign_expr)?;
+            return self.binop(BinOp::Assign, lhs, dl, rhs);
         }
         Ok(lhs)
     }
@@ -394,10 +465,10 @@ impl Parser {
             if !self.eat(&Tok::OrOr) {
                 break;
             }
+            let dl = self.tree;
             self.skip_newlines();
             let rhs = self.and_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = SExpr::Binop(BinOp::Or, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binop(BinOp::Or, lhs, dl, rhs)?;
         }
         Ok(lhs)
     }
@@ -409,10 +480,10 @@ impl Parser {
             if !self.eat(&Tok::AndAnd) {
                 break;
             }
+            let dl = self.tree;
             self.skip_newlines();
             let rhs = self.cmp_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = SExpr::Binop(BinOp::And, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binop(BinOp::And, lhs, dl, rhs)?;
         }
         Ok(lhs)
     }
@@ -429,11 +500,11 @@ impl Parser {
             Tok::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
+        let dl = self.tree;
         self.bump();
         self.skip_newlines();
         let rhs = self.add_expr()?;
-        let span = lhs.span().merge(rhs.span());
-        Ok(SExpr::Binop(op, Box::new(lhs), Box::new(rhs), span))
+        self.binop(op, lhs, dl, rhs)
     }
 
     fn add_expr(&mut self) -> Result<SExpr, LangError> {
@@ -443,14 +514,15 @@ impl Parser {
             let op = match self.peek() {
                 Tok::Plus => BinOp::Add,
                 Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => break,
             };
+            let dl = self.tree;
             self.bump();
             self.skip_newlines();
             let rhs = self.mul_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binop(op, lhs, dl, rhs)?;
         }
+        Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<SExpr, LangError> {
@@ -461,28 +533,31 @@ impl Parser {
                 Tok::Star => BinOp::Mul,
                 Tok::Slash => BinOp::Div,
                 Tok::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
+                _ => break,
             };
+            let dl = self.tree;
             self.bump();
             self.skip_newlines();
             let rhs = self.unary_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs), span);
+            lhs = self.binop(op, lhs, dl, rhs)?;
         }
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<SExpr, LangError> {
         match self.peek() {
             Tok::Minus => {
                 let start = self.bump().span;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let span = start.merge(e.span());
+                self.level(self.tree, span)?;
                 Ok(SExpr::Neg(Box::new(e), span))
             }
             Tok::Bang => {
                 let start = self.bump().span;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let span = start.merge(e.span());
+                self.level(self.tree, span)?;
                 Ok(SExpr::Deref(Box::new(e), span))
             }
             _ => self.call_expr(),
@@ -492,12 +567,14 @@ impl Parser {
     fn call_expr(&mut self) -> Result<SExpr, LangError> {
         let mut e = self.atom()?;
         while matches!(self.peek(), Tok::LParen) {
+            let mut below = self.tree;
             self.bump();
             self.skip_newlines();
             let mut args = Vec::new();
             if !matches!(self.peek(), Tok::RParen) {
                 loop {
                     args.push(self.expr()?);
+                    below = below.max(self.tree);
                     self.skip_newlines();
                     if !self.eat(&Tok::Comma) {
                         break;
@@ -507,12 +584,14 @@ impl Parser {
             }
             let end = self.expect(Tok::RParen)?;
             let span = e.span().merge(end);
+            self.level(below, span)?;
             e = SExpr::Call(Box::new(e), args, span);
         }
         Ok(e)
     }
 
     fn atom(&mut self) -> Result<SExpr, LangError> {
+        self.tree = 1;
         match self.peek() {
             &Tok::Int(i) => {
                 let span = self.bump().span;
@@ -550,11 +629,11 @@ impl Parser {
 
     fn if_expr(&mut self) -> Result<SExpr, LangError> {
         let start = self.expect(Tok::If)?;
-        let cond = self.expr()?;
+        let (cond, dc) = self.measured()?;
         self.skip_newlines();
         self.expect(Tok::Then)?;
         self.skip_newlines();
-        let then_e = self.expr()?;
+        let (then_e, dt) = self.measured()?;
         // `elif`/`else` may start on the following line.
         if matches!(self.peek_past_newlines(), Tok::Elif) {
             self.skip_newlines();
@@ -562,8 +641,9 @@ impl Parser {
             let elif_span = self.expect(Tok::Elif)?;
             // Rebuild as a nested if: push a synthetic If token? Simpler:
             // parse the rest inline.
-            let inner = self.if_tail(elif_span)?;
+            let inner = self.nested(|p| p.if_tail(elif_span))?;
             let span = start.merge(inner.span());
+            self.level(dc.max(dt).max(self.tree), span)?;
             return Ok(SExpr::If(
                 Box::new(cond),
                 Box::new(then_e),
@@ -582,6 +662,7 @@ impl Parser {
         self.skip_newlines();
         let else_e = self.expr()?;
         let span = start.merge(else_e.span());
+        self.level(dc.max(dt).max(self.tree), span)?;
         Ok(SExpr::If(
             Box::new(cond),
             Box::new(then_e),
@@ -593,16 +674,17 @@ impl Parser {
     /// Parses the continuation of an `elif`: condition, then-branch and
     /// the rest of the chain.
     fn if_tail(&mut self, start: Span) -> Result<SExpr, LangError> {
-        let cond = self.expr()?;
+        let (cond, dc) = self.measured()?;
         self.skip_newlines();
         self.expect(Tok::Then)?;
         self.skip_newlines();
-        let then_e = self.expr()?;
+        let (then_e, dt) = self.measured()?;
         if matches!(self.peek_past_newlines(), Tok::Elif) {
             self.skip_newlines();
             let elif_span = self.expect(Tok::Elif)?;
-            let inner = self.if_tail(elif_span)?;
+            let inner = self.nested(|p| p.if_tail(elif_span))?;
             let span = start.merge(inner.span());
+            self.level(dc.max(dt).max(self.tree), span)?;
             return Ok(SExpr::If(
                 Box::new(cond),
                 Box::new(then_e),
@@ -615,6 +697,7 @@ impl Parser {
         self.skip_newlines();
         let else_e = self.expr()?;
         let span = start.merge(else_e.span());
+        self.level(dc.max(dt).max(self.tree), span)?;
         Ok(SExpr::If(
             Box::new(cond),
             Box::new(then_e),
@@ -625,7 +708,7 @@ impl Parser {
 
     fn match_expr(&mut self) -> Result<SExpr, LangError> {
         let start = self.expect(Tok::Match)?;
-        let scrutinee = self.expr()?;
+        let (scrutinee, mut below) = self.measured()?;
         self.skip_newlines();
         self.expect(Tok::LBrace)?;
         self.skip_seps();
@@ -636,6 +719,7 @@ impl Parser {
             self.expect(Tok::Arrow)?;
             self.skip_newlines();
             let body = self.expr()?;
+            below = below.max(self.tree);
             let span = pattern.span().merge(body.span());
             arms.push(SArm {
                 pattern,
@@ -645,7 +729,9 @@ impl Parser {
             self.skip_seps();
         }
         let end = self.expect(Tok::RBrace)?;
-        Ok(SExpr::Match(Box::new(scrutinee), arms, start.merge(end)))
+        let span = start.merge(end);
+        self.level(below, span)?;
+        Ok(SExpr::Match(Box::new(scrutinee), arms, span))
     }
 
     fn fn_expr(&mut self) -> Result<SExpr, LangError> {
@@ -669,10 +755,15 @@ impl Parser {
         self.skip_newlines();
         let body = self.block()?;
         let span = start.merge(body.span());
+        self.level(self.tree, span)?;
         Ok(SExpr::Lam(params, Box::new(body), span))
     }
 
     fn pattern(&mut self) -> Result<SPat, LangError> {
+        self.nested(Self::bare_pattern)
+    }
+
+    fn bare_pattern(&mut self) -> Result<SPat, LangError> {
         match self.peek() {
             Tok::Ident(_) => {
                 let (s, span) = self.bump_text();
@@ -866,5 +957,60 @@ fun f(t: tree): tree {
         };
         assert_eq!(stmts.len(), 1);
         assert!(matches!(**tail, SExpr::Unit(_)));
+    }
+
+    fn main_returning(e: &str) -> String {
+        format!("fun main(n: int): int {{ {e} }}")
+    }
+
+    /// At the limit the parser is 256 levels deep, more than a debug
+    /// build's test thread holds; it runs on a stack of its own, as the
+    /// daemon's workers do.
+    #[test]
+    fn nesting_is_bounded_per_expression_level() {
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(nesting_limits)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn nesting_limits() {
+        // `1 + (1 + (… + (n)))`: the body block, k additions and `n` are
+        // k + 2 levels.
+        let sums = |k: usize| main_returning(&format!("{}n{}", "1 + (".repeat(k), ")".repeat(k)));
+        parse(&sums(MAX_NESTING - 2)).unwrap();
+        let err = parse(&sums(MAX_NESTING - 1)).unwrap_err();
+        assert_eq!(err.phase, crate::error::Phase::Depth, "{err}");
+        // Parentheses alone build nothing but are parsed recursively.
+        let parens = main_returning(&format!("{}n{}", "(".repeat(1_000), ")".repeat(1_000)));
+        assert_eq!(
+            parse(&parens).unwrap_err().phase,
+            crate::error::Phase::Depth
+        );
+        // A chain of operators is built by a loop, one level per operator.
+        let chain = |k: usize| main_returning(&format!("n{}", " + 1".repeat(k)));
+        parse(&chain(MAX_NESTING / 2)).unwrap();
+        assert_eq!(
+            parse(&chain(50_000)).unwrap_err().phase,
+            crate::error::Phase::Depth
+        );
+        // Patterns and types nest too.
+        let pattern = format!(
+            "type t {{ A; B(t) }}\nfun f(x: t): int {{ match x {{ {}A{} -> 0\n _ -> 1 }} }}",
+            "B(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        assert_eq!(
+            parse(&pattern).unwrap_err().phase,
+            crate::error::Phase::Depth
+        );
+        let ty = format!(
+            "fun f(x: {}int{}): int {{ 0 }}",
+            "ref<".repeat(MAX_NESTING),
+            ">".repeat(MAX_NESTING)
+        );
+        assert_eq!(parse(&ty).unwrap_err().phase, crate::error::Phase::Depth);
     }
 }

@@ -249,7 +249,7 @@ pub fn check(p: &SProgram, syms: &Symbols) -> Result<(), LangError> {
             let mono = cx.fun_monotypes.remove(&fd.name).expect("monotype set");
             let ty = cx.uni.zonk(&mono);
             let mut vars = Vec::new();
-            free_vars(&ty, &mut vars);
+            type_vars(&ty, &mut vars);
             cx.fun_schemes.insert(fd.name.clone(), Scheme { vars, ty });
         }
     }
@@ -284,7 +284,7 @@ fn conv_rigid(t: &SType, var_map: &HashMap<&str, u32>, syms: &Symbols) -> Type {
     }
 }
 
-fn free_vars(t: &Type, out: &mut Vec<u32>) {
+fn type_vars(t: &Type, out: &mut Vec<u32>) {
     match t {
         Type::Var(v) => {
             if !out.contains(v) {
@@ -292,12 +292,12 @@ fn free_vars(t: &Type, out: &mut Vec<u32>) {
             }
         }
         Type::Int | Type::Unit => {}
-        Type::Data(_, args) => args.iter().for_each(|a| free_vars(a, out)),
+        Type::Data(_, args) => args.iter().for_each(|a| type_vars(a, out)),
         Type::Fn(args, ret) => {
-            args.iter().for_each(|a| free_vars(a, out));
-            free_vars(ret, out);
+            args.iter().for_each(|a| type_vars(a, out));
+            type_vars(ret, out);
         }
-        Type::Ref(t) => free_vars(t, out),
+        Type::Ref(t) => type_vars(t, out),
     }
 }
 

@@ -1540,7 +1540,8 @@ mod shape_tests {
 #[cfg(test)]
 mod flat_tests {
     use super::*;
-    use perceus_core::ir::{free_vars, VarSet};
+    use perceus_core::ir::fv::free_vars;
+    use perceus_core::ir::VarSet;
     use perceus_core::passes::{PassConfig, Pipeline};
 
     fn lower_src(src: &str, config: PassConfig) -> Program {

@@ -41,6 +41,14 @@ use std::time::Duration;
 /// carries an inline suite program: about 3 KB.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// The stack each session worker runs on. Compiling recurses once per
+/// nesting level of the source, which the front end bounds
+/// (`perceus_lang::MAX_NESTING`, `perceus_lang::MAX_DEPTH`); a source at
+/// both limits compiles through every stage in half of this, in a debug
+/// build (it needs 2–4 MiB there). It is reserved address space: only
+/// the depth a compile reaches is ever touched.
+pub const WORKER_STACK: usize = 16 << 20;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -166,10 +174,21 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
         shards.push(tx);
         let ctx = Arc::clone(&ctx);
-        let shutdown = Arc::clone(&shutdown);
-        threads.push(std::thread::spawn(move || {
-            worker_loop(shard, rx, ctx, shutdown)
-        }));
+        let stop = Arc::clone(&shutdown);
+        let spawned = std::thread::Builder::new()
+            .name(format!("serve-worker-{shard}"))
+            .stack_size(WORKER_STACK)
+            .spawn(move || worker_loop(shard, rx, ctx, stop));
+        match spawned {
+            Ok(worker) => threads.push(worker),
+            Err(e) => {
+                shutdown.store(true, Ordering::Relaxed);
+                for t in threads {
+                    let _ = t.join();
+                }
+                return Err(e);
+            }
+        }
     }
 
     let acceptor = {

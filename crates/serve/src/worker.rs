@@ -45,12 +45,13 @@ use crate::json::ObjBuilder;
 use crate::protocol::{self, Outcome, ResumeRequest, RunRequest};
 use perceus_bench::counters::counter_values;
 use perceus_bench::COUNTER_KEYS;
+use perceus_lang::error::Phase;
 use perceus_runtime::audit;
 use perceus_runtime::machine::{Machine, RunConfig};
 use perceus_runtime::{
     Execution, Heap, Profiler, ReclaimMode, RuntimeError, SharedHeap, Stats, StepOutcome, Value,
 };
-use perceus_suite::{ParallelSpec, Strategy};
+use perceus_suite::{ParallelSpec, Strategy, SuiteError};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -324,7 +325,7 @@ pub fn run_session(heap: Heap, ctx: &ServeCtx, req: &RunRequest) -> (Heap, Strin
                 run_error(
                     req.id,
                     Outcome::CompileError,
-                    "compile-error",
+                    compile_code(&e),
                     &e.to_string(),
                 ),
             );
@@ -459,7 +460,7 @@ fn run_resumable(parked: &mut ParkTable, ctx: &ServeCtx, req: &RunRequest) -> St
             return run_error(
                 req.id,
                 Outcome::CompileError,
-                "compile-error",
+                compile_code(&e),
                 &e.to_string(),
             );
         }
@@ -961,6 +962,15 @@ fn finish_failed(ctx: &ServeCtx, outcome: Outcome) {
 }
 
 /// An error response for a session that produced no counters.
+/// The `code` of a program that did not compile: `source-too-deep` for a
+/// source past a front-end nesting limit, `compile-error` otherwise.
+fn compile_code(e: &SuiteError) -> &'static str {
+    match e {
+        SuiteError::Lang(e) if e.phase == Phase::Depth => "source-too-deep",
+        _ => "compile-error",
+    }
+}
+
 fn run_error(id: u64, outcome: Outcome, code: &str, msg: &str) -> String {
     crate::protocol::error_response(id, outcome, code, msg)
 }

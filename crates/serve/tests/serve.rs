@@ -3,9 +3,11 @@
 //! across tenants, cross-session shared inputs, admission control, and
 //! the loadtest drift gate against `BENCH_BASELINE.json`.
 
+use perceus_lang::{MAX_DEPTH, MAX_NESTING};
 use perceus_serve::json::{self, Json};
 use perceus_serve::loadtest::{self, LoadConfig};
-use perceus_serve::server::{start, ServeConfig, MAX_REQUEST_BYTES};
+use perceus_serve::server::{start, ServeConfig, MAX_REQUEST_BYTES, WORKER_STACK};
+use perceus_suite::{compile_borrowing, compile_workload, Strategy};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -150,6 +152,102 @@ fn deep_recursion_trips_the_memory_limit_and_the_worker_survives() {
     assert_eq!(field(&next[&2], "outcome").as_str(), Some("ok"), "{next:?}");
     assert_eq!(field(&next[&2], "value").as_str(), Some("125250"));
     assert_eq!(field(&next[&2], "leaked_blocks").as_u64(), Some(0));
+    h.join();
+}
+
+/// A JSON string literal holding `text`.
+fn json_str(text: &str) -> String {
+    format!(
+        "\"{}\"",
+        text.replace('\\', "\\\\")
+            .replace('"', "\\\"")
+            .replace('\n', "\\n")
+    )
+}
+
+/// `fun main(n: int): int { (((… n …))) }`, `parens` deep.
+fn parenthesized(parens: usize) -> String {
+    format!(
+        "fun main(n: int): int {{ {}n{} }}",
+        "(".repeat(parens),
+        ")".repeat(parens)
+    )
+}
+
+/// `val x{i} = x{i-1} + 1`, `lets` times, in `fun name(n: int): int`.
+fn let_chain(name: &str, lets: usize) -> String {
+    let mut s = format!("fun {name}(n: int): int {{\n  val x0 = n\n");
+    for i in 1..=lets {
+        s.push_str(&format!("  val x{i} = x{} + 1\n", i - 1));
+    }
+    s + &format!("  x{lets}\n}}\n")
+}
+
+/// A source at both nesting limits: an expression tree `MAX_NESTING`
+/// deep, a body whose lowered form is `MAX_DEPTH` deep, and one as deep
+/// whose every statement dups a list, so insertion makes it deeper
+/// still. Every stage of every daemon build (front end, passes, both
+/// checks, lowering to `Code`) compiles it on half a worker's stack, in
+/// whichever build the test runs: a debug build needs 2–4 MiB.
+#[test]
+fn a_source_at_both_limits_compiles_on_half_a_worker_stack() {
+    let sums = MAX_NESTING - 2; // the block, the sums and `n`
+    let lets = MAX_DEPTH - 3; // x0, the lets, and the last right-hand side
+    let mut src = String::from("type list<a> { Nil; Cons(head: a, tail: list<a>) }\n");
+    src += &format!(
+        "fun nest(n: int): int {{ {}n{} }}\n",
+        "1 + (".repeat(sums),
+        ")".repeat(sums)
+    );
+    src += &let_chain("long", lets);
+    src += "fun len(l: list<int>): int { match l { Cons(_, t) -> 1 + len(t)\n Nil -> 0 } }\n";
+    // Here the last right-hand side, `x + len(l)`, ends three levels down.
+    src += "fun shared(l: list<int>): int {\n  val x0 = 0\n";
+    for i in 1..lets {
+        src += &format!("  val x{i} = x{} + len(l)\n", i - 1);
+    }
+    src += &format!("  x{}\n}}\n", lets - 1);
+    src += "fun main(n: int): int { nest(n) + long(n) + shared(Cons(n, Nil)) }\n";
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK / 2)
+        .spawn(move || {
+            let lowered = perceus_lang::compile_str(&src).unwrap();
+            for name in ["long", "shared"] {
+                let f = lowered.find_fun(name).unwrap();
+                assert_eq!(lowered.fun(f).body.depth(), MAX_DEPTH, "{name}");
+            }
+            for s in [Strategy::Perceus, Strategy::PerceusNoOpt, Strategy::Scoped] {
+                compile_workload(&src, s).unwrap_or_else(|e| panic!("{}: {e}", s.label()));
+            }
+            compile_borrowing(&src).unwrap();
+        })
+        .unwrap()
+        .join()
+        .expect("compiles within half a worker stack");
+}
+
+/// Two sources that each overflowed a 2 MiB worker: 1 000 parentheses,
+/// and 700 statements. Each is refused as `source-too-deep`, and the
+/// shard's next session is served.
+#[test]
+fn sources_past_the_nesting_limits_are_refused_and_the_worker_survives() {
+    let h = server(|c| c.workers = 1);
+    let run = |id: u64, src: &str| {
+        format!(
+            r#"{{"op":"run","id":{id},"n":3,"source":{}}}"#,
+            json_str(src)
+        )
+    };
+    let chain = let_chain("main", 700);
+    let rs = roundtrip(h.addr(), &[run(1, &parenthesized(1_000)), run(2, &chain)]);
+    for id in [1, 2] {
+        let r = &rs[&id];
+        assert_eq!(field(r, "outcome").as_str(), Some("compile-error"), "{r:?}");
+        assert_eq!(field(r, "code").as_str(), Some("source-too-deep"), "{r:?}");
+    }
+    let next = roundtrip(h.addr(), &[run(3, &let_chain("main", 300))]);
+    assert_eq!(field(&next[&3], "outcome").as_str(), Some("ok"), "{next:?}");
+    assert_eq!(field(&next[&3], "value").as_str(), Some("303"));
     h.join();
 }
 

@@ -170,6 +170,11 @@ impl From<OracleError> for SuiteError {
 /// Compiles source text under the given strategy, through the whole
 /// stack: parse/typecheck → passes → resource check (for the rc
 /// strategies) → backend.
+///
+/// A source past the front end's nesting limits
+/// ([`perceus_lang::MAX_NESTING`], [`perceus_lang::MAX_DEPTH`]) is
+/// rejected with a [`perceus_lang::error::Phase::Depth`] error, so every
+/// stage's recursion stays within a stack of known size.
 pub fn compile_workload(src: &str, strategy: Strategy) -> Result<Compiled, SuiteError> {
     let program = perceus_lang::compile_str(src)?;
     compile_program(program, strategy)
@@ -178,6 +183,7 @@ pub fn compile_workload(src: &str, strategy: Strategy) -> Result<Compiled, Suite
 /// Like [`compile_workload`] but starting from an already-lowered core
 /// program.
 pub fn compile_program(program: Program, strategy: Strategy) -> Result<Compiled, SuiteError> {
+    let program = perceus_lang::check_depth(program)?;
     let program = Pipeline::new(strategy.pass_config()).run(program)?;
     if strategy.is_rc() {
         linear::check_program(&program).map_err(SuiteError::Linear)?;
@@ -189,7 +195,7 @@ pub fn compile_program(program: Program, strategy: Strategy) -> Result<Compiled,
 /// experiments, which toggle individual optimizations).
 pub fn compile_with_config(src: &str, config: PassConfig) -> Result<Compiled, SuiteError> {
     let rc = config.strategy() != RcStrategy::None;
-    let program = perceus_lang::compile_str(src)?;
+    let program = perceus_lang::check_depth(perceus_lang::compile_str(src)?)?;
     let program = Pipeline::new(config).run(program)?;
     if rc {
         linear::check_program(&program).map_err(SuiteError::Linear)?;

@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of one perfbench workload (the method
 # of EXPERIMENTS.md and the choosing-metrics guide, section 8).
 #
-#   scripts/bench_pairs.sh <parent> <change> <workload> [pairs=10]
+#   scripts/bench_pairs.sh <parent> <change> <workload> [pairs=10] [metrics]
 #
 # Each side is a commit-ish, checked out as a git worktree under
 # target/pairs/, or an existing directory (an uncommitted work tree),
@@ -16,15 +16,21 @@
 # Pair i runs both sides with seed SEED+i (SEED defaults to 100, so
 # seeds 101, 102, …: not the seed 1 of development). SECONDS_PER_RUN
 # overrides the run length (default: BENCHMARK.json's run_seconds).
+#
+# `metrics` is a comma-separated list of per-layer metric names, such as
+# check.linear_us,passes.reuse_us: the layer a change touched. When it
+# is given, three traced alternating pairs (--trace 1, seeds 201-203)
+# follow, and each named metric's median per side is printed.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 workload=$3
 pairs=${4:-10}
+layer_metrics=${5:-}
 seed_base=${SEED:-100}
 pairs_dir=$root/target/pairs
 mkdir -p "$pairs_dir"
@@ -61,25 +67,30 @@ for side in parent change; do
 done
 
 runs=$pairs_dir/$workload.runs
+traced=$pairs_dir/$workload.traced
 : >"$runs"
-# One run of side $1 with seed $2; appends "<side> <result json>" to
-# $runs.
+# One run of side $1 with seed $2 and --trace $3; appends
+# "<side> <result json>" to file $4.
 run() {
     local dir=${!1}
     local line
     line=$(cd "$dir" && "$pairs_dir/$1-target/release/perfbench" \
-        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1)
-    echo "$1 $line" | tee -a "$runs"
+        --workload "$workload" --seed "$2" --seconds "$seconds" --trace "$3" | tail -n 1)
+    echo "$1 $line" | tee -a "$4"
+}
+# Pair $1 with seed $2, --trace $3, into file $4; odd pairs run the
+# parent first.
+pair() {
+    if [ $(($1 % 2)) -eq 1 ]; then
+        run parent "$2" "$3" "$4"
+        run change "$2" "$3" "$4"
+    else
+        run change "$2" "$3" "$4"
+        run parent "$2" "$3" "$4"
+    fi
 }
 for i in $(seq 1 "$pairs"); do
-    seed=$((seed_base + i))
-    if [ $((i % 2)) -eq 1 ]; then
-        run parent "$seed"
-        run change "$seed"
-    else
-        run change "$seed"
-        run parent "$seed"
-    fi
+    pair "$i" $((seed_base + i)) 0 "$runs"
 done
 
 python3 - "$runs" "$parent/BENCHMARK.json" <<'EOF'
@@ -105,3 +116,28 @@ for metric in json.load(open(sys.argv[2]))["end_to_end"]:
         q1, med, q3 = statistics.quantiles(vs, n=4, method="inclusive")
         print(f"{name:<14}{side:<8}{q1:>12.4g}{med:>12.4g}{q3:>12.4g}  {wins[side]}/{len(pairs)}")
 EOF
+
+if [ -n "$layer_metrics" ]; then
+    : >"$traced"
+    for i in 1 2 3; do
+        pair "$i" $((200 + i)) 1 "$traced"
+    done
+    python3 - "$traced" "$layer_metrics" <<'EOF'
+import json, statistics, sys
+
+sides = {"parent": [], "change": []}
+for line in open(sys.argv[1]):
+    side, result = line.split(" ", 1)
+    sides[side].append(json.loads(result))
+failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
+print(f"traced pairs: {len(sides['parent'])}; failed operations: "
+      f"parent {failed['parent']}, change {failed['change']}")
+print(f"{'metric':<28}{'parent':>12}{'change':>12}")
+for name in sys.argv[2].split(","):
+    medians = []
+    for rs in sides.values():
+        values = [r["metrics"][name]["value"] for r in rs if name in r["metrics"]]
+        medians.append(f"{statistics.median(values):>12.4g}" if values else f"{'missing':>12}")
+    print(f"{name:<28}{''.join(medians)}")
+EOF
+fi
