@@ -52,6 +52,7 @@
 //! cover normally-completing runs (which is also exactly what the replay
 //! validator measures).
 
+use super::super::ir::callgraph::{call_graph, sccs};
 use super::super::ir::expr::{Arm, Expr, Lambda, Lit, PrimOp};
 use super::super::ir::program::{CtorId, FunId, Program, TypeTable};
 use super::certificate::{CertSet, FunCert};
@@ -1042,10 +1043,11 @@ fn arm_state(cx: &Cx, st: &State, scrut_id: u32, sv: &AbsVal, arm: &Arm) -> Stat
 /// decrementing any single coefficient makes the checker reject it.
 pub fn infer_certificates(p: &Program) -> CertSet {
     let mut certs = CertSet::bottom(p);
-    for scc in call_graph_sccs(p) {
+    let calls = call_graph(p);
+    for scc in sccs(&calls) {
         match scc.as_slice() {
             [f] => {
-                let selfrec = calls_of(&p.funs[f.0 as usize].body).contains(f);
+                let selfrec = calls[f.0 as usize].contains(f);
                 if selfrec {
                     infer_recursive(p, &mut certs, *f);
                 } else {
@@ -1476,79 +1478,6 @@ fn degrade_until_valid(p: &Program, certs: &mut CertSet, f: FunId) {
     }
 }
 
-/// Every function id mentioned as a call or first-class global in an
-/// expression.
-fn calls_of(e: &Expr) -> Vec<FunId> {
-    let mut out = Vec::new();
-    e.visit(&mut |e| match e {
-        Expr::Call(f, _) | Expr::Global(f) if !out.contains(f) => out.push(*f),
-        _ => {}
-    });
-    out
-}
-
-/// Tarjan's SCC algorithm over the call graph. Components are emitted
-/// callees-first (reverse topological order of the condensation).
-fn call_graph_sccs(p: &Program) -> Vec<Vec<FunId>> {
-    let n = p.funs.len();
-    let edges: Vec<Vec<FunId>> = p.funs.iter().map(|f| calls_of(&f.body)).collect();
-    struct T<'a> {
-        edges: &'a [Vec<FunId>],
-        index: Vec<Option<u32>>,
-        low: Vec<u32>,
-        on_stack: Vec<bool>,
-        stack: Vec<u32>,
-        next: u32,
-        out: Vec<Vec<FunId>>,
-    }
-    fn strong(t: &mut T, v: u32) {
-        t.index[v as usize] = Some(t.next);
-        t.low[v as usize] = t.next;
-        t.next += 1;
-        t.stack.push(v);
-        t.on_stack[v as usize] = true;
-        let succs: Vec<u32> = t.edges[v as usize].iter().map(|f| f.0).collect();
-        for w in succs {
-            if (w as usize) >= t.index.len() {
-                continue;
-            }
-            if t.index[w as usize].is_none() {
-                strong(t, w);
-                t.low[v as usize] = t.low[v as usize].min(t.low[w as usize]);
-            } else if t.on_stack[w as usize] {
-                t.low[v as usize] = t.low[v as usize].min(t.index[w as usize].unwrap());
-            }
-        }
-        if t.low[v as usize] == t.index[v as usize].unwrap() {
-            let mut scc = Vec::new();
-            loop {
-                let w = t.stack.pop().unwrap();
-                t.on_stack[w as usize] = false;
-                scc.push(FunId(w));
-                if w == v {
-                    break;
-                }
-            }
-            t.out.push(scc);
-        }
-    }
-    let mut t = T {
-        edges: &edges,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        out: Vec::new(),
-    };
-    for v in 0..n as u32 {
-        if t.index[v as usize].is_none() {
-            strong(&mut t, v);
-        }
-    }
-    t.out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1566,9 +1495,9 @@ mod tests {
         let f = pb.declare("loop", vec![x.clone()]);
         pb.set_body(f, Expr::Call(f, vec![Expr::Var(x)]));
         let p = pb.finish();
-        let sccs = call_graph_sccs(&p);
-        assert!(sccs.iter().any(|s| s == &vec![f]));
-        assert!(calls_of(&p.funs[f.0 as usize].body).contains(&f));
+        let calls = call_graph(&p);
+        assert!(sccs(&calls).iter().any(|s| s == &vec![f]));
+        assert!(calls[f.0 as usize].contains(&f));
     }
 
     #[test]

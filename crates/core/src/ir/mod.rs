@@ -2,6 +2,7 @@
 //! the pass-introduced reference-counting instruction forms (Fig. 1).
 
 pub mod builder;
+pub mod callgraph;
 pub mod erase;
 pub mod expr;
 pub mod fv;

@@ -102,9 +102,20 @@ impl VarGen {
 
     /// Returns a fresh variable with the given hint.
     pub fn fresh(&mut self, hint: &str) -> Var {
+        self.fresh_shared(hint.into())
+    }
+
+    /// Returns a fresh variable whose hint is `hint` itself: a copy of
+    /// the pointer, not of the text.
+    pub fn fresh_shared(&mut self, hint: Arc<str>) -> Var {
         let id = self.next;
         self.next += 1;
-        Var::new(id, hint)
+        Var { id, hint }
+    }
+
+    /// Returns a fresh variable with `v`'s hint, shared with `v`.
+    pub fn fresh_like(&mut self, v: &Var) -> Var {
+        self.fresh_shared(v.hint.clone())
     }
 
     /// The next id that would be handed out.

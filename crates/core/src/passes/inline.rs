@@ -7,10 +7,10 @@
 //! small, non-recursive top-level functions are replaced by their
 //! (alpha-renamed) bodies, before reuse analysis runs.
 
+use crate::ir::callgraph::{call_graph, recursive};
 use crate::ir::expr::{Arm, Expr, Lambda};
-use crate::ir::program::{FunId, Program};
+use crate::ir::program::{FunDef, FunId, Program};
 use crate::ir::var::{Var, VarGen};
-use std::collections::{HashMap, HashSet};
 
 /// Tuning knobs for the inliner.
 #[derive(Debug, Clone)]
@@ -31,287 +31,248 @@ impl Default for InlineConfig {
 }
 
 /// Runs the inliner; returns the number of call sites inlined.
+///
+/// A round rewrites the functions in order, each in place. A call is
+/// replaced by the callee's body as the round found it, renamed while it
+/// is copied, and the copy is not searched for further calls until the
+/// next round. A callee's body is therefore copied aside first only when
+/// the round may change it before a later function inlines it.
 pub fn inline_program(p: &mut Program, config: &InlineConfig) -> usize {
     let mut total = 0;
     for _ in 0..config.rounds {
-        let recursive = recursive_funs(p);
-        // Snapshot candidate bodies for this round.
-        let candidates: HashMap<FunId, (Vec<Var>, Expr)> = p
-            .funs()
-            .filter(|(id, f)| !recursive.contains(id) && f.body.size() <= config.max_size)
-            .map(|(id, f)| (id, (f.params.clone(), f.body.clone())))
+        let calls = call_graph(p);
+        let candidate: Vec<bool> = p
+            .funs
+            .iter()
+            .zip(recursive(&calls))
+            .map(|(f, rec)| !rec && f.body.size() <= config.max_size)
             .collect();
-        if candidates.is_empty() {
+        if !candidate.contains(&true) {
             return total;
         }
-        let mut gen = std::mem::take(&mut p.var_gen);
-        let mut round = 0;
-        for (id, f) in p.funs.iter_mut().enumerate() {
-            let body = std::mem::replace(&mut f.body, Expr::unit());
-            f.body = inline_expr(body, FunId(id as u32), &candidates, &mut gen, &mut round);
+        // The last function that names each one.
+        let mut last_caller = vec![0; p.funs.len()];
+        for (k, callees) in calls.iter().enumerate() {
+            for g in callees {
+                last_caller[g.0 as usize] = k;
+            }
         }
-        p.var_gen = gen;
-        total += round;
-        if round == 0 {
+        let mut snapshot: Vec<Option<Expr>> = vec![None; p.funs.len()];
+        let mut cx = Inliner {
+            rename: vec![None; p.var_gen.peek() as usize],
+            bound: Vec::new(),
+            gen: std::mem::take(&mut p.var_gen),
+            count: 0,
+        };
+        for i in 0..p.funs.len() {
+            if !calls[i]
+                .iter()
+                .any(|g| g.0 as usize != i && candidate[g.0 as usize])
+            {
+                continue;
+            }
+            if candidate[i] && last_caller[i] > i {
+                snapshot[i] = Some(p.funs[i].body.clone());
+            }
+            let mut body = std::mem::replace(&mut p.funs[i].body, Expr::unit());
+            let round = Round {
+                funs: &p.funs,
+                candidate: &candidate,
+                snapshot: &snapshot,
+                current: FunId(i as u32),
+            };
+            cx.rewrite(&mut body, &round);
+            p.funs[i].body = body;
+        }
+        p.var_gen = cx.gen;
+        total += cx.count;
+        if cx.count == 0 {
             break;
         }
     }
     total
 }
 
-/// Functions that participate in a call-graph cycle (conservatively, any
-/// function from which itself is reachable through direct calls).
-fn recursive_funs(p: &Program) -> HashSet<FunId> {
-    // Build direct-call edges; a Global reference also counts (it may be
-    // applied indirectly, and inlining through it is impossible anyway —
-    // we only need cycles among *direct* calls plus self-references).
-    let n = p.funs.len();
-    let mut edges: Vec<HashSet<FunId>> = vec![HashSet::new(); n];
-    for (id, f) in p.funs() {
-        f.body.visit(&mut |e| {
-            if let Expr::Call(callee, _) | Expr::Global(callee) = e {
-                edges[id.0 as usize].insert(*callee);
+/// What one round inlines: the functions as the round found them.
+struct Round<'a> {
+    /// Every function; the one being rewritten has a placeholder body.
+    funs: &'a [FunDef],
+    candidate: &'a [bool],
+    /// The round-start body of each candidate the round has already
+    /// rewritten and a later function names.
+    snapshot: &'a [Option<Expr>],
+    /// The function being rewritten, never inlined into itself.
+    current: FunId,
+}
+
+struct Inliner {
+    /// The copy's variable for each variable of the body being copied,
+    /// by id.
+    rename: Vec<Option<Var>>,
+    /// The ids `rename` holds, cleared after each copy.
+    bound: Vec<u32>,
+    gen: VarGen,
+    count: usize,
+}
+
+impl Inliner {
+    /// Inlines every candidate call in `e`, arguments first.
+    fn rewrite(&mut self, e: &mut Expr, round: &Round<'_>) {
+        match e {
+            Expr::Call(callee, args) => {
+                for a in args.iter_mut() {
+                    self.rewrite(a, round);
+                }
+                let c = callee.0 as usize;
+                if *callee == round.current || round.candidate.get(c) != Some(&true) {
+                    return;
+                }
+                self.count += 1;
+                let f = &round.funs[c];
+                let body = round.snapshot[c].as_ref().unwrap_or(&f.body);
+                let params: Vec<Var> = f.params.iter().map(|p| self.bind(p)).collect();
+                let copy = self.copy(body);
+                for id in self.bound.drain(..) {
+                    self.rename[id as usize] = None;
+                }
+                let args = std::mem::take(args);
+                *e = params
+                    .into_iter()
+                    .zip(args)
+                    .rev()
+                    .fold(copy, |acc, (p, a)| Expr::let_(p, a, acc));
             }
-        });
+            Expr::App(..)
+            | Expr::Prim(..)
+            | Expr::Con { .. }
+            | Expr::Let { .. }
+            | Expr::Seq(..)
+            | Expr::Match { .. }
+            | Expr::Lam(_) => e.for_each_child_mut(|c| self.rewrite(c, round)),
+            _ => {}
+        }
     }
-    let mut recursive = HashSet::new();
-    for start in 0..n {
-        // DFS from each successor of `start`, looking for `start`.
-        let target = FunId(start as u32);
-        let mut stack: Vec<FunId> = edges[start].iter().copied().collect();
-        let mut seen: HashSet<FunId> = stack.iter().copied().collect();
-        let mut found = edges[start].contains(&target);
-        while let Some(cur) = stack.pop() {
-            if cur == target {
-                found = true;
-                break;
+
+    /// A fresh variable for `v`, which the copy renames to it.
+    fn bind(&mut self, v: &Var) -> Var {
+        let fresh = self.gen.fresh_like(v);
+        let id = v.id() as usize;
+        if id >= self.rename.len() {
+            self.rename.resize(id + 1, None);
+        }
+        if self.rename[id].is_none() {
+            self.bound.push(v.id());
+        }
+        self.rename[id] = Some(fresh.clone());
+        fresh
+    }
+
+    fn ren(&self, v: &Var) -> Var {
+        match self.rename.get(v.id() as usize) {
+            Some(Some(to)) => to.clone(),
+            _ => v.clone(),
+        }
+    }
+
+    fn copy_all(&mut self, es: &[Expr]) -> Vec<Expr> {
+        es.iter().map(|e| self.copy(e)).collect()
+    }
+
+    /// A copy of `e` in which every variable it binds is fresh.
+    fn copy(&mut self, e: &Expr) -> Expr {
+        match e {
+            Expr::Var(v) => Expr::Var(self.ren(v)),
+            Expr::Lit(_) | Expr::Global(_) | Expr::Abort(_) | Expr::NullToken => e.clone(),
+            Expr::TokenOf(v) => Expr::TokenOf(self.ren(v)),
+            Expr::App(f, args) => {
+                let f = self.copy(f);
+                Expr::App(Box::new(f), self.copy_all(args))
             }
-            for next in &edges[cur.0 as usize] {
-                if seen.insert(*next) {
-                    stack.push(*next);
+            Expr::Call(id, args) => Expr::Call(*id, self.copy_all(args)),
+            Expr::Prim(op, args) => Expr::Prim(*op, self.copy_all(args)),
+            Expr::Con {
+                ctor,
+                args,
+                reuse,
+                skip,
+            } => Expr::Con {
+                ctor: *ctor,
+                args: self.copy_all(args),
+                reuse: reuse.as_ref().map(|t| self.ren(t)),
+                skip: skip.clone(),
+            },
+            Expr::Lam(lam) => {
+                let params = lam.params.iter().map(|p| self.bind(p)).collect();
+                let captures = lam.captures.iter().map(|c| self.ren(c)).collect();
+                Expr::Lam(Lambda {
+                    params,
+                    captures,
+                    body: Box::new(self.copy(&lam.body)),
+                })
+            }
+            Expr::Let { var, rhs, body } => {
+                let rhs = self.copy(rhs);
+                let var = self.bind(var);
+                Expr::let_(var, rhs, self.copy(body))
+            }
+            Expr::Seq(a, b) => {
+                let a = self.copy(a);
+                Expr::seq(a, self.copy(b))
+            }
+            Expr::Match {
+                scrutinee,
+                arms,
+                default,
+            } => Expr::Match {
+                scrutinee: self.ren(scrutinee),
+                arms: arms
+                    .iter()
+                    .map(|arm| {
+                        let binders = arm
+                            .binders
+                            .iter()
+                            .map(|b| b.as_ref().map(|b| self.bind(b)))
+                            .collect();
+                        let reuse_token = arm.reuse_token.as_ref().map(|t| self.bind(t));
+                        Arm {
+                            ctor: arm.ctor,
+                            binders,
+                            reuse_token,
+                            body: self.copy(&arm.body),
+                        }
+                    })
+                    .collect(),
+                default: default.as_ref().map(|d| Box::new(self.copy(d))),
+            },
+            Expr::Dup(v, rest) => Expr::dup(self.ren(v), self.copy(rest)),
+            Expr::Drop(v, rest) => Expr::drop_(self.ren(v), self.copy(rest)),
+            Expr::Free(v, rest) => Expr::Free(self.ren(v), Box::new(self.copy(rest))),
+            Expr::DecRef(v, rest) => Expr::DecRef(self.ren(v), Box::new(self.copy(rest))),
+            Expr::DropToken(v, rest) => Expr::DropToken(self.ren(v), Box::new(self.copy(rest))),
+            Expr::DropReuse { var, token, body } => {
+                let var = self.ren(var);
+                let token = self.bind(token);
+                Expr::DropReuse {
+                    var,
+                    token,
+                    body: Box::new(self.copy(body)),
+                }
+            }
+            Expr::IsUnique {
+                var,
+                binders,
+                unique,
+                shared,
+            } => {
+                let unique = self.copy(unique);
+                Expr::IsUnique {
+                    var: self.ren(var),
+                    binders: binders.iter().map(|b| self.ren(b)).collect(),
+                    unique: Box::new(unique),
+                    shared: Box::new(self.copy(shared)),
                 }
             }
         }
-        if found {
-            recursive.insert(target);
-        }
-    }
-    recursive
-}
-
-fn inline_expr(
-    e: Expr,
-    current: FunId,
-    candidates: &HashMap<FunId, (Vec<Var>, Expr)>,
-    gen: &mut VarGen,
-    count: &mut usize,
-) -> Expr {
-    let recur = |e: Expr, gen: &mut VarGen, count: &mut usize| {
-        inline_expr(e, current, candidates, gen, count)
-    };
-    match e {
-        Expr::Call(callee, args) if callee != current && candidates.contains_key(&callee) => {
-            let args: Vec<Expr> = args.into_iter().map(|a| recur(a, gen, count)).collect();
-            let (params, body) = &candidates[&callee];
-            *count += 1;
-            // Fresh copy of the body, with parameters bound to arguments.
-            let mut map = HashMap::new();
-            let fresh_params: Vec<Var> = params
-                .iter()
-                .map(|p| {
-                    let fp = gen.fresh(p.hint());
-                    map.insert(p.clone(), fp.clone());
-                    fp
-                })
-                .collect();
-            let body = alpha_rename(body.clone(), &mut map, gen);
-            fresh_params
-                .into_iter()
-                .zip(args)
-                .rev()
-                .fold(body, |acc, (p, a)| Expr::let_(p, a, acc))
-        }
-        Expr::Call(callee, args) => Expr::Call(
-            callee,
-            args.into_iter().map(|a| recur(a, gen, count)).collect(),
-        ),
-        Expr::App(f, args) => Expr::App(
-            Box::new(recur(*f, gen, count)),
-            args.into_iter().map(|a| recur(a, gen, count)).collect(),
-        ),
-        Expr::Prim(op, args) => {
-            Expr::Prim(op, args.into_iter().map(|a| recur(a, gen, count)).collect())
-        }
-        Expr::Con {
-            ctor,
-            args,
-            reuse,
-            skip,
-        } => Expr::Con {
-            ctor,
-            args: args.into_iter().map(|a| recur(a, gen, count)).collect(),
-            reuse,
-            skip,
-        },
-        Expr::Let { var, rhs, body } => {
-            Expr::let_(var, recur(*rhs, gen, count), recur(*body, gen, count))
-        }
-        Expr::Seq(a, b) => Expr::seq(recur(*a, gen, count), recur(*b, gen, count)),
-        Expr::Match {
-            scrutinee,
-            arms,
-            default,
-        } => Expr::Match {
-            scrutinee,
-            arms: arms
-                .into_iter()
-                .map(|arm| Arm {
-                    body: recur(arm.body, gen, count),
-                    ..arm
-                })
-                .collect(),
-            default: default.map(|d| Box::new(recur(*d, gen, count))),
-        },
-        Expr::Lam(mut lam) => {
-            let body = std::mem::replace(&mut *lam.body, Expr::unit());
-            *lam.body = recur(body, gen, count);
-            Expr::Lam(lam)
-        }
-        other => other,
-    }
-}
-
-/// Renames every bound variable of `e` to a fresh one, applying `map` to
-/// occurrences. Used when splicing a function body into a new context so
-/// variable ids stay globally unique.
-pub fn alpha_rename(e: Expr, map: &mut HashMap<Var, Var>, gen: &mut VarGen) -> Expr {
-    let ren = |v: &Var, map: &HashMap<Var, Var>| map.get(v).cloned().unwrap_or_else(|| v.clone());
-    match e {
-        Expr::Var(v) => Expr::Var(ren(&v, map)),
-        Expr::Lit(_) | Expr::Global(_) | Expr::Abort(_) | Expr::NullToken => e,
-        Expr::TokenOf(v) => Expr::TokenOf(ren(&v, map)),
-        Expr::App(f, args) => Expr::App(
-            Box::new(alpha_rename(*f, map, gen)),
-            args.into_iter()
-                .map(|a| alpha_rename(a, map, gen))
-                .collect(),
-        ),
-        Expr::Call(id, args) => Expr::Call(
-            id,
-            args.into_iter()
-                .map(|a| alpha_rename(a, map, gen))
-                .collect(),
-        ),
-        Expr::Prim(op, args) => Expr::Prim(
-            op,
-            args.into_iter()
-                .map(|a| alpha_rename(a, map, gen))
-                .collect(),
-        ),
-        Expr::Con {
-            ctor,
-            args,
-            reuse,
-            skip,
-        } => Expr::Con {
-            ctor,
-            args: args
-                .into_iter()
-                .map(|a| alpha_rename(a, map, gen))
-                .collect(),
-            reuse: reuse.map(|t| ren(&t, map)),
-            skip,
-        },
-        Expr::Lam(lam) => {
-            let params: Vec<Var> = lam
-                .params
-                .iter()
-                .map(|p| {
-                    let fp = gen.fresh(p.hint());
-                    map.insert(p.clone(), fp.clone());
-                    fp
-                })
-                .collect();
-            let captures = lam.captures.iter().map(|c| ren(c, map)).collect();
-            let body = alpha_rename(*lam.body, map, gen);
-            Expr::Lam(Lambda {
-                params,
-                captures,
-                body: Box::new(body),
-            })
-        }
-        Expr::Let { var, rhs, body } => {
-            let rhs = alpha_rename(*rhs, map, gen);
-            let fv = gen.fresh(var.hint());
-            map.insert(var, fv.clone());
-            Expr::let_(fv, rhs, alpha_rename(*body, map, gen))
-        }
-        Expr::Seq(a, b) => Expr::seq(alpha_rename(*a, map, gen), alpha_rename(*b, map, gen)),
-        Expr::Match {
-            scrutinee,
-            arms,
-            default,
-        } => Expr::Match {
-            scrutinee: ren(&scrutinee, map),
-            arms: arms
-                .into_iter()
-                .map(|arm| {
-                    let binders: Vec<Option<Var>> = arm
-                        .binders
-                        .into_iter()
-                        .map(|b| {
-                            b.map(|b| {
-                                let fb = gen.fresh(b.hint());
-                                map.insert(b, fb.clone());
-                                fb
-                            })
-                        })
-                        .collect();
-                    let reuse_token = arm.reuse_token.map(|t| {
-                        let ft = gen.fresh(t.hint());
-                        map.insert(t, ft.clone());
-                        ft
-                    });
-                    Arm {
-                        ctor: arm.ctor,
-                        binders,
-                        reuse_token,
-                        body: alpha_rename(arm.body, map, gen),
-                    }
-                })
-                .collect(),
-            default: default.map(|d| Box::new(alpha_rename(*d, map, gen))),
-        },
-        Expr::Dup(v, rest) => Expr::dup(ren(&v, map), alpha_rename(*rest, map, gen)),
-        Expr::Drop(v, rest) => Expr::drop_(ren(&v, map), alpha_rename(*rest, map, gen)),
-        Expr::Free(v, rest) => Expr::Free(ren(&v, map), Box::new(alpha_rename(*rest, map, gen))),
-        Expr::DecRef(v, rest) => {
-            Expr::DecRef(ren(&v, map), Box::new(alpha_rename(*rest, map, gen)))
-        }
-        Expr::DropToken(v, rest) => {
-            Expr::DropToken(ren(&v, map), Box::new(alpha_rename(*rest, map, gen)))
-        }
-        Expr::DropReuse { var, token, body } => {
-            let var = ren(&var, map);
-            let ft = gen.fresh(token.hint());
-            map.insert(token, ft.clone());
-            Expr::DropReuse {
-                var,
-                token: ft,
-                body: Box::new(alpha_rename(*body, map, gen)),
-            }
-        }
-        Expr::IsUnique {
-            var,
-            binders,
-            unique,
-            shared,
-        } => Expr::IsUnique {
-            var: ren(&var, map),
-            binders: binders.iter().map(|b| ren(b, map)).collect(),
-            unique: Box::new(alpha_rename(*unique, map, gen)),
-            shared: Box::new(alpha_rename(*shared, map, gen)),
-        },
     }
 }
 

@@ -1,10 +1,14 @@
-//! The surface abstract syntax tree.
+//! The surface abstract syntax tree. Every name in it is a [`Sym`] of
+//! the program's name table.
 
 use crate::error::Span;
+use crate::names::{Names, Sym};
 
 /// A whole source file.
 #[derive(Debug, Clone, Default)]
 pub struct SProgram {
+    /// The text of every name the tree holds.
+    pub names: Names,
     /// `type` declarations, in source order.
     pub types: Vec<STypeDef>,
     /// `fun` definitions, in source order.
@@ -14,9 +18,9 @@ pub struct SProgram {
 /// A data type declaration.
 #[derive(Debug, Clone)]
 pub struct STypeDef {
-    pub name: String,
+    pub name: Sym,
     /// Type parameters, e.g. `a` in `type list<a>`.
-    pub params: Vec<String>,
+    pub params: Vec<Sym>,
     pub ctors: Vec<SCtorDef>,
     pub span: Span,
 }
@@ -24,9 +28,9 @@ pub struct STypeDef {
 /// One constructor of a data type.
 #[derive(Debug, Clone)]
 pub struct SCtorDef {
-    pub name: String,
+    pub name: Sym,
     /// Fields: optional name plus type.
-    pub fields: Vec<(Option<String>, SType)>,
+    pub fields: Vec<(Option<Sym>, SType)>,
     pub span: Span,
 }
 
@@ -36,7 +40,7 @@ pub enum SType {
     /// A named type, possibly applied: `int`, `list<a>`, `ref<int>`.
     /// Type *variables* are lower-case names that are not declared data
     /// types; the resolver decides.
-    Name(String, Vec<SType>),
+    Name(Sym, Vec<SType>),
     /// Function type `(t1, …, tn) -> t`.
     Fn(Vec<SType>, Box<SType>),
     /// `()`.
@@ -46,7 +50,7 @@ pub enum SType {
 /// One function parameter.
 #[derive(Debug, Clone)]
 pub struct SParam {
-    pub name: String,
+    pub name: Sym,
     /// Optional type annotation.
     pub ann: Option<SType>,
     /// `borrow` modifier (§6 / Lean's `@&`): the caller keeps ownership
@@ -59,7 +63,7 @@ pub struct SParam {
 /// A function definition.
 #[derive(Debug, Clone)]
 pub struct SFunDef {
-    pub name: String,
+    pub name: Sym,
     /// Parameters.
     pub params: Vec<SParam>,
     /// Optional result type annotation.
@@ -93,9 +97,9 @@ pub enum BinOp {
 pub enum SExpr {
     /// Lower-case identifier: local variable, parameter, or top-level
     /// function reference.
-    Var(String, Span),
+    Var(Sym, Span),
     /// Upper-case identifier: constructor (possibly applied by `Call`).
-    Con(String, Span),
+    Con(Sym, Span),
     /// Integer literal.
     Int(i64, Span),
     /// `()`.
@@ -116,7 +120,7 @@ pub enum SExpr {
     /// `{ stmt; …; tail }`.
     Block(Vec<SStmt>, Box<SExpr>, Span),
     /// `fn(x, y) { body }`.
-    Lam(Vec<String>, Box<SExpr>, Span),
+    Lam(Vec<Sym>, Box<SExpr>, Span),
 }
 
 impl SExpr {
@@ -143,7 +147,7 @@ impl SExpr {
 #[derive(Debug, Clone)]
 pub enum SStmt {
     /// `val x = e`.
-    Val(String, SExpr, Span),
+    Val(Sym, SExpr, Span),
     /// An expression evaluated for its effect.
     Expr(SExpr),
 }
@@ -163,13 +167,13 @@ pub enum SPat {
     /// `_`.
     Wild(Span),
     /// A variable binder.
-    Var(String, Span),
+    Var(Sym, Span),
     /// An integer literal (`match n { 0 -> …; _ -> … }`).
     Int(i64, Span),
     /// `Cons(p1, …, pn)`; fields may be omitted entirely (`Node` as a
     /// shorthand for `Node(_, …, _)`, like the paper's `Node(Red)`
     /// prefix patterns — trailing fields default to wildcards).
-    Ctor(String, Vec<SPat>, Span),
+    Ctor(Sym, Vec<SPat>, Span),
 }
 
 impl SPat {

@@ -22,6 +22,7 @@
 pub mod ast;
 pub mod error;
 pub mod lower;
+pub mod names;
 pub mod parser;
 pub mod resolve;
 pub mod token;

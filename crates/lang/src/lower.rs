@@ -6,20 +6,26 @@
 //! the classic column-specialization algorithm (à la Maranget). Rows
 //! with variable or wildcard patterns flow into every specialized arm,
 //! so right-hand sides may be lowered more than once; every lowering
-//! generates fresh core variables, keeping ids globally unique.
+//! generates fresh core variables, keeping ids globally unique. A row
+//! holds references to the surface patterns it still has to match, so
+//! specializing a column copies no pattern.
 //!
 //! Everything else is syntax-directed desugaring: `if` to a match on the
 //! built-in `bool`, `&&`/`||` to conditionals, operators to primitives,
 //! statement blocks to `val` chains, and bare constructors or builtins
 //! in value position to eta-expanded lambdas.
+//!
+//! The variables in scope are a per-name table (`Scope`); a core
+//! variable's hint shares the text of the name table.
 
 use crate::ast::*;
 use crate::error::{LangError, LangWarning, Span};
+use crate::names::{Names, Scope, Sym};
 use crate::resolve::{Builtin, Symbols};
 use perceus_core::ir::builder::ite;
 use perceus_core::ir::expr::{Arm, Expr, Lambda, PrimOp};
-use perceus_core::ir::{CtorId, FunDef, Program, Var, VarGen};
-use std::collections::HashSet;
+use perceus_core::ir::{CtorId, FunDef, Program, TypeTable, Var, VarGen};
+use std::sync::Arc;
 
 /// Lowers a resolved, type-checked program to the core IR, discarding
 /// diagnostics (see [`lower_checked`] to collect them).
@@ -34,28 +40,39 @@ pub fn lower_checked(
     p: &SProgram,
     syms: &Symbols,
 ) -> Result<(Program, Vec<LangWarning>), LangError> {
-    let mut out = Program::new();
-    out.types = syms.types.clone();
-    let mut gen = VarGen::default();
-    let mut warnings = Vec::new();
+    let mut out = Program {
+        types: syms.types.clone(),
+        funs: Vec::with_capacity(p.funs.len()),
+        entry: None,
+        var_gen: VarGen::default(),
+        borrows: Vec::with_capacity(p.funs.len()),
+        fun_spans: Vec::with_capacity(p.funs.len()),
+    };
+    let mut cx = Cx {
+        syms,
+        names: &p.names,
+        gen: VarGen::default(),
+        fun: "",
+        warnings: Vec::new(),
+        scope: Scope::new(p.names.len()),
+        hint_m: Arc::from("m"),
+        hint_c: Arc::from("c"),
+        hint_s: Arc::from("_s"),
+    };
     for fd in &p.funs {
-        let mut cx = Cx {
-            syms,
-            gen: &mut gen,
-            fun: &fd.name,
-            warnings: &mut warnings,
-        };
-        let mut scope: Vec<(String, Var)> = Vec::new();
+        cx.fun = p.names.text(fd.name);
+        let mark = cx.scope.enter();
         let params: Vec<Var> = fd
             .params
             .iter()
             .map(|par| {
-                let v = cx.gen.fresh(&par.name);
-                scope.push((par.name.clone(), v.clone()));
+                let v = cx.fresh(par.name);
+                cx.scope.bind(par.name, v.clone());
                 v
             })
             .collect();
-        let body = cx.expr(&fd.body, &mut scope)?;
+        let body = cx.expr(&fd.body)?;
+        cx.scope.leave(mark);
         // Explicit `borrow` annotations seed the program's borrow masks
         // (the inference pass may add more when enabled, and never
         // demotes an explicit request — a consuming use just retains).
@@ -63,7 +80,7 @@ pub fn lower_checked(
             .push(fd.params.iter().map(|p| p.borrowed).collect());
         out.fun_spans.push((fd.span.start, fd.span.end));
         out.add_fun(FunDef {
-            name: fd.name.clone().into(),
+            name: p.names.shared(fd.name).clone(),
             params,
             body,
         });
@@ -75,7 +92,7 @@ pub fn lower_checked(
                 return Err(LangError::resolve(
                     format!(
                         "entry-point parameter `{}` cannot be `borrow` (the host passes owned values)",
-                        par.name
+                        p.names.text(par.name)
                     ),
                     fd.span,
                 ));
@@ -87,54 +104,63 @@ pub fn lower_checked(
     if out.borrows.iter().all(|m| m.iter().all(|b| !b)) {
         out.borrows.clear();
     }
-    out.var_gen = gen;
-    Ok((out, warnings))
+    out.var_gen = cx.gen;
+    Ok((out, cx.warnings))
 }
 
 struct Cx<'a> {
     syms: &'a Symbols,
-    gen: &'a mut VarGen,
+    names: &'a Names,
+    gen: VarGen,
+    /// The name of the function being lowered.
     fun: &'a str,
-    warnings: &'a mut Vec<LangWarning>,
+    warnings: Vec<LangWarning>,
+    /// The core variable each source name stands for.
+    scope: Scope<Var>,
+    /// The hints of the variables lowering introduces, shared by all.
+    hint_m: Arc<str>,
+    hint_c: Arc<str>,
+    hint_s: Arc<str>,
 }
 
-type Scope = Vec<(String, Var)>;
+/// The wildcard a prefix pattern's missing fields, and the fields of a
+/// constructor matched by a variable or wildcard, stand for.
+static WILD: SPat = SPat::Wild(Span { start: 0, end: 0 });
 
 impl<'a> Cx<'a> {
-    fn lookup(&self, scope: &Scope, name: &str) -> Option<Var> {
-        scope
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
+    /// A fresh variable hinted with a source name.
+    fn fresh(&mut self, name: Sym) -> Var {
+        self.gen.fresh_shared(self.names.shared(name).clone())
     }
 
-    fn expr(&mut self, e: &SExpr, scope: &mut Scope) -> Result<Expr, LangError> {
+    fn text(&self, s: Sym) -> &'a str {
+        self.names.text(s)
+    }
+
+    fn expr(&mut self, e: &SExpr) -> Result<Expr, LangError> {
         match e {
             SExpr::Int(i, _) => Ok(Expr::int(*i)),
             SExpr::Unit(_) => Ok(Expr::unit()),
             SExpr::Var(name, span) => {
-                if let Some(v) = self.lookup(scope, name) {
-                    return Ok(Expr::Var(v));
+                if let Some(v) = self.scope.get(*name) {
+                    return Ok(Expr::Var(v.clone()));
                 }
-                if let Some((fid, _)) = self.syms.funs.get(name) {
-                    return Ok(Expr::Global(*fid));
+                if let Some((fid, _)) = self.syms.fun(*name) {
+                    return Ok(Expr::Global(fid));
                 }
-                if let Some((_, b)) = Builtin::ALL.iter().find(|(n, _)| *n == name) {
-                    return Ok(self.eta_builtin(*b));
+                if let Some(b) = Builtin::of(*name) {
+                    return Ok(self.eta_builtin(b));
                 }
                 Err(LangError::resolve(
-                    format!("unbound variable `{name}`"),
+                    format!("unbound variable `{}`", self.text(*name)),
                     *span,
                 ))
             }
             SExpr::Con(name, span) => {
-                let sym = self.syms.ctors.get(name).ok_or_else(|| {
-                    LangError::resolve(format!("unknown constructor `{name}`"), *span)
-                })?;
-                let arity = self.syms.types.ctor(sym.id).arity;
+                let id = self.ctor(*name, *span)?;
+                let arity = self.syms.types.ctor(id).arity;
                 if arity == 0 {
-                    Ok(con(sym.id, Vec::new()))
+                    Ok(con(id, Vec::new()))
                 } else {
                     // Eta-expand a bare constructor used as a function.
                     let params: Vec<Var> = (0..arity)
@@ -144,43 +170,46 @@ impl<'a> Cx<'a> {
                     Ok(Expr::Lam(Lambda {
                         params,
                         captures: Vec::new(),
-                        body: Box::new(con(sym.id, args)),
+                        body: Box::new(con(id, args)),
                     }))
                 }
             }
-            SExpr::Call(f, args, span) => self.call(f, args, *span, scope),
-            SExpr::Binop(op, a, b, span) => self.binop(*op, a, b, *span, scope),
+            SExpr::Call(f, args, span) => self.call(f, args, *span),
+            SExpr::Binop(op, a, b, _) => self.binop(*op, a, b),
             SExpr::Neg(a, _) => {
-                let a = self.expr(a, scope)?;
+                let a = self.expr(a)?;
                 Ok(Expr::Prim(PrimOp::Neg, vec![a]))
             }
             SExpr::Deref(a, _) => {
-                let a = self.expr(a, scope)?;
+                let a = self.expr(a)?;
                 Ok(Expr::Prim(PrimOp::RefGet, vec![a]))
             }
             SExpr::If(c, t, f, _) => {
-                let c = self.expr(c, scope)?;
-                let t = self.expr(t, scope)?;
-                let f = self.expr(f, scope)?;
+                let c = self.expr(c)?;
+                let t = self.expr(t)?;
+                let f = self.expr(f)?;
                 Ok(self.ite_expr(c, t, f))
             }
             SExpr::Match(scrut, arms, span) => {
-                let scrut_e = self.expr(scrut, scope)?;
-                let occ = self.gen.fresh("m");
+                let scrut_e = self.expr(scrut)?;
+                let occ = self.gen.fresh_shared(self.hint_m.clone());
                 let rows: Vec<Row> = arms
                     .iter()
                     .enumerate()
                     .map(|(i, arm)| Row {
-                        pats: vec![arm.pattern.clone()],
+                        pats: vec![&arm.pattern],
                         bindings: Vec::new(),
                         body: &arm.body,
                         arm_id: i,
                     })
                     .collect();
-                let mut diag = MatchDiag::default();
-                let body = self.compile_match(vec![occ.clone()], rows, scope, *span, &mut diag)?;
-                for (i, arm) in arms.iter().enumerate() {
-                    if !diag.used.contains(&i) {
+                let mut diag = MatchDiag {
+                    used: vec![false; arms.len()],
+                    fell_through: false,
+                };
+                let body = self.compile_match(vec![occ.clone()], rows, &mut diag)?;
+                for (arm, used) in arms.iter().zip(&diag.used) {
+                    if !used {
                         self.warnings.push(LangWarning {
                             message: format!(
                                 "unreachable match arm in `{}` (covered by earlier arms)",
@@ -202,45 +231,45 @@ impl<'a> Cx<'a> {
                 Ok(Expr::let_(occ, scrut_e, body))
             }
             SExpr::Block(stmts, tail, _) => {
-                let before = scope.len();
-                let mut bindings: Vec<(Var, Expr)> = Vec::new();
+                let mark = self.scope.enter();
+                let mut bindings: Vec<(Var, Expr)> = Vec::with_capacity(stmts.len());
                 for s in stmts {
                     match s {
                         SStmt::Val(name, rhs, _) => {
-                            let rhs = self.expr(rhs, scope)?;
-                            let v = self.gen.fresh(name);
-                            scope.push((name.clone(), v.clone()));
+                            let rhs = self.expr(rhs)?;
+                            let v = self.fresh(*name);
+                            self.scope.bind(*name, v.clone());
                             bindings.push((v, rhs));
                         }
                         SStmt::Expr(e) => {
                             // Bind to a throwaway; insertion will drop it
                             // right after (sbind-drop), so non-unit
                             // statement results are still reclaimed.
-                            let rhs = self.expr(e, scope)?;
-                            let v = self.gen.fresh("_s");
+                            let rhs = self.expr(e)?;
+                            let v = self.gen.fresh_shared(self.hint_s.clone());
                             bindings.push((v, rhs));
                         }
                     }
                 }
-                let tail = self.expr(tail, scope)?;
-                scope.truncate(before);
+                let tail = self.expr(tail)?;
+                self.scope.leave(mark);
                 Ok(bindings
                     .into_iter()
                     .rev()
                     .fold(tail, |acc, (v, rhs)| Expr::let_(v, rhs, acc)))
             }
             SExpr::Lam(params, body, _) => {
-                let before = scope.len();
+                let mark = self.scope.enter();
                 let params: Vec<Var> = params
                     .iter()
-                    .map(|n| {
-                        let v = self.gen.fresh(n);
-                        scope.push((n.clone(), v.clone()));
+                    .map(|&n| {
+                        let v = self.fresh(n);
+                        self.scope.bind(n, v.clone());
                         v
                     })
                     .collect();
-                let body = self.expr(body, scope)?;
-                scope.truncate(before);
+                let body = self.expr(body)?;
+                self.scope.leave(mark);
                 Ok(Expr::Lam(Lambda {
                     params,
                     captures: Vec::new(), // computed by normalization
@@ -250,62 +279,66 @@ impl<'a> Cx<'a> {
         }
     }
 
+    /// The constructor named `name`.
+    fn ctor(&self, name: Sym, span: Span) -> Result<CtorId, LangError> {
+        self.syms.ctor(name).ok_or_else(|| {
+            LangError::resolve(format!("unknown constructor `{}`", self.text(name)), span)
+        })
+    }
+
     /// `if c then t else f` with arbitrary expressions: bind the
     /// condition so the core match scrutinee is a variable.
     fn ite_expr(&mut self, c: Expr, t: Expr, f: Expr) -> Expr {
-        let cv = self.gen.fresh("c");
+        let cv = self.gen.fresh_shared(self.hint_c.clone());
         let m = ite(cv.clone(), t, f);
         Expr::let_(cv, c, m)
     }
 
-    fn call(
-        &mut self,
-        f: &SExpr,
-        args: &[SExpr],
-        span: Span,
-        scope: &mut Scope,
-    ) -> Result<Expr, LangError> {
+    fn call(&mut self, f: &SExpr, args: &[SExpr], span: Span) -> Result<Expr, LangError> {
         let largs: Vec<Expr> = args
             .iter()
-            .map(|a| self.expr(a, scope))
+            .map(|a| self.expr(a))
             .collect::<Result<_, _>>()?;
         match f {
             SExpr::Con(name, cspan) => {
-                let sym = self.syms.ctors.get(name).ok_or_else(|| {
-                    LangError::resolve(format!("unknown constructor `{name}`"), *cspan)
-                })?;
-                let arity = self.syms.types.ctor(sym.id).arity;
+                let id = self.ctor(*name, *cspan)?;
+                let arity = self.syms.types.ctor(id).arity;
                 if arity != largs.len() {
                     return Err(LangError::resolve(
                         format!(
-                            "constructor `{name}` expects {arity} arguments, got {}",
+                            "constructor `{}` expects {arity} arguments, got {}",
+                            self.text(*name),
                             largs.len()
                         ),
                         span,
                     ));
                 }
-                Ok(con(sym.id, largs))
+                Ok(con(id, largs))
             }
-            SExpr::Var(name, _) if self.lookup(scope, name).is_none() => {
-                if let Some((fid, arity)) = self.syms.funs.get(name) {
-                    if *arity != largs.len() {
+            SExpr::Var(name, _) if self.scope.get(*name).is_none() => {
+                if let Some((fid, arity)) = self.syms.fun(*name) {
+                    if arity != largs.len() {
                         return Err(LangError::resolve(
-                            format!("`{name}` expects {arity} arguments, got {}", largs.len()),
+                            format!(
+                                "`{}` expects {arity} arguments, got {}",
+                                self.text(*name),
+                                largs.len()
+                            ),
                             span,
                         ));
                     }
-                    return Ok(Expr::Call(*fid, largs));
+                    return Ok(Expr::Call(fid, largs));
                 }
-                if let Some((_, b)) = Builtin::ALL.iter().find(|(n, _)| *n == name) {
-                    return self.builtin_call(*b, largs, span);
+                if let Some(b) = Builtin::of(*name) {
+                    return self.builtin_call(b, largs, span);
                 }
                 Err(LangError::resolve(
-                    format!("unbound function `{name}`"),
+                    format!("unbound function `{}`", self.text(*name)),
                     span,
                 ))
             }
             other => {
-                let f = self.expr(other, scope)?;
+                let f = self.expr(other)?;
                 Ok(Expr::App(Box::new(f), largs))
             }
         }
@@ -332,35 +365,28 @@ impl<'a> Cx<'a> {
                 let [a] = <[Expr; 1]>::try_from(args).expect("arity checked");
                 self.ite_expr(
                     a,
-                    con(perceus_core::ir::TypeTable::FALSE, vec![]),
-                    con(perceus_core::ir::TypeTable::TRUE, vec![]),
+                    con(TypeTable::FALSE, vec![]),
+                    con(TypeTable::TRUE, vec![]),
                 )
             }
         })
     }
 
-    fn binop(
-        &mut self,
-        op: BinOp,
-        a: &SExpr,
-        b: &SExpr,
-        _span: Span,
-        scope: &mut Scope,
-    ) -> Result<Expr, LangError> {
-        let la = self.expr(a, scope)?;
+    fn binop(&mut self, op: BinOp, a: &SExpr, b: &SExpr) -> Result<Expr, LangError> {
+        let la = self.expr(a)?;
         // Short-circuit operators must not evaluate the rhs eagerly.
         match op {
             BinOp::And => {
-                let lb = self.expr(b, scope)?;
-                return Ok(self.ite_expr(la, lb, con(perceus_core::ir::TypeTable::FALSE, vec![])));
+                let lb = self.expr(b)?;
+                return Ok(self.ite_expr(la, lb, con(TypeTable::FALSE, vec![])));
             }
             BinOp::Or => {
-                let lb = self.expr(b, scope)?;
-                return Ok(self.ite_expr(la, con(perceus_core::ir::TypeTable::TRUE, vec![]), lb));
+                let lb = self.expr(b)?;
+                return Ok(self.ite_expr(la, con(TypeTable::TRUE, vec![]), lb));
             }
             _ => {}
         }
-        let lb = self.expr(b, scope)?;
+        let lb = self.expr(b)?;
         let prim = match op {
             BinOp::Add => PrimOp::Add,
             BinOp::Sub => PrimOp::Sub,
@@ -381,13 +407,10 @@ impl<'a> Cx<'a> {
 
     // ---- the match compiler ---------------------------------------------
 
-    #[allow(clippy::only_used_in_recursion)] // span: kept for future diagnostics
     fn compile_match(
         &mut self,
         occs: Vec<Var>,
         rows: Vec<Row<'_>>,
-        scope: &mut Scope,
-        span: Span,
         diag: &mut MatchDiag,
     ) -> Result<Expr, LangError> {
         let Some(first) = rows.first() else {
@@ -403,16 +426,18 @@ impl<'a> Cx<'a> {
             .iter()
             .all(|p| matches!(p, SPat::Wild(_) | SPat::Var(..)))
         {
-            diag.used.insert(first.arm_id);
-            let before = scope.len();
-            scope.extend(first.bindings.iter().cloned());
+            diag.used[first.arm_id] = true;
+            let mark = self.scope.enter();
+            for (name, v) in &first.bindings {
+                self.scope.bind(*name, v.clone());
+            }
             for (p, occ) in first.pats.iter().zip(occs.iter()) {
                 if let SPat::Var(name, _) = p {
-                    scope.push((name.clone(), occ.clone()));
+                    self.scope.bind(*name, occ.clone());
                 }
             }
-            let out = self.expr(first.body, scope)?;
-            scope.truncate(before);
+            let out = self.expr(first.body)?;
+            self.scope.leave(mark);
             return Ok(out);
         }
         // Pick the first column containing a refutable pattern.
@@ -424,108 +449,76 @@ impl<'a> Cx<'a> {
             .expect("refutable row implies a constructor or literal column");
         // Literal columns compile to equality chains.
         if rows.iter().any(|r| matches!(r.pats[col], SPat::Int(..))) {
-            return self.compile_literal_column(occs, rows, col, scope, span, diag);
+            return self.compile_literal_column(occs, rows, col, diag);
         }
         // The data type of the column, from any constructor in it.
         let data = rows
             .iter()
-            .find_map(|r| match &r.pats[col] {
-                SPat::Ctor(name, _, _) => self.syms.ctors.get(name).map(|c| c.data),
+            .find_map(|r| match r.pats[col] {
+                SPat::Ctor(name, _, _) => self.syms.ctor(*name),
                 _ => None,
             })
+            .map(|c| self.syms.types.ctor(c).data)
             .expect("constructor column");
         // Constructors present in the column, in first-appearance order.
-        let mut present: Vec<(String, CtorId, usize)> = Vec::new();
+        let mut present: Vec<(Sym, CtorId, usize)> = Vec::new();
         for r in &rows {
-            if let SPat::Ctor(name, _, cspan) = &r.pats[col] {
-                let sym = self.syms.ctors.get(name).ok_or_else(|| {
-                    LangError::resolve(format!("unknown constructor `{name}`"), *cspan)
-                })?;
-                if sym.data != data {
+            if let SPat::Ctor(name, _, cspan) = r.pats[col] {
+                let id = self.ctor(*name, *cspan)?;
+                if self.syms.types.ctor(id).data != data {
                     return Err(LangError::resolve(
-                        format!("pattern `{name}` belongs to a different type"),
+                        format!("pattern `{}` belongs to a different type", self.text(*name)),
                         *cspan,
                     ));
                 }
                 if !present.iter().any(|(n, _, _)| n == name) {
-                    present.push((name.clone(), sym.id, self.syms.types.ctor(sym.id).arity));
+                    present.push((*name, id, self.syms.types.ctor(id).arity));
                 }
             }
         }
-        let all_ctors = self
-            .syms
-            .datas
-            .values()
-            .find(|d| d.id == data)
-            .expect("data exists")
-            .ctors
-            .len();
+        let all_ctors = self.syms.types.data(data).ctors.len();
 
         let mut arms = Vec::with_capacity(present.len());
-        for (name, ctor, arity) in &present {
+        for &(name, ctor, arity) in &present {
             // Fresh binders for the fields.
-            let info = self.syms.types.ctor(*ctor);
-            let binders: Vec<Var> = (0..*arity)
-                .map(|i| {
-                    let hint = info
-                        .field_names
-                        .get(i)
-                        .filter(|n| !n.is_empty())
-                        .map(|n| n.to_string())
-                        .unwrap_or_else(|| format!("f{i}"));
-                    self.gen.fresh(&hint)
-                })
+            let info = self.syms.types.ctor(ctor);
+            let binders: Vec<Var> = (0..arity)
+                .map(
+                    |i| match info.field_names.get(i).filter(|n| !n.is_empty()) {
+                        Some(n) => self.gen.fresh_shared(n.clone()),
+                        None => self.gen.fresh(&format!("f{i}")),
+                    },
+                )
                 .collect();
             // Specialized sub-matrix.
             let mut sub_rows = Vec::new();
             for r in &rows {
-                match &r.pats[col] {
+                match r.pats[col] {
                     SPat::Int(..) => unreachable!("literal in constructor column"),
-                    SPat::Ctor(n, subpats, _) if n == name => {
-                        let mut pats = r.pats.clone();
-                        let mut expanded: Vec<SPat> = subpats.clone();
+                    SPat::Ctor(n, subpats, _) if *n == name => {
                         // Prefix patterns: pad trailing wildcards.
-                        while expanded.len() < *arity {
-                            expanded.push(SPat::Wild(Span::default()));
-                        }
-                        pats.splice(col..=col, expanded);
-                        sub_rows.push(Row {
-                            pats,
-                            bindings: r.bindings.clone(),
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
+                        let pad = arity.saturating_sub(subpats.len());
+                        sub_rows.push(r.splice(
+                            col,
+                            subpats.iter().chain(std::iter::repeat_n(&WILD, pad)),
+                            None,
+                        ));
                     }
                     SPat::Ctor(..) => {}
                     SPat::Wild(_) => {
-                        let mut pats = r.pats.clone();
-                        pats.splice(col..=col, (0..*arity).map(|_| SPat::Wild(Span::default())));
-                        sub_rows.push(Row {
-                            pats,
-                            bindings: r.bindings.clone(),
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
+                        sub_rows.push(r.splice(col, std::iter::repeat_n(&WILD, arity), None));
                     }
                     SPat::Var(n, _) => {
-                        let mut pats = r.pats.clone();
-                        pats.splice(col..=col, (0..*arity).map(|_| SPat::Wild(Span::default())));
-                        let mut bindings = r.bindings.clone();
-                        bindings.push((n.clone(), occs[col].clone()));
-                        sub_rows.push(Row {
-                            pats,
-                            bindings,
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
+                        let bound = Some((*n, occs[col].clone()));
+                        sub_rows.push(r.splice(col, std::iter::repeat_n(&WILD, arity), bound));
                     }
                 }
             }
             let mut sub_occs = occs.clone();
             sub_occs.splice(col..=col, binders.iter().cloned());
-            let body = self.compile_match(sub_occs, sub_rows, scope, span, diag)?;
+            let body = self.compile_match(sub_occs, sub_rows, diag)?;
             arms.push(Arm {
-                ctor: *ctor,
+                ctor,
                 binders: binders.into_iter().map(Some).collect(),
                 reuse_token: None,
                 body,
@@ -536,40 +529,10 @@ impl<'a> Cx<'a> {
         let default = if present.len() == all_ctors {
             None
         } else {
-            let mut def_rows = Vec::new();
-            for r in &rows {
-                match &r.pats[col] {
-                    SPat::Int(..) => unreachable!("literal in constructor column"),
-                    SPat::Ctor(..) => {}
-                    SPat::Wild(_) => {
-                        let mut pats = r.pats.clone();
-                        pats.remove(col);
-                        def_rows.push(Row {
-                            pats,
-                            bindings: r.bindings.clone(),
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
-                    }
-                    SPat::Var(n, _) => {
-                        let mut pats = r.pats.clone();
-                        pats.remove(col);
-                        let mut bindings = r.bindings.clone();
-                        bindings.push((n.clone(), occs[col].clone()));
-                        def_rows.push(Row {
-                            pats,
-                            bindings,
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
-                    }
-                }
-            }
+            let def_rows = self.default_rows(&rows, col, &occs[col]);
             let mut def_occs = occs.clone();
             def_occs.remove(col);
-            Some(Box::new(
-                self.compile_match(def_occs, def_rows, scope, span, diag)?,
-            ))
+            Some(Box::new(self.compile_match(def_occs, def_rows, diag)?))
         };
 
         Ok(Expr::Match {
@@ -577,6 +540,22 @@ impl<'a> Cx<'a> {
             arms,
             default,
         })
+    }
+
+    /// The rows whose pattern in column `col` matches anything, with the
+    /// column removed: a variable there binds `occ`.
+    fn default_rows<'s>(&self, rows: &[Row<'s>], col: usize, occ: &Var) -> Vec<Row<'s>> {
+        let mut out = Vec::new();
+        for r in rows {
+            match r.pats[col] {
+                SPat::Int(..) | SPat::Ctor(..) => {}
+                SPat::Wild(_) => out.push(r.splice(col, std::iter::empty(), None)),
+                SPat::Var(n, _) => {
+                    out.push(r.splice(col, std::iter::empty(), Some((*n, occ.clone()))))
+                }
+            }
+        }
+        out
     }
 
     /// Compiles a column of integer-literal patterns into an equality
@@ -589,97 +568,47 @@ impl<'a> Cx<'a> {
         occs: Vec<Var>,
         rows: Vec<Row<'_>>,
         col: usize,
-        scope: &mut Scope,
-        span: Span,
         diag: &mut MatchDiag,
     ) -> Result<Expr, LangError> {
         // Distinct literals, first-appearance order.
         let mut lits: Vec<i64> = Vec::new();
         for r in &rows {
-            if let SPat::Int(i, _) = &r.pats[col] {
+            if let SPat::Int(i, _) = r.pats[col] {
                 if !lits.contains(i) {
                     lits.push(*i);
                 }
             }
         }
+        if rows.iter().any(|r| matches!(r.pats[col], SPat::Ctor(..))) {
+            unreachable!("ctor in literal column");
+        }
         // Default sub-matrix: wildcard/variable rows with the column
         // removed.
-        let mut def_rows = Vec::new();
-        for r in &rows {
-            match &r.pats[col] {
-                SPat::Int(..) => {}
-                SPat::Ctor(..) => unreachable!("ctor in literal column"),
-                SPat::Wild(_) => {
-                    let mut pats = r.pats.clone();
-                    pats.remove(col);
-                    def_rows.push(Row {
-                        pats,
-                        bindings: r.bindings.clone(),
-                        body: r.body,
-                        arm_id: r.arm_id,
-                    });
-                }
-                SPat::Var(n, _) => {
-                    let mut pats = r.pats.clone();
-                    pats.remove(col);
-                    let mut bindings = r.bindings.clone();
-                    bindings.push((n.clone(), occs[col].clone()));
-                    def_rows.push(Row {
-                        pats,
-                        bindings,
-                        body: r.body,
-                        arm_id: r.arm_id,
-                    });
-                }
-            }
-        }
+        let def_rows = self.default_rows(&rows, col, &occs[col]);
         let mut def_occs = occs.clone();
         def_occs.remove(col);
-        let mut chain = self.compile_match(def_occs, def_rows, scope, span, diag)?;
+        let mut chain = self.compile_match(def_occs, def_rows, diag)?;
         // Build the chain inside-out: later literals first.
         for lit in lits.into_iter().rev() {
             let mut sub_rows = Vec::new();
             for r in &rows {
-                match &r.pats[col] {
+                match r.pats[col] {
                     SPat::Int(i, _) if *i == lit => {
-                        let mut pats = r.pats.clone();
-                        pats.remove(col);
-                        sub_rows.push(Row {
-                            pats,
-                            bindings: r.bindings.clone(),
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
+                        sub_rows.push(r.splice(col, std::iter::empty(), None))
                     }
                     SPat::Int(..) | SPat::Ctor(..) => {}
-                    SPat::Wild(_) => {
-                        let mut pats = r.pats.clone();
-                        pats.remove(col);
-                        sub_rows.push(Row {
-                            pats,
-                            bindings: r.bindings.clone(),
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
-                    }
-                    SPat::Var(n, _) => {
-                        let mut pats = r.pats.clone();
-                        pats.remove(col);
-                        let mut bindings = r.bindings.clone();
-                        bindings.push((n.clone(), occs[col].clone()));
-                        sub_rows.push(Row {
-                            pats,
-                            bindings,
-                            body: r.body,
-                            arm_id: r.arm_id,
-                        });
-                    }
+                    SPat::Wild(_) => sub_rows.push(r.splice(col, std::iter::empty(), None)),
+                    SPat::Var(n, _) => sub_rows.push(r.splice(
+                        col,
+                        std::iter::empty(),
+                        Some((*n, occs[col].clone())),
+                    )),
                 }
             }
             let mut sub_occs = occs.clone();
             sub_occs.remove(col);
-            let hit = self.compile_match(sub_occs, sub_rows, scope, span, diag)?;
-            let c = self.gen.fresh("c");
+            let hit = self.compile_match(sub_occs, sub_rows, diag)?;
+            let c = self.gen.fresh_shared(self.hint_c.clone());
             let test = Expr::Prim(
                 PrimOp::Eq,
                 vec![Expr::Var(occs[col].clone()), Expr::int(lit)],
@@ -707,22 +636,47 @@ impl<'a> Cx<'a> {
 }
 
 /// Diagnostics collected while compiling one surface `match`.
-#[derive(Default)]
 struct MatchDiag {
-    /// Surface arms whose bodies were reached by some leaf.
-    used: HashSet<usize>,
+    /// Per surface arm: whether some leaf reached its body.
+    used: Vec<bool>,
     /// Some path falls through to a runtime abort.
     fell_through: bool,
 }
 
 /// One row of the pattern matrix.
 struct Row<'s> {
-    pats: Vec<SPat>,
+    /// The patterns the row has still to match, one per column.
+    pats: Vec<&'s SPat>,
     /// Variable-pattern bindings accumulated so far (name → occurrence).
-    bindings: Vec<(String, Var)>,
+    bindings: Vec<(Sym, Var)>,
     body: &'s SExpr,
     /// Index of the surface arm this row descends from (diagnostics).
     arm_id: usize,
+}
+
+impl<'s> Row<'s> {
+    /// The row with column `col` replaced by `with`, and with `bound`
+    /// added to its bindings.
+    fn splice(
+        &self,
+        col: usize,
+        with: impl Iterator<Item = &'s SPat>,
+        bound: Option<(Sym, Var)>,
+    ) -> Row<'s> {
+        let mut pats = Vec::with_capacity(self.pats.len() + with.size_hint().0);
+        pats.extend_from_slice(&self.pats[..col]);
+        pats.extend(with);
+        pats.extend_from_slice(&self.pats[col + 1..]);
+        let mut bindings = Vec::with_capacity(self.bindings.len() + usize::from(bound.is_some()));
+        bindings.extend_from_slice(&self.bindings);
+        bindings.extend(bound);
+        Row {
+            pats,
+            bindings,
+            body: self.body,
+            arm_id: self.arm_id,
+        }
+    }
 }
 
 fn con(ctor: CtorId, args: Vec<Expr>) -> Expr {

@@ -10,6 +10,7 @@
 
 use crate::ast::*;
 use crate::error::{LangError, Span};
+use crate::names::{Names, Sym};
 use crate::token::{lex, Spanned, Tok};
 
 /// The deepest a source may nest, counted per expression level: no
@@ -25,14 +26,43 @@ pub const MAX_NESTING: usize = 256;
 
 /// Parses a whole source file.
 pub fn parse(src: &str) -> Result<SProgram, LangError> {
-    let toks = lex(src)?;
+    let mut names = Names::new();
+    let toks = lex(src, &mut names)?;
     let mut p = Parser {
         toks,
+        names,
         pos: 0,
         depth: 0,
         tree: 0,
     };
     p.program()
+}
+
+/// Precedences of the binary operators below `:=`, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const CMP: u8 = 3;
+const ADD: u8 = 4;
+const MUL: u8 = 5;
+
+/// The binary operator `tok` spells, with its precedence.
+fn infix(tok: Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::Or, OR),
+        Tok::AndAnd => (BinOp::And, AND),
+        Tok::EqEq => (BinOp::Eq, CMP),
+        Tok::NotEq => (BinOp::Ne, CMP),
+        Tok::Lt => (BinOp::Lt, CMP),
+        Tok::Le => (BinOp::Le, CMP),
+        Tok::Gt => (BinOp::Gt, CMP),
+        Tok::Ge => (BinOp::Ge, CMP),
+        Tok::Plus => (BinOp::Add, ADD),
+        Tok::Minus => (BinOp::Sub, ADD),
+        Tok::Star => (BinOp::Mul, MUL),
+        Tok::Slash => (BinOp::Div, MUL),
+        Tok::Percent => (BinOp::Rem, MUL),
+        _ => return None,
+    })
 }
 
 fn too_deep(span: Span) -> LangError {
@@ -44,6 +74,8 @@ fn too_deep(span: Span) -> LangError {
 
 struct Parser {
     toks: Vec<Spanned>,
+    /// The lexer's name table, handed on to the tree.
+    names: Names,
     pos: usize,
     /// Levels the parse has open at the current token.
     depth: usize,
@@ -89,8 +121,8 @@ impl Parser {
         Ok(SExpr::Binop(op, Box::new(lhs), Box::new(rhs), span))
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok {
+        self.toks[self.pos].tok
     }
 
     fn peek_span(&self) -> Span {
@@ -98,43 +130,46 @@ impl Parser {
     }
 
     /// The next non-newline token (for lookahead across line breaks).
-    fn peek_past_newlines(&self) -> &Tok {
+    fn peek_past_newlines(&self) -> Tok {
         let mut i = self.pos;
         while matches!(self.toks[i].tok, Tok::Newline) {
             i += 1;
         }
-        &self.toks[i].tok
+        self.toks[i].tok
     }
 
-    /// Consumes the next token. The parser never looks back, so the
-    /// token is moved out of the stream; the final `Eof` stays in place
-    /// for every later peek.
+    /// Consumes the next token; the final `Eof` stays in place for every
+    /// later peek.
     fn bump(&mut self) -> Spanned {
-        if self.pos + 1 == self.toks.len() {
-            return self.toks[self.pos].clone();
+        let t = self.toks[self.pos];
+        if self.pos + 1 < self.toks.len() {
+            self.pos += 1;
         }
-        self.pos += 1;
-        let t = &mut self.toks[self.pos - 1];
-        Spanned {
-            tok: std::mem::replace(&mut t.tok, Tok::Eof),
-            span: t.span,
-        }
+        t
     }
 
     /// Consumes the identifier or constructor the caller peeked and
-    /// returns its text.
-    fn bump_text(&mut self) -> (String, Span) {
+    /// returns its name.
+    fn bump_name(&mut self) -> (Sym, Span) {
         match self.bump() {
             Spanned {
                 tok: Tok::Ident(s) | Tok::ConId(s),
                 span,
             } => (s, span),
-            other => unreachable!("bump_text on {}", other.tok),
+            other => unreachable!("bump_name on {:?}", other.tok),
         }
     }
 
+    /// "`what`, found `the next token`", as an error at the next token.
+    fn found(&self, what: impl std::fmt::Display) -> LangError {
+        LangError::parse(
+            format!("{what}, found {}", self.peek().show(&self.names)),
+            self.peek_span(),
+        )
+    }
+
     fn eat(&mut self, tok: &Tok) -> bool {
-        if self.peek() == tok {
+        if self.peek() == *tok {
             self.bump();
             true
         } else {
@@ -143,13 +178,10 @@ impl Parser {
     }
 
     fn expect(&mut self, tok: Tok) -> Result<Span, LangError> {
-        if self.peek() == &tok {
+        if self.peek() == tok {
             Ok(self.bump().span)
         } else {
-            Err(LangError::parse(
-                format!("expected {tok}, found {}", self.peek()),
-                self.peek_span(),
-            ))
+            Err(self.found(format_args!("expected {}", tok.show(&self.names))))
         }
     }
 
@@ -167,31 +199,10 @@ impl Parser {
         }
     }
 
-    /// Layout rule (as in Koka): a line that *starts* with a non-prefix
-    /// binary operator continues the previous expression. `-` and `!`
-    /// are excluded — they are prefix operators, so a leading one starts
-    /// a new statement.
-    fn continue_line_if(&mut self, tok: &Tok) {
-        if matches!(self.peek(), Tok::Newline) && self.peek_past_newlines() == tok {
-            self.skip_newlines();
-        }
-    }
-
-    /// Like [`continue_line_if`](Self::continue_line_if) for a class of
-    /// operators.
-    fn continue_line_if_any(&mut self, toks: &[Tok]) {
-        if matches!(self.peek(), Tok::Newline) && toks.contains(self.peek_past_newlines()) {
-            self.skip_newlines();
-        }
-    }
-
-    fn ident(&mut self) -> Result<(String, Span), LangError> {
+    fn ident(&mut self) -> Result<(Sym, Span), LangError> {
         match self.peek() {
-            Tok::Ident(_) => Ok(self.bump_text()),
-            other => Err(LangError::parse(
-                format!("expected an identifier, found {other}"),
-                self.peek_span(),
-            )),
+            Tok::Ident(_) => Ok(self.bump_name()),
+            _ => Err(self.found("expected an identifier")),
         }
     }
 
@@ -204,15 +215,11 @@ impl Parser {
             match self.peek() {
                 Tok::Type => out.types.push(self.typedef()?),
                 Tok::Fun => out.funs.push(self.fundef()?),
-                other => {
-                    return Err(LangError::parse(
-                        format!("expected `type` or `fun`, found {other}"),
-                        self.peek_span(),
-                    ))
-                }
+                _ => return Err(self.found("expected `type` or `fun`")),
             }
             self.skip_seps();
         }
+        out.names = std::mem::take(&mut self.names);
         Ok(out)
     }
 
@@ -249,13 +256,8 @@ impl Parser {
 
     fn ctordef(&mut self) -> Result<SCtorDef, LangError> {
         let (name, span) = match self.peek() {
-            Tok::ConId(_) => self.bump_text(),
-            other => {
-                return Err(LangError::parse(
-                    format!("expected a constructor name, found {other}"),
-                    self.peek_span(),
-                ))
-            }
+            Tok::ConId(_) => self.bump_name(),
+            _ => return Err(self.found("expected a constructor name")),
         };
         let mut fields = Vec::new();
         if self.eat(&Tok::LParen) {
@@ -296,8 +298,8 @@ impl Parser {
                 // `borrow` is a soft keyword: it modifies the parameter
                 // that follows (a plain parameter may still be *named*
                 // `borrow` when nothing follows it).
-                let borrowed = matches!(self.peek(), Tok::Ident(s) if s == "borrow")
-                    && matches!(&self.toks[self.pos + 1].tok, Tok::Ident(_));
+                let borrowed = self.peek() == Tok::Ident(Sym::BORROW)
+                    && matches!(self.toks[self.pos + 1].tok, Tok::Ident(_));
                 if borrowed {
                     self.bump();
                 }
@@ -417,10 +419,7 @@ impl Parser {
             // A statement ends at a newline, semicolon or the brace.
             if !matches!(self.peek(), Tok::RBrace) {
                 if !matches!(self.peek(), Tok::Newline | Tok::Semi) {
-                    return Err(LangError::parse(
-                        format!("expected end of statement, found {}", self.peek()),
-                        self.peek_span(),
-                    ));
+                    return Err(self.found("expected end of statement"));
                 }
                 self.skip_seps();
             }
@@ -448,7 +447,7 @@ impl Parser {
     }
 
     fn assign_expr(&mut self) -> Result<SExpr, LangError> {
-        let lhs = self.or_expr()?;
+        let lhs = self.binary(OR)?;
         if self.eat(&Tok::Assign) {
             let dl = self.tree;
             self.skip_newlines();
@@ -458,88 +457,38 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn or_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.and_expr()?;
-        loop {
-            self.continue_line_if(&Tok::OrOr);
-            if !self.eat(&Tok::OrOr) {
-                break;
-            }
-            let dl = self.tree;
-            self.skip_newlines();
-            let rhs = self.and_expr()?;
-            lhs = self.binop(BinOp::Or, lhs, dl, rhs)?;
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        loop {
-            self.continue_line_if(&Tok::AndAnd);
-            if !self.eat(&Tok::AndAnd) {
-                break;
-            }
-            let dl = self.tree;
-            self.skip_newlines();
-            let rhs = self.cmp_expr()?;
-            lhs = self.binop(BinOp::And, lhs, dl, rhs)?;
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<SExpr, LangError> {
-        let lhs = self.add_expr()?;
-        self.continue_line_if_any(&[Tok::EqEq, Tok::NotEq, Tok::Lt, Tok::Le, Tok::Gt, Tok::Ge]);
-        let op = match self.peek() {
-            Tok::EqEq => BinOp::Eq,
-            Tok::NotEq => BinOp::Ne,
-            Tok::Lt => BinOp::Lt,
-            Tok::Le => BinOp::Le,
-            Tok::Gt => BinOp::Gt,
-            Tok::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        let dl = self.tree;
-        self.bump();
-        self.skip_newlines();
-        let rhs = self.add_expr()?;
-        self.binop(op, lhs, dl, rhs)
-    }
-
-    fn add_expr(&mut self) -> Result<SExpr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            self.continue_line_if(&Tok::Plus);
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let dl = self.tree;
-            self.bump();
-            self.skip_newlines();
-            let rhs = self.mul_expr()?;
-            lhs = self.binop(op, lhs, dl, rhs)?;
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<SExpr, LangError> {
+    /// The operators between `:=` and the unary ones, by precedence
+    /// climbing: an operand, then each operator of precedence `min` or
+    /// more that may follow what has been built, with its right operand.
+    /// Every level is left-associative but comparison, which takes one
+    /// operator: `a < b < c` stops before the second `<`.
+    ///
+    /// Layout rule (as in Koka): a line that *starts* with one of these
+    /// operators continues the previous expression, except `-`: it is a
+    /// prefix operator too, so a leading one starts a new statement.
+    fn binary(&mut self, min: u8) -> Result<SExpr, LangError> {
         let mut lhs = self.unary_expr()?;
+        // The highest precedence the next operator may have.
+        let mut limit = MUL;
         loop {
-            self.continue_line_if_any(&[Tok::Star, Tok::Slash, Tok::Percent]);
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
+            let mut tok = self.peek();
+            let continued = tok == Tok::Newline;
+            if continued {
+                tok = self.peek_past_newlines();
+            }
+            let Some((op, prec)) = infix(tok) else { break };
+            if prec < min || prec > limit || continued && tok == Tok::Minus {
+                break;
+            }
+            if continued {
+                self.skip_newlines();
+            }
             let dl = self.tree;
             self.bump();
             self.skip_newlines();
-            let rhs = self.unary_expr()?;
+            let rhs = self.binary(prec + 1)?;
             lhs = self.binop(op, lhs, dl, rhs)?;
+            limit = if prec == CMP { prec - 1 } else { prec };
         }
         Ok(lhs)
     }
@@ -593,16 +542,16 @@ impl Parser {
     fn atom(&mut self) -> Result<SExpr, LangError> {
         self.tree = 1;
         match self.peek() {
-            &Tok::Int(i) => {
+            Tok::Int(i) => {
                 let span = self.bump().span;
                 Ok(SExpr::Int(i, span))
             }
             Tok::Ident(_) => {
-                let (s, span) = self.bump_text();
+                let (s, span) = self.bump_name();
                 Ok(SExpr::Var(s, span))
             }
             Tok::ConId(_) => {
-                let (s, span) = self.bump_text();
+                let (s, span) = self.bump_name();
                 Ok(SExpr::Con(s, span))
             }
             Tok::LParen => {
@@ -620,10 +569,7 @@ impl Parser {
             Tok::If => self.if_expr(),
             Tok::Match => self.match_expr(),
             Tok::Fn => self.fn_expr(),
-            other => Err(LangError::parse(
-                format!("expected an expression, found {other}"),
-                self.peek_span(),
-            )),
+            _ => Err(self.found("expected an expression")),
         }
     }
 
@@ -766,32 +712,29 @@ impl Parser {
     fn bare_pattern(&mut self) -> Result<SPat, LangError> {
         match self.peek() {
             Tok::Ident(_) => {
-                let (s, span) = self.bump_text();
-                if s == "_" {
+                let (s, span) = self.bump_name();
+                if s == Sym::WILDCARD {
                     Ok(SPat::Wild(span))
                 } else {
                     Ok(SPat::Var(s, span))
                 }
             }
-            &Tok::Int(i) => {
+            Tok::Int(i) => {
                 let span = self.bump().span;
                 Ok(SPat::Int(i, span))
             }
             Tok::Minus => {
                 let start = self.bump().span;
                 match self.peek() {
-                    &Tok::Int(i) => {
+                    Tok::Int(i) => {
                         let span = start.merge(self.bump().span);
                         Ok(SPat::Int(-i, span))
                     }
-                    other => Err(LangError::parse(
-                        format!("expected an integer after `-`, found {other}"),
-                        self.peek_span(),
-                    )),
+                    _ => Err(self.found("expected an integer after `-`")),
                 }
             }
             Tok::ConId(_) => {
-                let (s, mut span) = self.bump_text();
+                let (s, mut span) = self.bump_name();
                 let mut fields = Vec::new();
                 if self.eat(&Tok::LParen) {
                     self.skip_newlines();
@@ -807,10 +750,7 @@ impl Parser {
                 }
                 Ok(SPat::Ctor(s, fields, span))
             }
-            other => Err(LangError::parse(
-                format!("expected a pattern, found {other}"),
-                self.peek_span(),
-            )),
+            _ => Err(self.found("expected a pattern")),
         }
     }
 }
@@ -824,11 +764,12 @@ mod tests {
         let p = parse("type list<a> { Nil; Cons(head: a, tail: list<a>) }").unwrap();
         assert_eq!(p.types.len(), 1);
         let t = &p.types[0];
-        assert_eq!(t.name, "list");
-        assert_eq!(t.params, vec!["a"]);
+        let text = |s| p.names.text(s);
+        assert_eq!(text(t.name), "list");
+        assert_eq!(t.params.iter().map(|&s| text(s)).collect::<Vec<_>>(), ["a"]);
         assert_eq!(t.ctors.len(), 2);
         assert_eq!(t.ctors[1].fields.len(), 2);
-        assert_eq!(t.ctors[1].fields[0].0.as_deref(), Some("head"));
+        assert_eq!(t.ctors[1].fields[0].0.map(text), Some("head"));
     }
 
     #[test]
@@ -844,7 +785,7 @@ fun map(xs: list<a>, f: (a) -> b): list<b> {
         let p = parse(src).unwrap();
         assert_eq!(p.funs.len(), 1);
         let f = &p.funs[0];
-        assert_eq!(f.name, "map");
+        assert_eq!(p.names.text(f.name), "map");
         assert_eq!(f.params.len(), 2);
         assert!(f.ret.is_some());
     }
@@ -916,9 +857,9 @@ fun f(t: tree): tree {
         let SPat::Ctor(name, fields, _) = &arms[0].pattern else {
             panic!()
         };
-        assert_eq!(name, "Node");
+        assert_eq!(p.names.text(*name), "Node");
         assert_eq!(fields.len(), 5);
-        assert!(matches!(&fields[1], SPat::Ctor(n, f, _) if n == "Node" && f.len() == 5));
+        assert!(matches!(&fields[1], SPat::Ctor(n, f, _) if n == name && f.len() == 5));
     }
 
     #[test]

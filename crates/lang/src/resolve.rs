@@ -1,33 +1,14 @@
 //! Name resolution: builds the symbol tables (and the core
 //! [`TypeTable`]) that type inference and lowering share.
+//!
+//! Data types, constructors and functions are three namespaces, each a
+//! table indexed by [`Sym`], so a lookup is one array read.
 
 use crate::ast::{SProgram, SType};
 use crate::error::{LangError, Span};
+use crate::names::{Names, Sym};
 use perceus_core::ir::{CtorId, DataId, FunId, TypeTable};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Information about one declared constructor.
-#[derive(Debug, Clone)]
-pub struct CtorSym {
-    /// Core constructor id.
-    pub id: CtorId,
-    /// The data type it belongs to.
-    pub data: DataId,
-    /// Declared field types (in terms of the parent's type parameters).
-    pub fields: Vec<SType>,
-}
-
-/// Information about one declared data type.
-#[derive(Debug, Clone)]
-pub struct DataSym {
-    /// Core data id.
-    pub id: DataId,
-    /// Type parameter names.
-    pub params: Vec<String>,
-    /// Constructors, in declaration order.
-    pub ctors: Vec<String>,
-}
 
 /// Built-in functions the resolver knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,15 +22,18 @@ pub enum Builtin {
 }
 
 impl Builtin {
-    /// All builtins with their surface names.
-    pub const ALL: &'static [(&'static str, Builtin)] = &[
-        ("println", Builtin::Println),
-        ("ref", Builtin::RefNew),
-        ("tshare", Builtin::TShare),
-        ("not", Builtin::Not),
-        ("min", Builtin::Min),
-        ("max", Builtin::Max),
-    ];
+    /// The builtin named `s`.
+    pub fn of(s: Sym) -> Option<Builtin> {
+        Some(match s {
+            Sym::PRINTLN => Builtin::Println,
+            Sym::REF => Builtin::RefNew,
+            Sym::TSHARE => Builtin::TShare,
+            Sym::NOT => Builtin::Not,
+            Sym::MIN => Builtin::Min,
+            Sym::MAX => Builtin::Max,
+            _ => return None,
+        })
+    }
 
     /// Number of arguments.
     pub fn arity(self) -> usize {
@@ -65,157 +49,142 @@ impl Builtin {
 pub struct Symbols {
     /// The core type table (bool built in, user types appended).
     pub types: TypeTable,
-    /// Data types by name.
-    pub datas: HashMap<String, DataSym>,
-    /// Constructors by name.
-    pub ctors: HashMap<String, CtorSym>,
-    /// Top-level functions by name, with parameter counts.
-    pub funs: HashMap<String, (FunId, usize)>,
-    /// Function names in declaration order (`FunId(i)` ↔ `fun_order[i]`).
-    pub fun_order: Vec<String>,
+    /// Each data type's parameters, indexed by `DataId` (`bool` has
+    /// none).
+    pub(crate) params: Vec<Vec<Sym>>,
+    /// Parameter counts, indexed by `FunId`.
+    arities: Vec<usize>,
+    datas: Vec<Option<DataId>>,
+    ctors: Vec<Option<CtorId>>,
+    funs: Vec<Option<FunId>>,
+}
+
+impl Symbols {
+    /// The data type named `s`.
+    pub fn data(&self, s: Sym) -> Option<DataId> {
+        self.datas[s.0 as usize]
+    }
+
+    /// The constructor named `s`.
+    pub fn ctor(&self, s: Sym) -> Option<CtorId> {
+        self.ctors[s.0 as usize]
+    }
+
+    /// The top-level function named `s`, with its parameter count.
+    pub fn fun(&self, s: Sym) -> Option<(FunId, usize)> {
+        self.funs[s.0 as usize].map(|f| (f, self.arities[f.0 as usize]))
+    }
 }
 
 /// Resolves declarations; checks for duplicates and missing entry
 /// points is left to the driver.
 pub fn resolve(p: &SProgram) -> Result<Symbols, LangError> {
-    let mut types = TypeTable::new();
-    let mut datas = HashMap::new();
-    let mut ctors: HashMap<String, CtorSym> = HashMap::new();
-
+    let names = &p.names;
+    let n = names.len();
+    let mut s = Symbols {
+        types: TypeTable::new(),
+        params: vec![Vec::new()],
+        arities: Vec::with_capacity(p.funs.len()),
+        datas: vec![None; n],
+        ctors: vec![None; n],
+        funs: vec![None; n],
+    };
     // The built-in bool type participates in resolution like any other.
-    datas.insert(
-        "bool".to_string(),
-        DataSym {
-            id: TypeTable::BOOL,
-            params: Vec::new(),
-            ctors: vec!["False".into(), "True".into()],
-        },
-    );
-    ctors.insert(
-        "False".to_string(),
-        CtorSym {
-            id: TypeTable::FALSE,
-            data: TypeTable::BOOL,
-            fields: Vec::new(),
-        },
-    );
-    ctors.insert(
-        "True".to_string(),
-        CtorSym {
-            id: TypeTable::TRUE,
-            data: TypeTable::BOOL,
-            fields: Vec::new(),
-        },
-    );
+    s.datas[Sym::BOOL.0 as usize] = Some(TypeTable::BOOL);
+    s.ctors[Sym::FALSE.0 as usize] = Some(TypeTable::FALSE);
+    s.ctors[Sym::TRUE.0 as usize] = Some(TypeTable::TRUE);
 
     for td in &p.types {
-        if datas.contains_key(&td.name) || matches!(td.name.as_str(), "int" | "unit" | "ref") {
+        if s.data(td.name).is_some() || matches!(td.name, Sym::INT | Sym::UNIT | Sym::REF) {
             return Err(LangError::resolve(
-                format!("duplicate or reserved type name `{}`", td.name),
+                format!("duplicate or reserved type name `{}`", names.text(td.name)),
                 td.span,
             ));
         }
-        let id = types.add_data(td.name.clone());
-        datas.insert(
-            td.name.clone(),
-            DataSym {
-                id,
-                params: td.params.clone(),
-                ctors: td.ctors.iter().map(|c| c.name.clone()).collect(),
-            },
-        );
+        let id = s.types.add_data(names.shared(td.name).clone());
+        s.datas[td.name.0 as usize] = Some(id);
+        s.params.push(td.params.clone());
     }
     // Second pass for constructors (fields may mention any data type).
+    let unnamed: Arc<str> = Arc::from("");
     for td in &p.types {
-        let data = datas[&td.name].id;
+        let data = s.data(td.name).expect("declared above");
         for cd in &td.ctors {
-            if ctors.contains_key(&cd.name) {
+            if s.ctor(cd.name).is_some() {
                 return Err(LangError::resolve(
-                    format!("duplicate constructor `{}`", cd.name),
+                    format!("duplicate constructor `{}`", names.text(cd.name)),
                     cd.span,
                 ));
             }
-            let field_names: Vec<Arc<str>> = cd
+            let field_names = cd
                 .fields
                 .iter()
-                .map(|(n, _)| Arc::from(n.clone().unwrap_or_default().as_str()))
+                .map(|(n, _)| n.map_or(&unnamed, |n| names.shared(n)).clone())
                 .collect();
-            let id = types.add_ctor(data, cd.name.clone(), field_names);
-            types.set_ctor_span(id, (cd.span.start, cd.span.end));
+            let id = s
+                .types
+                .add_ctor(data, names.shared(cd.name).clone(), field_names);
+            s.types.set_ctor_span(id, (cd.span.start, cd.span.end));
             // Validate field types mention only known names / the
             // parent's parameters.
             for (_, ft) in &cd.fields {
-                check_type(ft, &td.params, &datas, cd.span)?;
+                check_type(ft, &td.params, &s, names, cd.span)?;
             }
-            ctors.insert(
-                cd.name.clone(),
-                CtorSym {
-                    id,
-                    data,
-                    fields: cd.fields.iter().map(|(_, t)| t.clone()).collect(),
-                },
-            );
+            s.ctors[cd.name.0 as usize] = Some(id);
         }
     }
 
-    let mut funs = HashMap::new();
-    let mut fun_order = Vec::new();
     for (i, fd) in p.funs.iter().enumerate() {
-        if funs.contains_key(&fd.name) {
+        if s.fun(fd.name).is_some() {
             return Err(LangError::resolve(
-                format!("duplicate function `{}`", fd.name),
+                format!("duplicate function `{}`", names.text(fd.name)),
                 fd.span,
             ));
         }
-        if Builtin::ALL.iter().any(|(n, _)| *n == fd.name) {
+        if Builtin::of(fd.name).is_some() {
             return Err(LangError::resolve(
-                format!("`{}` shadows a builtin", fd.name),
+                format!("`{}` shadows a builtin", names.text(fd.name)),
                 fd.span,
             ));
         }
-        funs.insert(fd.name.clone(), (FunId(i as u32), fd.params.len()));
-        fun_order.push(fd.name.clone());
+        s.funs[fd.name.0 as usize] = Some(FunId(i as u32));
+        s.arities.push(fd.params.len());
     }
-
-    Ok(Symbols {
-        types,
-        datas,
-        ctors,
-        funs,
-        fun_order,
-    })
+    Ok(s)
 }
 
 /// Checks that a surface type only mentions declared names and in-scope
 /// type variables.
 fn check_type(
     t: &SType,
-    tyvars: &[String],
-    datas: &HashMap<String, DataSym>,
+    tyvars: &[Sym],
+    s: &Symbols,
+    names: &Names,
     span: Span,
 ) -> Result<(), LangError> {
     match t {
         SType::Unit => Ok(()),
         SType::Fn(args, ret) => {
             for a in args {
-                check_type(a, tyvars, datas, span)?;
+                check_type(a, tyvars, s, names, span)?;
             }
-            check_type(ret, tyvars, datas, span)
+            check_type(ret, tyvars, s, names, span)
         }
         SType::Name(name, args) => {
             for a in args {
-                check_type(a, tyvars, datas, span)?;
+                check_type(a, tyvars, s, names, span)?;
             }
-            match name.as_str() {
-                "int" | "unit" if args.is_empty() => Ok(()),
-                "ref" if args.len() == 1 => Ok(()),
+            match *name {
+                Sym::INT | Sym::UNIT if args.is_empty() => Ok(()),
+                Sym::REF if args.len() == 1 => Ok(()),
                 _ => {
-                    if let Some(d) = datas.get(name) {
-                        if d.params.len() != args.len() {
+                    if let Some(d) = s.data(*name) {
+                        let params = s.params[d.0 as usize].len();
+                        if params != args.len() {
                             return Err(LangError::resolve(
                                 format!(
-                                    "type `{name}` expects {} parameters, got {}",
-                                    d.params.len(),
+                                    "type `{}` expects {params} parameters, got {}",
+                                    names.text(*name),
                                     args.len()
                                 ),
                                 span,
@@ -225,7 +194,10 @@ fn check_type(
                     } else if tyvars.contains(name) && args.is_empty() {
                         Ok(())
                     } else {
-                        Err(LangError::resolve(format!("unknown type `{name}`"), span))
+                        Err(LangError::resolve(
+                            format!("unknown type `{}`", names.text(*name)),
+                            span,
+                        ))
                     }
                 }
             }
@@ -242,17 +214,20 @@ mod tests {
     fn resolves_list() {
         let p = parse("type list<a> { Nil; Cons(head: a, tail: list<a>) }").unwrap();
         let s = resolve(&p).unwrap();
-        assert!(s.ctors.contains_key("Cons"));
-        assert!(s.ctors.contains_key("Nil"));
-        assert_eq!(s.types.ctor(s.ctors["Cons"].id).arity, 2);
-        assert_eq!(s.datas["list"].params, vec!["a"]);
+        let sym = |text| p.names.lookup(text).unwrap();
+        let cons = s.ctor(sym("Cons")).unwrap();
+        assert!(s.ctor(sym("Nil")).is_some());
+        assert_eq!(s.types.ctor(cons).arity, 2);
+        let list = s.data(sym("list")).unwrap();
+        assert_eq!(s.params[list.0 as usize], vec![sym("a")]);
     }
 
     #[test]
     fn bool_is_predefined() {
         let p = parse("").unwrap();
         let s = resolve(&p).unwrap();
-        assert_eq!(s.ctors["True"].id, TypeTable::TRUE);
+        assert_eq!(s.ctor(Sym::TRUE), Some(TypeTable::TRUE));
+        assert_eq!(s.data(Sym::BOOL), Some(TypeTable::BOOL));
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! Newlines are significant as soft statement separators inside `{}`
 //! blocks (like Koka), so the lexer emits them as tokens and the parser
-//! decides where they matter.
+//! decides where they matter. Identifiers are interned as the lexer meets
+//! them, so a token is plain data.
 
 use crate::error::{LangError, Span};
+use crate::names::{Names, Sym};
 use std::fmt;
 
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tok {
     /// Lower-case identifier (variables, functions, type names).
-    Ident(String),
+    Ident(Sym),
     /// Upper-case identifier (constructors).
-    ConId(String),
+    ConId(Sym),
     /// Integer literal.
     Int(i64),
     // Keywords.
@@ -56,11 +58,21 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl Tok {
+    /// The token as an error message names it.
+    pub fn show(self, names: &Names) -> ShowTok<'_> {
+        ShowTok(self, names)
+    }
+}
+
+/// A token with the table that spells its name: [`Tok::show`].
+pub struct ShowTok<'a>(Tok, &'a Names);
+
+impl fmt::Display for ShowTok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "identifier `{s}`"),
-            Tok::ConId(s) => write!(f, "constructor `{s}`"),
+        match self.0 {
+            Tok::Ident(s) => write!(f, "identifier `{}`", self.1.text(s)),
+            Tok::ConId(s) => write!(f, "constructor `{}`", self.1.text(s)),
             Tok::Int(i) => write!(f, "integer `{i}`"),
             Tok::Type => f.write_str("`type`"),
             Tok::Fun => f.write_str("`fun`"),
@@ -103,16 +115,17 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Spanned {
     pub tok: Tok,
     pub span: Span,
 }
 
-/// Lexes a whole source string.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
+/// Lexes a whole source string, interning its identifiers in `names`.
+pub fn lex(src: &str, names: &mut Names) -> Result<Vec<Spanned>, LangError> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    // A token per 3.25 bytes of source in the suite programs.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
     let mut i = 0usize;
     let push = |out: &mut Vec<Spanned>, tok: Tok, start: usize, end: usize| {
         out.push(Spanned {
@@ -124,7 +137,11 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
         let c = bytes[i] as char;
         let start = i;
         match c {
-            ' ' | '\t' | '\r' => i += 1,
+            ' ' | '\t' | '\r' => {
+                while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\r') {
+                    i += 1;
+                }
+            }
             '\n' => {
                 // Collapse a run of newlines (and surrounding blanks)
                 // into a single separator token.
@@ -197,8 +214,8 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
                     "elif" => Tok::Elif,
                     "else" => Tok::Else,
                     "return" => Tok::Return,
-                    _ if c.is_ascii_uppercase() => Tok::ConId(text.to_string()),
-                    _ => Tok::Ident(text.to_string()),
+                    _ if c.is_ascii_uppercase() => Tok::ConId(names.intern(text)),
+                    _ => Tok::Ident(names.intern(text)),
                 };
                 push(&mut out, tok, start, i);
             }
@@ -317,8 +334,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LangError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|s| s.tok).collect()
+    /// Each token as an error message names it.
+    fn toks(src: &str) -> Vec<String> {
+        let mut names = Names::new();
+        let toks = lex(src, &mut names).unwrap();
+        toks.into_iter()
+            .map(|s| s.tok.show(&names).to_string())
+            .collect()
     }
 
     #[test]
@@ -326,13 +348,18 @@ mod tests {
         assert_eq!(
             toks("fun map Cons xs"),
             vec![
-                Tok::Fun,
-                Tok::Ident("map".into()),
-                Tok::ConId("Cons".into()),
-                Tok::Ident("xs".into()),
-                Tok::Eof
+                "`fun`",
+                "identifier `map`",
+                "constructor `Cons`",
+                "identifier `xs`",
+                "end of input"
             ]
         );
+        // One name, one symbol.
+        let mut names = Names::new();
+        let toks = lex("xs ys xs", &mut names).unwrap();
+        assert_eq!(toks[0].tok, toks[2].tok);
+        assert_ne!(toks[0].tok, toks[1].tok);
     }
 
     #[test]
@@ -341,12 +368,12 @@ mod tests {
         assert_eq!(
             toks("is-red bal-left a - b"),
             vec![
-                Tok::Ident("is-red".into()),
-                Tok::Ident("bal-left".into()),
-                Tok::Ident("a".into()),
-                Tok::Minus,
-                Tok::Ident("b".into()),
-                Tok::Eof
+                "identifier `is-red`",
+                "identifier `bal-left`",
+                "identifier `a`",
+                "`-`",
+                "identifier `b`",
+                "end of input"
             ]
         );
     }
@@ -356,21 +383,21 @@ mod tests {
         assert_eq!(
             toks("-> - := : == = != ! <= < >= > && ||"),
             vec![
-                Tok::Arrow,
-                Tok::Minus,
-                Tok::Assign,
-                Tok::Colon,
-                Tok::EqEq,
-                Tok::Eq,
-                Tok::NotEq,
-                Tok::Bang,
-                Tok::Le,
-                Tok::Lt,
-                Tok::Ge,
-                Tok::Gt,
-                Tok::AndAnd,
-                Tok::OrOr,
-                Tok::Eof
+                "`->`",
+                "`-`",
+                "`:=`",
+                "`:`",
+                "`==`",
+                "`=`",
+                "`!=`",
+                "`!`",
+                "`<=`",
+                "`<`",
+                "`>=`",
+                "`>`",
+                "`&&`",
+                "`||`",
+                "end of input"
             ]
         );
     }
@@ -380,10 +407,10 @@ mod tests {
         assert_eq!(
             toks("a\n\n\nb"),
             vec![
-                Tok::Ident("a".into()),
-                Tok::Newline,
-                Tok::Ident("b".into()),
-                Tok::Eof
+                "identifier `a`",
+                "end of line",
+                "identifier `b`",
+                "end of input"
             ]
         );
     }
@@ -393,11 +420,11 @@ mod tests {
         assert_eq!(
             toks("a // comment\nb /* multi\nline */ c"),
             vec![
-                Tok::Ident("a".into()),
-                Tok::Newline,
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
+                "identifier `a`",
+                "end of line",
+                "identifier `b`",
+                "identifier `c`",
+                "end of input"
             ]
         );
     }
@@ -406,17 +433,22 @@ mod tests {
     fn numbers() {
         assert_eq!(
             toks("42 0 123"),
-            vec![Tok::Int(42), Tok::Int(0), Tok::Int(123), Tok::Eof]
+            vec![
+                "integer `42`",
+                "integer `0`",
+                "integer `123`",
+                "end of input"
+            ]
         );
     }
 
     #[test]
     fn rejects_bad_characters() {
-        assert!(lex("a $ b").is_err());
+        assert!(lex("a $ b", &mut Names::new()).is_err());
     }
 
     #[test]
     fn rejects_unterminated_comment() {
-        assert!(lex("/* never ends").is_err());
+        assert!(lex("/* never ends", &mut Names::new()).is_err());
     }
 }

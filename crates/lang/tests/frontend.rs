@@ -138,6 +138,32 @@ fun main(n: int): int {
 "#);
 }
 
+/// Components are generalized callees first whatever the declaration
+/// order: `b` relates to neither `a` nor `c`, which a comparison sort of
+/// the components could not order (it refused this program with
+/// "unbound variable `c`").
+#[test]
+fn callees_declared_after_their_callers() {
+    ok(r#"
+fun a(x: int): int { c(x) }
+fun b(x: int): int { x }
+fun c(x: int): int { x + 1 }
+fun main(n: int): int { a(n) + b(n) }
+"#);
+    // `len` is used at two types, so it must be generalized before
+    // `main` is inferred.
+    ok(r#"
+fun main(n: int): int { len(Cons(n, Nil)) + len(Cons(True, Nil)) }
+fun len(xs: list<a>): int {
+  match xs {
+    Cons(_, t) -> 1 + len(t)
+    Nil -> 0
+  }
+}
+type list<a> { Nil; Cons(head: a, tail: list<a>) }
+"#);
+}
+
 #[test]
 fn big_mutual_recursion_scc() {
     ok(r#"

@@ -251,6 +251,49 @@ fn sources_past_the_nesting_limits_are_refused_and_the_worker_survives() {
     h.join();
 }
 
+/// `n` functions whose calls form a heap-shaped DAG — `f{i}` calls
+/// `f{2i+1}` and `f{2i+2}` — declared in the order `i * 7 mod n`, so
+/// most callees come after their callers; `main(n)` is `n` times `n`.
+fn heap_dag(n: usize) -> String {
+    let mut s = String::new();
+    for k in 0..n {
+        let i = k * 7 % n;
+        let mut body = String::from("x");
+        for j in [2 * i + 1, 2 * i + 2].into_iter().filter(|&j| j < n) {
+            body += &format!(" + f{j}(x)");
+        }
+        s += &format!("fun f{i}(x: int): int {{ {body} }}\n");
+    }
+    s + "fun main(n: int): int { f0(n) }\n"
+}
+
+/// Sources that call functions declared after them compile. The type
+/// checker used to order call-graph components with a comparison sort
+/// that is not a total order: it refused the four-function source with
+/// "unbound variable `c`", and on the 40-function one the sort panicked
+/// and took the shard's worker with it.
+#[test]
+fn sources_calling_later_declared_functions_answer_ok() {
+    let h = server(|c| c.workers = 1);
+    let run = |id: u64, src: &str| {
+        format!(
+            r#"{{"op":"run","id":{id},"n":3,"source":{}}}"#,
+            json_str(src)
+        )
+    };
+    let four = "fun a(x: int): int { c(x) }\nfun b(x: int): int { x }\n\
+                fun c(x: int): int { x + 1 }\nfun main(n: int): int { a(n) + b(n) }\n";
+    let rs = roundtrip(h.addr(), &[run(1, &heap_dag(40)), run(2, four)]);
+    for (id, value) in [(1, "120"), (2, "7")] {
+        let r = &rs[&id];
+        assert_eq!(field(r, "outcome").as_str(), Some("ok"), "{r:?}");
+        assert_eq!(field(r, "value").as_str(), Some(value), "{r:?}");
+    }
+    let next = roundtrip(h.addr(), &[run_line(3, "map", "")]);
+    assert_eq!(field(&next[&3], "outcome").as_str(), Some("ok"), "{next:?}");
+    h.join();
+}
+
 #[test]
 fn shared_inputs_are_frozen_once_and_isolated() {
     let h = server(|_| {});

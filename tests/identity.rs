@@ -16,7 +16,19 @@
 //! and compares them with the committed `tests/identity.digests`. The
 //! programs are the 13 suite programs and 104 generated ones at a
 //! fixed seed, each under perceus, perceus-no-opt, scoped and
-//! borrowing. When a change is meant to move a digest, regenerate with
+//! borrowing. The front end has two classes of its own, under the
+//! config name `front`:
+//!
+//! * `lower` — `program_to_string` of what `compile_str_checked` makes
+//!   of a source, before any pass, then the program's `Debug` text
+//!   (every variable's id and hint, the type table with its spans, the
+//!   borrow masks) and the warnings, for the 13 suite programs and the
+//!   sources embedded in `examples/`,
+//! * `error` — the rendered `LangError` (or, for a source that
+//!   compiles, its rendered warnings) of every case in
+//!   `tests/identity.errors` and of sources nested past each limit.
+//!
+//! When a change is meant to move a digest, regenerate with
 //!
 //! ```text
 //! BLESS=1 cargo test --test identity
@@ -27,12 +39,13 @@
 use perceus_core::ir::pretty::program_to_string;
 use perceus_core::ir::Program;
 use perceus_core::passes::{PassConfig, Pipeline};
+use perceus_lang::{check_depth, lower, parser, resolve, types, LangError, LangWarning};
 use perceus_runtime::code::{self, Compiled};
 use perceus_suite::genprog::random_program;
 use perceus_suite::workloads;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const GEN_PROGRAMS: u64 = 104;
 const GEN_SEED: u64 = 0x1D_E471;
@@ -88,8 +101,133 @@ fn digest(name: &str, config_name: &str, config: PassConfig, p: Program, out: &m
 
 type Digests = BTreeMap<String, u64>;
 
-fn compute() -> Digests {
+/// The front end stage by stage, as `compile_str_checked` runs it, with
+/// the lowered program's depth checked; `infer: false` skips type
+/// inference.
+fn front_end(src: &str, infer: bool) -> Result<(Program, Vec<LangWarning>), LangError> {
+    let ast = parser::parse(src)?;
+    let syms = resolve::resolve(&ast)?;
+    if infer {
+        types::check(&ast, &syms)?;
+    }
+    let (program, warnings) = lower::lower_checked(&ast, &syms)?;
+    Ok((check_depth(program)?, warnings))
+}
+
+fn render_warnings(src: &str, warnings: &[LangWarning]) -> String {
+    let mut s = String::new();
+    for w in warnings {
+        let _ = writeln!(s, "{}", w.render(src));
+    }
+    s
+}
+
+/// Every `const NAME: &str = r#"…"#` in the files of `examples/`, as
+/// `examples/<file stem>/<NAME>`.
+fn example_sources() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("examples/")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    files.sort();
+    let mut out = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("example source");
+        let stem = file
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("file name");
+        for (i, _) in text.match_indices(": &str = r#\"") {
+            let name = text[..i].rsplit(' ').next().expect("const name");
+            let body = &text[i + ": &str = r#\"".len()..];
+            let end = body.find("\"#").expect("raw string closes");
+            out.push((format!("examples/{stem}/{name}"), body[..end].to_string()));
+        }
+    }
+    assert!(out.len() >= 3, "examples/ embeds at least three sources");
+    out
+}
+
+/// The cases of `tests/identity.errors` — `(name, source, infer)` — and
+/// one source past each nesting limit.
+fn error_cases() -> Vec<(String, String, bool)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/identity.errors");
+    let text = std::fs::read_to_string(&path).expect("tests/identity.errors");
+    let mut cases: Vec<(String, String, bool)> = Vec::new();
+    for line in text.lines() {
+        if let Some(header) = line.strip_prefix("=== ") {
+            let (name, infer) = match header.strip_suffix(" unchecked") {
+                Some(name) => (name, false),
+                None => (header, true),
+            };
+            cases.push((name.to_string(), String::new(), infer));
+        } else if let Some((_, src, _)) = cases.last_mut() {
+            src.push_str(line);
+            src.push('\n');
+        }
+    }
+    let main = |body: String| format!("fun main(n: int): int {{ {body} }}\n");
+    let limit = perceus_lang::MAX_NESTING + 10;
+    cases.push((
+        "depth/parentheses".into(),
+        main(format!("{}n{}", "(".repeat(limit), ")".repeat(limit))),
+        true,
+    ));
+    cases.push((
+        "depth/operators".into(),
+        main(format!("n{}", " + 1".repeat(limit))),
+        true,
+    ));
+    let mut lets = String::from("fun main(n: int): int {\n  val x0 = n\n");
+    for i in 1..perceus_lang::MAX_DEPTH {
+        let _ = writeln!(lets, "  val x{i} = x{} + 1", i - 1);
+    }
+    lets += &format!("  x{}\n}}\n", perceus_lang::MAX_DEPTH - 1);
+    cases.push(("depth/statements".into(), lets, true));
+    cases
+}
+
+/// The `lower` and `error` classes.
+fn front_end_digests() -> Digests {
     let mut out = Digests::new();
+    let mut put = |name: &str, class: &str, text: &str| {
+        out.insert(format!("{name} front {class}"), fnv64(text));
+    };
+    let sources = workloads()
+        .iter()
+        .map(|w| (w.name.to_string(), w.source.to_string()))
+        .chain(example_sources());
+    for (name, src) in sources {
+        let (p, warnings) = perceus_lang::compile_str_checked(&src)
+            .unwrap_or_else(|e| panic!("{name}: {}", e.render(&src)));
+        let text = format!(
+            "{}\n{p:?}\n{}",
+            program_to_string(&p),
+            render_warnings(&src, &warnings)
+        );
+        put(&name, "lower", &text);
+    }
+    for (name, src, infer) in error_cases() {
+        let text = match front_end(&src, infer) {
+            Ok((_, warnings)) => render_warnings(&src, &warnings),
+            Err(e) => e.render(&src),
+        };
+        put(&name, "error", &text);
+    }
+    out
+}
+
+fn compute() -> Digests {
+    // The parser and lowering recurse once per level, and the error
+    // cases reach the nesting limits: more than a test thread's stack
+    // in a debug build.
+    let mut out = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(front_end_digests)
+        .expect("spawn")
+        .join()
+        .expect("front-end digests");
     let suite = workloads();
     assert_eq!(suite.len(), 13);
     for w in suite {
