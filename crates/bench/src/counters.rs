@@ -21,6 +21,7 @@
 //! perceus-bench --check-baseline BENCH_BASELINE.json --tolerance 0
 //! ```
 
+use perceus_core::json::{self, Json};
 use perceus_runtime::machine::RunConfig;
 use perceus_runtime::{Stats, SCHEDULE_KEYS};
 use perceus_suite::native::{NativeError, NativeHarness};
@@ -159,19 +160,54 @@ impl Baseline {
         out
     }
 
-    /// Parses a baseline document (the strict subset of JSON that
-    /// [`Baseline::render_json`] emits, whitespace-tolerant).
+    /// Parses a baseline document (any JSON layout of the fields
+    /// [`Baseline::render_json`] emits). Counters come back in
+    /// [`COUNTER_KEYS`] order, so a parsed baseline renders canonically.
     pub fn parse_json(src: &str) -> Result<Baseline, String> {
-        let mut p = Parser {
-            s: src.as_bytes(),
-            i: 0,
-        };
-        let b = p.baseline()?;
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(p.err("trailing data after document"));
+        fn field<'a, T>(
+            v: &'a Json,
+            key: &str,
+            read: fn(&'a Json) -> Option<T>,
+        ) -> Result<T, String> {
+            v.get(key)
+                .and_then(read)
+                .ok_or_else(|| format!("baseline: `{key}` missing or of the wrong type"))
         }
-        Ok(b)
+        let doc = json::parse(src).map_err(|e| format!("baseline parse error: {e}"))?;
+        let Some(Json::Arr(rows)) = doc.get("workloads") else {
+            return Err("baseline: `workloads` must be an array".into());
+        };
+        let workloads = rows
+            .iter()
+            .map(|w| {
+                let Some(Json::Obj(counters)) = w.get("counters") else {
+                    return Err("baseline: workload without a `counters` object".to_string());
+                };
+                let mut counters = counters
+                    .iter()
+                    .map(|(k, v)| match v.as_u64() {
+                        Some(v) => Ok((k.clone(), v)),
+                        None => Err(format!("baseline: counter `{k}` is not a count")),
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+                counters.sort_by_key(|(k, _)| {
+                    COUNTER_KEYS
+                        .iter()
+                        .position(|c| c == k)
+                        .unwrap_or(usize::MAX)
+                });
+                Ok(WorkloadCounters {
+                    name: field(w, "name", Json::as_str)?.to_string(),
+                    n: field(w, "n", Json::as_i64)?,
+                    counters,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Baseline {
+            version: field(&doc, "version", Json::as_u64)?,
+            strategy: field(&doc, "strategy", Json::as_str)?.to_string(),
+            workloads,
+        })
     }
 
     /// Compares `current` against this baseline. `tolerance` is a
@@ -249,178 +285,6 @@ impl Baseline {
     }
 }
 
-/// A tiny cursor over the baseline's JSON subset. The document grammar
-/// is fixed (objects with known keys, string and integer leaves), so a
-/// schema-directed parser stays both strict and dependency-free.
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("baseline parse error at byte {}: {msg}", self.i)
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn tok(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.s.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    /// Peeks (after whitespace) without consuming.
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.tok(b'"')?;
-        let start = self.i;
-        while let Some(&b) = self.s.get(self.i) {
-            if b == b'\\' {
-                return Err(self.err("escape sequences are not used in baselines"));
-            }
-            if b == b'"' {
-                let out = std::str::from_utf8(&self.s[start..self.i])
-                    .map_err(|_| self.err("invalid utf-8"))?
-                    .to_string();
-                self.i += 1;
-                return Ok(out);
-            }
-            self.i += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn int(&mut self) -> Result<i64, String> {
-        self.ws();
-        let start = self.i;
-        if self.s.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| self.err("expected an integer"))
-    }
-
-    fn uint(&mut self) -> Result<u64, String> {
-        let v = self.int()?;
-        u64::try_from(v).map_err(|_| self.err("expected a non-negative integer"))
-    }
-
-    fn counters(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.tok(b'{')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            let k = self.string()?;
-            self.tok(b':')?;
-            out.push((k, self.uint()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected `,` or `}` in counters")),
-            }
-        }
-    }
-
-    fn workload(&mut self) -> Result<WorkloadCounters, String> {
-        self.tok(b'{')?;
-        let (mut name, mut n, mut counters) = (None, None, None);
-        loop {
-            let key = self.string()?;
-            self.tok(b':')?;
-            match key.as_str() {
-                "name" => name = Some(self.string()?),
-                "n" => n = Some(self.int()?),
-                "counters" => counters = Some(self.counters()?),
-                other => return Err(self.err(&format!("unknown workload key `{other}`"))),
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected `,` or `}` in workload")),
-            }
-        }
-        Ok(WorkloadCounters {
-            name: name.ok_or_else(|| self.err("workload without `name`"))?,
-            n: n.ok_or_else(|| self.err("workload without `n`"))?,
-            counters: counters.ok_or_else(|| self.err("workload without `counters`"))?,
-        })
-    }
-
-    fn baseline(&mut self) -> Result<Baseline, String> {
-        self.tok(b'{')?;
-        let (mut version, mut strategy, mut rows) = (None, None, None);
-        loop {
-            let key = self.string()?;
-            self.tok(b':')?;
-            match key.as_str() {
-                "version" => version = Some(self.uint()?),
-                "strategy" => strategy = Some(self.string()?),
-                "workloads" => {
-                    self.tok(b'[')?;
-                    let mut ws = Vec::new();
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            ws.push(self.workload()?);
-                            match self.peek() {
-                                Some(b',') => self.i += 1,
-                                Some(b']') => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                _ => return Err(self.err("expected `,` or `]`")),
-                            }
-                        }
-                    }
-                    rows = Some(ws);
-                }
-                other => return Err(self.err(&format!("unknown baseline key `{other}`"))),
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected `,` or `}` in baseline")),
-            }
-        }
-        Ok(Baseline {
-            version: version.ok_or_else(|| self.err("missing `version`"))?,
-            strategy: strategy.ok_or_else(|| self.err("missing `strategy`"))?,
-            workloads: rows.ok_or_else(|| self.err("missing `workloads`"))?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,7 +296,7 @@ mod tests {
             workloads: vec![WorkloadCounters {
                 name: "rbtree".into(),
                 n: 400,
-                counters: vec![("dups".into(), 10), ("frees".into(), 3)],
+                counters: vec![("frees".into(), 3), ("dups".into(), 10)],
             }],
         }
     }
@@ -463,7 +327,7 @@ mod tests {
         let base = sample();
         let mut cur = sample();
         assert!(base.check(&cur, 0.0).is_empty());
-        cur.workloads[0].counters[0].1 = 11;
+        cur.workloads[0].counters[1].1 = 11;
         let bad = base.check(&cur, 0.0);
         assert_eq!(bad.len(), 1);
         assert!(bad[0].contains("dups"), "{bad:?}");

@@ -1,8 +1,9 @@
-//! Parser for the executor's single-line JSON report (hand-rolled, as
-//! elsewhere in this workspace — the bench counter gate and the serving
-//! layer already parse their own JSON without a dependency).
+//! Reader for the executor's single-line JSON report, a typed read
+//! over the workspace's one JSON reader ([`perceus_core::json`]).
 
 use crate::NativeError;
+use perceus_core::json::{self, Json};
+use perceus_runtime::SCHEDULE_KEYS;
 
 /// One program's report from the native executor subprocess.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,285 +19,123 @@ pub struct NativeReport {
     pub code: Option<String>,
     /// The `println` output stream.
     pub output: Vec<i64>,
-    /// The 18 schedule counters, in report order (the shim writes them
-    /// in `SCHEDULE_KEYS` order).
-    pub counters: Vec<(String, u64)>,
+    /// The 18 schedule counters in [`SCHEDULE_KEYS`] order, read by
+    /// name.
+    pub counters: [u64; 18],
     /// Live blocks left after dropping the result (0 = garbage-free).
     pub leaked_blocks: u64,
     /// Wall time of the run itself (excludes render/drop/report).
     pub wall_ns: u64,
 }
 
-impl NativeReport {
-    /// The counters as a fixed array, in the order they were reported.
-    /// Errors if the report did not carry exactly 18.
-    pub fn counter_values(&self) -> Result<[u64; 18], NativeError> {
-        if self.counters.len() != 18 {
-            return Err(NativeError::Report(format!(
-                "expected 18 counters, got {}",
-                self.counters.len()
-            )));
-        }
-        let mut out = [0u64; 18];
-        for (slot, (_, v)) in out.iter_mut().zip(self.counters.iter()) {
-            *slot = *v;
-        }
-        Ok(out)
-    }
-}
-
 /// Parses one report line.
 pub fn parse_report(line: &str) -> Result<NativeReport, NativeError> {
-    let mut p = Parser::new(line);
-    let mut report = NativeReport {
-        ok: false,
-        value: None,
-        error: None,
-        code: None,
-        output: Vec::new(),
-        counters: Vec::new(),
-        leaked_blocks: 0,
-        wall_ns: 0,
+    let fail = |what: &str| NativeError::Report(format!("{what} in report {line:?}"));
+    let doc = json::parse(line).map_err(|e| fail(&e))?;
+    let field = |key: &str| {
+        doc.get(key)
+            .ok_or_else(|| fail(&format!("missing `{key}`")))
     };
-    p.expect('{')?;
-    let mut first = true;
-    loop {
-        p.skip_ws();
-        if p.peek() == Some('}') {
-            p.next();
-            break;
-        }
-        if !first {
-            p.expect(',')?;
-        }
-        first = false;
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "ok" => report.ok = p.boolean()?,
-            "value" => report.value = Some(p.string()?),
-            "error" => report.error = Some(p.string()?),
-            "code" => report.code = Some(p.string()?),
-            "output" => report.output = p.int_array()?,
-            "counters" => report.counters = p.counter_object()?,
-            "leaked_blocks" => report.leaked_blocks = p.uint()?,
-            "wall_ns" => report.wall_ns = p.uint()?,
-            other => {
-                return Err(NativeError::Report(format!(
-                    "unknown report field `{other}`"
-                )))
-            }
-        }
+    let wrong = |key: &str| fail(&format!("`{key}` of the wrong type"));
+    let uint = |key: &str| field(key)?.as_u64().ok_or_else(|| wrong(key));
+    let text = |key: &str| match doc.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(|s| Some(s.to_string()))
+            .ok_or_else(|| wrong(key)),
+    };
+    let Json::Arr(output) = field("output")? else {
+        return Err(wrong("output"));
+    };
+    let counters = field("counters")?;
+    if !matches!(counters, Json::Obj(m) if m.len() == SCHEDULE_KEYS.len()) {
+        return Err(fail("expected an object of the 18 schedule counters"));
     }
-    Ok(report)
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    src: &'a str,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            chars: src.chars().peekable(),
-            src,
-        }
+    let mut values = [0u64; 18];
+    for (slot, key) in values.iter_mut().zip(SCHEDULE_KEYS) {
+        *slot = counters
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| fail(&format!("counter `{key}` missing or not a count")))?;
     }
-
-    fn fail(&self, what: &str) -> NativeError {
-        NativeError::Report(format!("{what} in report {:?}", self.src))
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn next(&mut self) -> Option<char> {
-        self.chars.next()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.peek().is_some_and(char::is_whitespace) {
-            self.next();
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), NativeError> {
-        self.skip_ws();
-        if self.next() == Some(c) {
-            Ok(())
-        } else {
-            Err(self.fail(&format!("expected `{c}`")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, NativeError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| self.fail("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.fail("bad escape")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(self.fail("unterminated string")),
-            }
-        }
-    }
-
-    fn boolean(&mut self) -> Result<bool, NativeError> {
-        match self.peek() {
-            Some('t') => {
-                for expected in "true".chars() {
-                    if self.next() != Some(expected) {
-                        return Err(self.fail("expected `true`"));
-                    }
-                }
-                Ok(true)
-            }
-            Some('f') => {
-                for expected in "false".chars() {
-                    if self.next() != Some(expected) {
-                        return Err(self.fail("expected `false`"));
-                    }
-                }
-                Ok(false)
-            }
-            _ => Err(self.fail("expected a boolean")),
-        }
-    }
-
-    fn int(&mut self) -> Result<i64, NativeError> {
-        self.skip_ws();
-        let mut s = String::new();
-        if self.peek() == Some('-') {
-            s.push('-');
-            self.next();
-        }
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            s.push(self.next().unwrap());
-        }
-        s.parse().map_err(|_| self.fail("expected an integer"))
-    }
-
-    fn uint(&mut self) -> Result<u64, NativeError> {
-        self.skip_ws();
-        let mut s = String::new();
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            s.push(self.next().unwrap());
-        }
-        s.parse()
-            .map_err(|_| self.fail("expected an unsigned integer"))
-    }
-
-    fn int_array(&mut self) -> Result<Vec<i64>, NativeError> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(']') {
-            self.next();
-            return Ok(out);
-        }
-        loop {
-            out.push(self.int()?);
-            self.skip_ws();
-            match self.next() {
-                Some(',') => continue,
-                Some(']') => return Ok(out),
-                _ => return Err(self.fail("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn counter_object(&mut self) -> Result<Vec<(String, u64)>, NativeError> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.next();
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(':')?;
-            let v = self.uint()?;
-            out.push((key, v));
-            self.skip_ws();
-            match self.next() {
-                Some(',') => continue,
-                Some('}') => return Ok(out),
-                _ => return Err(self.fail("expected `,` or `}`")),
-            }
-        }
-    }
+    Ok(NativeReport {
+        ok: field("ok")?.as_bool().ok_or_else(|| wrong("ok"))?,
+        value: text("value")?,
+        error: text("error")?,
+        code: text("code")?,
+        output: output
+            .iter()
+            .map(|v| v.as_i64().ok_or_else(|| wrong("output")))
+            .collect::<Result<_, _>>()?,
+        counters: values,
+        leaked_blocks: uint("leaked_blocks")?,
+        wall_ns: uint("wall_ns")?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A report line with every schedule counter set to its index, plus
+    /// `extra` fields.
+    fn report(extra: &str) -> String {
+        let counters: Vec<String> = SCHEDULE_KEYS
+            .iter()
+            .enumerate()
+            .map(|(i, k)| format!("\"{k}\":{i}"))
+            .collect();
+        format!(
+            "{{{extra},\"counters\":{{{}}},\"leaked_blocks\":0,\"wall_ns\":12345}}",
+            counters.join(",")
+        )
+    }
+
     #[test]
     fn parses_success_report() {
-        let r = parse_report(
-            r#"{"ok":true,"value":"Cons(1, Nil)","output":[1,-2,3],"counters":{"allocations":10,"steps":42},"leaked_blocks":0,"wall_ns":12345}"#,
-        )
+        let r = parse_report(&report(
+            r#""ok":true,"value":"Cons(1, Nil)","output":[1,-2,3,4611686018427387905]"#,
+        ))
         .unwrap();
         assert!(r.ok);
         assert_eq!(r.value.as_deref(), Some("Cons(1, Nil)"));
-        assert_eq!(r.output, vec![1, -2, 3]);
-        assert_eq!(
-            r.counters,
-            vec![("allocations".into(), 10), ("steps".into(), 42)]
-        );
+        assert_eq!(r.output, vec![1, -2, 3, (1 << 62) + 1], "output is exact");
+        assert_eq!(r.counters, std::array::from_fn(|i| i as u64));
         assert_eq!(r.leaked_blocks, 0);
         assert_eq!(r.wall_ns, 12345);
     }
 
     #[test]
     fn parses_error_report_with_escapes() {
-        let r = parse_report(
-            r#"{"ok":false,"error":"abort: \"boom\"","code":"abort","output":[],"counters":{},"leaked_blocks":3,"wall_ns":7}"#,
-        )
+        let r = parse_report(&report(
+            r#""ok":false,"error":"abort: \"boom\"","code":"abort","output":[]"#,
+        ))
         .unwrap();
         assert!(!r.ok);
         assert_eq!(r.error.as_deref(), Some("abort: \"boom\""));
         assert_eq!(r.code.as_deref(), Some("abort"));
-        assert_eq!(r.leaked_blocks, 3);
+        assert_eq!(r.value, None);
     }
 
     #[test]
     fn counter_values_requires_all_18() {
+        let shuffled = report(r#""ok":true,"output":[]"#).replace("\"steps\":17", "\"zzz\":1");
+        assert!(
+            parse_report(&shuffled).is_err(),
+            "a missing counter is an error"
+        );
         let r = parse_report(
-            r#"{"ok":true,"value":"()","output":[],"counters":{"a":1},"leaked_blocks":0,"wall_ns":0}"#,
-        )
-        .unwrap();
-        assert!(r.counter_values().is_err());
+            r#"{"ok":true,"output":[],"counters":{"a":1},"leaked_blocks":0,"wall_ns":0}"#,
+        );
+        assert!(r.is_err());
     }
 
     #[test]
     fn rejects_unknown_fields_and_junk() {
         assert!(parse_report(r#"{"nope":1}"#).is_err());
         assert!(parse_report("not json").is_err());
+        assert!(parse_report(&report(r#""ok":1,"output":[]"#)).is_err());
+        assert!(parse_report(&report(r#""ok":true,"output":[1.5]"#)).is_err());
     }
 }

@@ -21,6 +21,7 @@ mod shim {
     pub use perceus_runtime::value::{Addr, Value};
     pub use perceus_runtime::{RuntimeError, SCHEDULE_KEYS};
     use perceus_core::ir::TypeTable;
+    use perceus_core::json;
     pub use perceus_core::ir::{CtorId, FunId};
 
     /// One generated program, as registered in the executor binary.
@@ -308,22 +309,6 @@ mod shim {
 
     // ---- JSON report -----------------------------------------------
 
-    fn escape_json(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
     fn push_output(out: &mut String, output: &[i64]) {
         out.push_str("\"output\":[");
         for (i, n) in output.iter().enumerate() {
@@ -356,8 +341,8 @@ mod shim {
 
     fn error_json(rt: &Rt, e: &RuntimeError, wall_ns: u64) -> String {
         let mut out = format!(
-            "{{\"ok\":false,\"error\":\"{}\",\"code\":\"{}\",",
-            escape_json(&e.to_string()),
+            "{{\"ok\":false,\"error\":{},\"code\":\"{}\",",
+            json::str_lit(&e.to_string()),
             e.code()
         );
         push_output(&mut out, &rt.output);
@@ -382,7 +367,7 @@ mod shim {
                 if let Err(e) = rt.heap.drop_value(v) {
                     return error_json(&rt, &e, wall_ns);
                 }
-                let mut out = format!("{{\"ok\":true,\"value\":\"{}\",", escape_json(&value));
+                let mut out = format!("{{\"ok\":true,\"value\":{},", json::str_lit(&value));
                 push_output(&mut out, &rt.output);
                 push_tail(&mut out, &rt, wall_ns);
                 out

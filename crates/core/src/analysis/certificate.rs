@@ -56,6 +56,7 @@
 use super::super::ir::program::{CtorId, FunId, Program};
 use super::linear::{Atom, SymBound};
 use super::potential::{eval_fun_paths, CostMode, COUNTERS, NCOUNTERS};
+use crate::json::str_lit;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -235,28 +236,12 @@ pub fn check_cert_set(p: &Program, certs: &CertSet) -> Vec<CertError> {
 // Rendering
 // ---------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn atom_json(p: &Program, a: &Atom) -> String {
     match a {
         Atom::Count { param, ctor } => format!(
-            "{{\"kind\":\"count\",\"param\":{},\"ctor\":\"{}\"}}",
+            "{{\"kind\":\"count\",\"param\":{},\"ctor\":{}}}",
             param,
-            json_escape(&p.types.ctor(*ctor).name)
+            str_lit(&p.types.ctor(*ctor).name)
         ),
         Atom::Pos(r) => {
             let coeffs: Vec<String> = r
@@ -319,13 +304,13 @@ impl CertSet {
             let params: Vec<String> = p.funs[cert.fun.0 as usize]
                 .params
                 .iter()
-                .map(|v| format!("\"{}\"", json_escape(v.hint())))
+                .map(|v| str_lit(v.hint()))
                 .collect();
             let _ = write!(
                 out,
-                "{{\"fun\":{},\"name\":\"{}\",\"params\":[{}],\"recursive\":{}",
+                "{{\"fun\":{},\"name\":{},\"params\":[{}],\"recursive\":{}",
                 cert.fun.0,
-                json_escape(&cert.name),
+                str_lit(&cert.name),
                 params.join(","),
                 cert.recursive
             );
@@ -346,8 +331,8 @@ impl CertSet {
                 }
                 let _ = write!(
                     out,
-                    "\"{}\":{}",
-                    json_escape(&p.types.ctor(*ct).name),
+                    "{}:{}",
+                    str_lit(&p.types.ctor(*ct).name),
                     bound_json(p, b)
                 );
             }

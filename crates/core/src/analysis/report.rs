@@ -2,11 +2,11 @@
 //!
 //! Reports render two ways: a human format (one line per diagnostic,
 //! `rustc`-ish) and a JSON format documented in `docs/ANALYSIS.md`. The
-//! JSON is hand-rolled — the workspace is dependency-free by design —
-//! and the escaping helper is shared with `perceus-suite`'s other JSON
-//! emitters.
+//! JSON is formatted by hand — the workspace is dependency-free by
+//! design — and every string goes through [`crate::json::str_lit`].
 
 use crate::ir::program::FunId;
+use crate::json::str_lit;
 use std::fmt::Write as _;
 
 use super::cost::{Bound, CostInterval, CostVector, FunSummary, COST_FIELDS};
@@ -129,14 +129,14 @@ impl Diagnostic {
     fn to_json(&self, out: &mut String) {
         let _ = write!(
             out,
-            "{{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"fun\":{},\"fun_name\":\"{}\",\"path\":\"{}\",\"message\":\"{}\",\"span\":",
+            "{{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"fun\":{},\"fun_name\":{},\"path\":{},\"message\":{},\"span\":",
             self.code.code(),
             self.code.name(),
             self.severity.label(),
             self.fun.0,
-            json_escape(&self.fun_name),
-            json_escape(&self.path),
-            json_escape(&self.message),
+            str_lit(&self.fun_name),
+            str_lit(&self.path),
+            str_lit(&self.message),
         );
         match self.span {
             Some((start, end)) => {
@@ -228,26 +228,6 @@ impl Diagnostics {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal. Shared by
-/// every hand-rolled JSON emitter in the workspace.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn bound_json(b: Bound) -> String {
     match b {
         Bound::Finite(n) => n.to_string(),
@@ -295,9 +275,9 @@ pub fn fun_summary_json(s: &FunSummary) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"fun\":{},\"name\":\"{}\",\"may_abort\":{},\"cost\":{},\"arms\":[",
+        "{{\"fun\":{},\"name\":{},\"may_abort\":{},\"cost\":{},\"arms\":[",
         s.fun.0,
-        json_escape(&s.name),
+        str_lit(&s.name),
         s.may_abort,
         cost_vector_json(&s.cost)
     );
@@ -307,9 +287,9 @@ pub fn fun_summary_json(s: &FunSummary) -> String {
         }
         let _ = write!(
             out,
-            "{{\"path\":\"{}\",\"ctor\":\"{}\",\"cost\":{}}}",
-            json_escape(&a.path),
-            json_escape(&a.ctor),
+            "{{\"path\":{},\"ctor\":{},\"cost\":{}}}",
+            str_lit(&a.path),
+            str_lit(&a.ctor),
             cost_vector_json(&a.cost)
         );
     }
@@ -333,8 +313,24 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let mut d = Diagnostics::default();
+        d.push(Diagnostic {
+            code: LintCode::UnfusedDupDrop,
+            severity: Severity::Warning,
+            fun: FunId(0),
+            fun_name: "f\"1".into(),
+            path: "a\\b".into(),
+            message: "line\nbreak\u{1}".into(),
+            span: None,
+        });
+        let doc = crate::json::parse(&d.to_json()).unwrap();
+        let crate::json::Json::Arr(items) = doc else {
+            panic!("{doc:?}")
+        };
+        let field = |k| items[0].get(k).and_then(crate::json::Json::as_str);
+        assert_eq!(field("fun_name"), Some("f\"1"));
+        assert_eq!(field("path"), Some("a\\b"));
+        assert_eq!(field("message"), Some("line\nbreak\u{1}"));
     }
 
     #[test]

@@ -36,6 +36,7 @@
 pub mod analysis;
 pub mod check;
 pub mod ir;
+pub mod json;
 pub mod passes;
 
 pub use analysis::{analyze_program, Analysis, Diagnostic, Diagnostics, LintCode};

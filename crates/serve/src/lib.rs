@@ -24,7 +24,6 @@
 //! generator behind the `serve-smoke` CI gate.
 
 pub mod cache;
-pub mod json;
 pub mod loadtest;
 pub mod protocol;
 pub mod server;
@@ -32,6 +31,8 @@ pub mod worker;
 
 pub use cache::{CachedProgram, ProgramCache, SharedInputs};
 pub use loadtest::{LoadConfig, LoadReport};
+/// The wire protocol's JSON reader and writer.
+pub use perceus_core::json;
 pub use protocol::{Outcome, Request, RunRequest};
 pub use server::{start, ServeConfig, ServerHandle};
 

@@ -140,13 +140,27 @@ impl std::fmt::Display for ParseError {
     }
 }
 
+/// Reads an optional request field: `None` when absent, a
+/// `bad-request` naming the field when present with the wrong type —
+/// never a silent default, truncation or saturation.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    read: fn(&'a Json) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, ParseError> {
+    v.get(key)
+        .map(|x| read(x).ok_or_else(|| ParseError::Bad(format!("\"{key}\" must be {kind}"))))
+        .transpose()
+}
+
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, ParseError> {
     let v = json::parse(line).map_err(ParseError::Bad)?;
-    if let Some(ver) = v.get("v") {
-        let ver = ver
-            .as_u64()
-            .ok_or_else(|| ParseError::Bad("\"v\" must be a number".into()))?;
+    let uint = |key| field(&v, key, Json::as_u64, "a non-negative integer");
+    let flag = |key| Ok(field(&v, key, Json::as_bool, "a boolean")?.unwrap_or(false));
+    let text = |key| field(&v, key, Json::as_str, "a string");
+    if let Some(ver) = uint("v")? {
         if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&ver) {
             return Err(ParseError::Version {
                 got: ver,
@@ -154,32 +168,22 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             });
         }
     }
-    let op = v.get("op").and_then(Json::as_str).unwrap_or("run");
-    match op {
+    let required = |what: &str| ParseError::Bad(format!("{what} request needs a numeric \"id\""));
+    match text("op")?.unwrap_or("run") {
         "stats" => Ok(Request::Stats),
         "health" => Ok(Request::Health),
         "shutdown" => Ok(Request::Shutdown),
-        "resume" => {
-            let id = v
-                .get("id")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ParseError::Bad("resume request needs a numeric \"id\"".into()))?;
-            let session = v.get("session").and_then(Json::as_u64).ok_or_else(|| {
+        "resume" => Ok(Request::Resume(ResumeRequest {
+            id: uint("id")?.ok_or_else(|| required("resume"))?,
+            session: uint("session")?.ok_or_else(|| {
                 ParseError::Bad("resume request needs a numeric \"session\" token".into())
-            })?;
-            Ok(Request::Resume(ResumeRequest {
-                id,
-                session,
-                fuel: v.get("fuel").and_then(Json::as_u64),
-            }))
-        }
+            })?,
+            fuel: uint("fuel")?,
+        })),
         "run" => {
-            let id = v
-                .get("id")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ParseError::Bad("run request needs a numeric \"id\"".into()))?;
-            let workload = v.get("workload").and_then(Json::as_str).map(str::to_string);
-            let source = v.get("source").and_then(Json::as_str).map(str::to_string);
+            let id = uint("id")?.ok_or_else(|| required("run"))?;
+            let workload = text("workload")?.map(str::to_string);
+            let source = text("source")?.map(str::to_string);
             if workload.is_none() && source.is_none() {
                 return Err(ParseError::Bad(
                     "run request needs \"workload\" or \"source\"".into(),
@@ -190,7 +194,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                     "run request takes \"workload\" or \"source\", not both".into(),
                 ));
             }
-            let strategy = match v.get("strategy").and_then(Json::as_str) {
+            let strategy = match text("strategy")? {
                 None => Strategy::Perceus,
                 Some(label) => Strategy::ALL
                     .into_iter()
@@ -201,14 +205,14 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                 id,
                 workload,
                 source,
-                n: v.get("n").and_then(Json::as_i64),
+                n: field(&v, "n", Json::as_i64, "an integer")?,
                 strategy,
-                fuel: v.get("fuel").and_then(Json::as_u64),
-                memory: v.get("memory").and_then(Json::as_u64),
-                shared: v.get("shared").and_then(Json::as_bool).unwrap_or(false),
-                borrow: v.get("borrow").and_then(Json::as_bool).unwrap_or(false),
-                profile: v.get("profile").and_then(Json::as_bool).unwrap_or(false),
-                resumable: v.get("resumable").and_then(Json::as_bool).unwrap_or(false),
+                fuel: uint("fuel")?,
+                memory: uint("memory")?,
+                shared: flag("shared")?,
+                borrow: flag("borrow")?,
+                profile: flag("profile")?,
+                resumable: flag("resumable")?,
             })))
         }
         other => Err(ParseError::Bad(format!("unknown op {other:?}"))),
@@ -411,6 +415,137 @@ mod tests {
             response().bool("ok", true).finish(),
         ] {
             assert!(resp.starts_with("{\"v\":2,"), "{resp}");
+        }
+    }
+
+    /// The `bad-request` message of `line`, which must be one.
+    fn bad(line: &str) -> String {
+        match parse_request(line) {
+            Err(ParseError::Bad(m)) => m,
+            other => panic!("{line}: expected bad-request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_fields_of_the_wrong_type_are_refused() {
+        for n in [r#""8""#, "8.5", "1e300", "true"] {
+            let m = bad(&format!(
+                r#"{{"op":"run","id":1,"workload":"map","n":{n}}}"#
+            ));
+            assert!(m.contains("\"n\" must be an integer"), "{m}");
+        }
+        let Request::Run(r) =
+            parse_request(r#"{"op":"run","id":1,"workload":"map","n":-8}"#).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(r.n, Some(-8));
+    }
+
+    #[test]
+    fn unsigned_fields_of_the_wrong_type_are_refused() {
+        for (key, value) in [
+            ("fuel", "-1"),
+            ("memory", "2.5"),
+            ("id", r#""7""#),
+            ("v", "-2"),
+        ] {
+            let m = bad(&format!(
+                r#"{{"op":"run","id":1,"workload":"map","{key}":{value}}}"#
+            ));
+            assert!(
+                m.contains(&format!("\"{key}\" must be a non-negative integer")),
+                "{m}"
+            );
+        }
+        let m = bad(r#"{"op":"resume","id":1,"session":-3}"#);
+        assert!(m.contains("\"session\""), "{m}");
+    }
+
+    #[test]
+    fn bool_fields_of_the_wrong_type_are_refused() {
+        for key in ["shared", "borrow", "profile", "resumable"] {
+            let m = bad(&format!(
+                r#"{{"op":"run","id":1,"workload":"map","{key}":1}}"#
+            ));
+            assert!(m.contains(&format!("\"{key}\" must be a boolean")), "{m}");
+        }
+    }
+
+    #[test]
+    fn string_fields_of_the_wrong_type_are_refused() {
+        for (key, value) in [
+            ("workload", "5"),
+            ("source", "[]"),
+            ("strategy", "null"),
+            ("op", "{}"),
+        ] {
+            let m = bad(&format!(
+                r#"{{"op":"run","id":1,"workload":"map","{key}":{value}}}"#
+            ));
+            assert!(m.contains(&format!("\"{key}\" must be a string")), "{m}");
+        }
+    }
+
+    #[test]
+    fn resume_tokens_above_2_53_stay_exact() {
+        let token = (32u64 << 48) | 3;
+        let line = format!(r#"{{"op":"resume","id":18446744073709551615,"session":{token}}}"#);
+        let Request::Resume(r) = parse_request(&line).unwrap() else {
+            panic!()
+        };
+        assert_eq!((r.id, r.session), (u64::MAX, token));
+    }
+
+    #[test]
+    fn a_one_mebibyte_source_parses_in_linear_time() {
+        let chunk = "fun f(n: int): int { n } //\"é\"\n";
+        let source = chunk.repeat(((1 << 20) - 1024) / chunk.len());
+        assert_eq!(source.len(), (1 << 20) - 1024);
+        let mut line = String::from(r#"{"op":"run","id":1,"source":"#);
+        json::push_str_lit(&mut line, &source);
+        line.push('}');
+        let start = std::time::Instant::now();
+        let Request::Run(r) = parse_request(&line).unwrap() else {
+            panic!()
+        };
+        assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
+        assert_eq!(r.source.as_deref(), Some(&*source));
+    }
+
+    const LINES: &[&str] = &[
+        r#"{"op":"run","v":2,"id":2,"source":"fun main(n: int): int { n }","n":7,"strategy":"perceus","fuel":1000000,"memory":200000,"shared":false,"borrow":false,"profile":false,"resumable":true}"#,
+        r#"{"op":"resume","v":2,"id":3,"session":9007199254740995,"fuel":50000}"#,
+        r#"{"op":"run","id":1,"workload":"rbtree","n":400}"#,
+        r#"{"op":"stats"}"#,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random bytes and byte-mutated protocol lines never panic the
+        /// request parser.
+        #[test]
+        fn parse_request_never_panics(
+            seed in proptest::sample::select(LINES),
+            edits in proptest::collection::vec((0usize..512, 0u16..256, 0u16..3), 0..8),
+            noise in proptest::collection::vec(0u16..256, 0..64),
+        ) {
+            let mut bytes = seed.as_bytes().to_vec();
+            for &(at, b, kind) in &edits {
+                let at = at % (bytes.len() + 1);
+                match kind {
+                    0 => bytes.insert(at, b as u8),
+                    _ if at == bytes.len() => bytes.push(b as u8),
+                    1 => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes[at] = b as u8,
+                }
+            }
+            let _ = parse_request(&String::from_utf8_lossy(&bytes));
+            let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+            let _ = parse_request(&String::from_utf8_lossy(&noise));
         }
     }
 }

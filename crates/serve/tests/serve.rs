@@ -510,6 +510,10 @@ fn malformed_requests_get_structured_answers_and_the_connection_survives() {
             "garbage over the wire".to_string(),
             r#"{"op":"frobnicate","id":1}"#.to_string(),
             r#"{"op":"run","workload":"map"}"#.to_string(),
+            // Nesting far past `json::MAX_DEPTH`: an error, not a
+            // stack overflow on the connection thread.
+            "[".repeat(100_000),
+            r#"{"a":"#.repeat(100_000),
             // Parsable but permanently unservable: borrow without
             // shared gets a terminal `rejected` with a stable code.
             r#"{"op":"run","id":3,"workload":"map","borrow":true}"#.to_string(),
@@ -521,7 +525,7 @@ fn malformed_requests_get_structured_answers_and_the_connection_survives() {
         .values()
         .filter(|v| v.get("outcome").and_then(Json::as_str) == Some("bad-request"))
         .count();
-    assert_eq!(bad_requests, 4, "{rs:?}");
+    assert_eq!(bad_requests, 6, "{rs:?}");
     assert_eq!(
         field(&rs[&3], "outcome").as_str(),
         Some("rejected"),

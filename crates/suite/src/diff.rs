@@ -27,6 +27,7 @@ use crate::genprog;
 use crate::shrink;
 use perceus_core::check as linear;
 use perceus_core::ir::{pretty, Program};
+use perceus_core::json::str_lit;
 use perceus_core::passes::{PassName, Pipeline, StageMutation, Validation};
 use perceus_runtime::code::{self, Compiled};
 use perceus_runtime::machine::RunConfig;
@@ -336,8 +337,8 @@ impl FuzzReport {
         self.failures.is_empty()
     }
 
-    /// Renders the report as a JSON document (hand-rolled: the harness
-    /// is dependency-free).
+    /// Renders the report as a JSON document (formatted by hand,
+    /// strings escaped by `perceus_core::json`).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
@@ -367,7 +368,7 @@ impl FuzzReport {
                 "      \"classes\": [{}],\n",
                 f.divergences
                     .iter()
-                    .map(|d| format!("\"{}\"", json_escape(&d.class())))
+                    .map(|d| str_lit(&d.class()))
                     .collect::<Vec<_>>()
                     .join(", ")
             ));
@@ -375,7 +376,7 @@ impl FuzzReport {
                 "      \"divergences\": [{}],\n",
                 f.divergences
                     .iter()
-                    .map(|d| format!("\"{}\"", json_escape(&d.to_string())))
+                    .map(|d| str_lit(&d.to_string()))
                     .collect::<Vec<_>>()
                     .join(", ")
             ));
@@ -388,10 +389,7 @@ impl FuzzReport {
                 f.reported_nodes
             ));
             s.push_str(&format!("      \"shrink_steps\": {},\n", f.shrink_steps));
-            s.push_str(&format!(
-                "      \"program\": \"{}\"\n",
-                json_escape(&f.program)
-            ));
+            s.push_str(&format!("      \"program\": {}\n", str_lit(&f.program)));
             s.push_str("    }");
         }
         if !self.failures.is_empty() {
@@ -401,10 +399,6 @@ impl FuzzReport {
         s
     }
 }
-
-// JSON string escaping is shared with every other hand-rolled emitter
-// in the workspace (the workspace stays dependency-free by design).
-use perceus_core::analysis::report::json_escape;
 
 /// One splitmix64 scramble step — derives unrelated per-iteration seeds
 /// from consecutive counter values.
@@ -495,6 +489,7 @@ fn reduce_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perceus_core::json::{self, Json};
 
     fn quick_cfg() -> FuzzConfig {
         FuzzConfig {
@@ -522,10 +517,11 @@ mod tests {
             iters: 1,
             ..quick_cfg()
         });
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"failure_count\": 0"));
-        assert!(json.contains("\"strategies\""));
+        let doc = json::parse(&report.to_json()).unwrap();
+        assert_eq!(doc.get("failure_count").and_then(Json::as_u64), Some(0));
+        assert!(
+            matches!(doc.get("strategies"), Some(Json::Arr(s)) if s.len() == Strategy::ALL.len())
+        );
     }
 
     #[test]

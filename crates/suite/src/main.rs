@@ -58,6 +58,7 @@
 //! lints), 2 usage error.
 
 use perceus_core::analysis::LintCode;
+use perceus_core::json::str_lit;
 use perceus_core::passes::{PassName, Pipeline};
 use perceus_suite::diff::{fuzz_with, FuzzConfig};
 use perceus_suite::{workload, workloads, Strategy};
@@ -374,9 +375,9 @@ fn run_stages(args: &[String]) -> ExitCode {
     };
     if json {
         let mut out = format!(
-            "{{\"workload\":\"{}\",\"strategy\":\"{}\",\"stages\":[",
-            json_escape(w.name),
-            json_escape(strategy.label())
+            "{{\"workload\":{},\"strategy\":{},\"stages\":[",
+            str_lit(w.name),
+            str_lit(strategy.label())
         );
         for (i, record) in trace.records().iter().enumerate() {
             if i > 0 {
@@ -562,9 +563,9 @@ fn run_analyze(args: &[String]) -> ExitCode {
                 .map(|(c, n)| format!("{{\"code\":\"{}\",\"count\":{n}}}", c.code()))
                 .collect();
             let mut t = format!(
-                "{{\"name\":\"{}\",\"strategy\":\"{}\",\"denied\":[{}],\"stages\":[",
-                json_escape(name),
-                json_escape(strategy.label()),
+                "{{\"name\":{},\"strategy\":{},\"denied\":[{}],\"stages\":[",
+                str_lit(name),
+                str_lit(strategy.label()),
                 denied_json.join(",")
             );
             for (i, s) in selected.iter().enumerate() {
@@ -780,19 +781,15 @@ fn run_certify(args: &[String]) -> ExitCode {
 
         if json {
             let mut t = format!(
-                "{{\"name\":\"{}\",\"strategy\":\"{}\",\"stages\":[",
-                json_escape(name),
-                json_escape(strategy.label()),
+                "{{\"name\":{},\"strategy\":{},\"stages\":[",
+                str_lit(name),
+                str_lit(strategy.label()),
             );
             for (i, s) in selected.iter().enumerate() {
                 if i > 0 {
                     t.push(',');
                 }
-                let errs: Vec<String> = s
-                    .errors
-                    .iter()
-                    .map(|e| format!("\"{}\"", json_escape(&e.to_string())))
-                    .collect();
+                let errs: Vec<String> = s.errors.iter().map(|e| str_lit(&e.to_string())).collect();
                 t.push_str(&format!(
                     "{{\"stage\":\"{}\",\"checker_errors\":[{}],\"certificates\":{}}}",
                     s.pass.label(),
@@ -808,7 +805,7 @@ fn run_certify(args: &[String]) -> ExitCode {
                 let exc: Vec<String> = r
                     .exceedances
                     .iter()
-                    .map(|x| format!("\"{}\"", json_escape(&x.to_string())))
+                    .map(|x| str_lit(&x.to_string()))
                     .collect();
                 t.push_str(&format!(
                     "{{\"n\":{},\"entry_counters_checked\":{},\"frames_checked\":{},\
@@ -936,16 +933,16 @@ fn run_parallel_cmd(args: &[String]) -> ExitCode {
             None => "null".to_string(),
         };
         println!(
-            "{{\"workload\":\"{}\",\"strategy\":\"{}\",\"threads\":{},\"n\":{},\
-             \"result\":\"{}\",\"elapsed_secs\":{:.6},\"throughput\":{:.3},\
+            "{{\"workload\":{},\"strategy\":{},\"threads\":{},\"n\":{},\
+             \"result\":{},\"elapsed_secs\":{:.6},\"throughput\":{:.3},\
              \"shared_input\":{},\"shared_installs\":{},\"atomic_ops\":{},\
              \"local_shared_ops\":{},\"shared_marks\":{},\"rc_ops\":{},\
              \"peak_live_words\":{},\"join_audit\":{audit}}}",
-            json_escape(w.name),
-            json_escape(strategy.label()),
+            str_lit(w.name),
+            str_lit(strategy.label()),
             out.threads,
             n,
-            json_escape(&out.value.to_string()),
+            str_lit(&out.value.to_string()),
             out.elapsed.as_secs_f64(),
             out.throughput(),
             out.shared_input,
@@ -1051,17 +1048,17 @@ fn run_contended_cmd(args: &[String]) -> ExitCode {
     let a = &out.shared_audit;
     if json {
         println!(
-            "{{\"workload\":\"{}\",\"mode\":\"{}\",\"threads\":{},\"reps\":{},\"n\":{},\
-             \"result\":\"{}\",\"elapsed_secs\":{:.6},\"throughput\":{:.3},\
+            "{{\"workload\":{},\"mode\":{},\"threads\":{},\"reps\":{},\"n\":{},\
+             \"result\":{},\"elapsed_secs\":{:.6},\"throughput\":{:.3},\
              \"read_atomics\":{},\"reclaimed_blocks\":{},\
              \"join_audit\":{{\"freed_blocks\":{},\"live_blocks\":{},\"pinned_blocks\":{},\
              \"weak_refs\":{}}}}}",
-            json_escape(w.name),
-            json_escape(mode.label()),
+            str_lit(w.name),
+            str_lit(mode.label()),
             out.threads,
             out.reps,
             n,
-            json_escape(&out.value.to_string()),
+            str_lit(&out.value.to_string()),
             out.elapsed.as_secs_f64(),
             out.throughput(),
             out.read_atomics,
@@ -1275,19 +1272,15 @@ fn run_native_cmd(args: &[String]) -> ExitCode {
         }
     };
     let check_json = |check: &NativeCheck| {
-        let mismatches: Vec<String> = check
-            .mismatches
-            .iter()
-            .map(|m| format!("\"{}\"", json_escape(m)))
-            .collect();
+        let mismatches: Vec<String> = check.mismatches.iter().map(|m| str_lit(m)).collect();
         format!(
-            "{{\"name\":\"{}\",\"n\":{},\"ok\":{},\"value\":{},\
+            "{{\"name\":{},\"n\":{},\"ok\":{},\"value\":{},\
              \"machine_wall_ns\":{},\"native_wall_ns\":{},\"mismatches\":[{}]}}",
-            json_escape(&check.name),
+            str_lit(&check.name),
             check.n,
             check.passed(),
             match &check.native.value {
-                Some(v) => format!("\"{}\"", json_escape(v)),
+                Some(v) => str_lit(v),
                 None => "null".to_string(),
             },
             check.machine.wall_ns,
@@ -1385,8 +1378,8 @@ fn run_native_cmd(args: &[String]) -> ExitCode {
         }
         if json {
             println!(
-                "{{\"backend\":\"native\",\"strategy\":\"{}\",\"checks\":[{}],\"ok\":{}}}",
-                json_escape(strategy.label()),
+                "{{\"backend\":\"native\",\"strategy\":{},\"checks\":[{}],\"ok\":{}}}",
+                str_lit(strategy.label()),
                 rows.join(","),
                 !failed
             );
@@ -1512,10 +1505,10 @@ fn run_profile_cmd(args: &[String]) -> ExitCode {
     }
     if json {
         println!(
-            "{{\"workload\":\"{}\",\"strategy\":\"{}\",\"n\":{n},\"threads\":{threads},\
+            "{{\"workload\":{},\"strategy\":{},\"n\":{n},\"threads\":{threads},\
              \"profile\":{}}}",
-            json_escape(w.name),
-            json_escape(strategy.label()),
+            str_lit(w.name),
+            str_lit(strategy.label()),
             profiler.render_json(&compiled, Some(w.source))
         );
         return ExitCode::SUCCESS;
@@ -1575,8 +1568,4 @@ fn run_profile_cmd(args: &[String]) -> ExitCode {
 
 fn workload_names() -> Vec<&'static str> {
     workloads().iter().map(|w| w.name).collect()
-}
-
-fn json_escape(s: &str) -> String {
-    perceus_core::analysis::report::json_escape(s)
 }

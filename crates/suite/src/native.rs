@@ -167,8 +167,7 @@ impl NativeHarness {
 
     /// Runs one program natively and normalizes its report.
     pub fn run_native(&self, name: &str, n: i64) -> Result<ExecProbe, NativeError> {
-        let report = self.bin.run(name, n)?;
-        probe_from_report(&report).map_err(NativeError::Codegen)
+        Ok(probe_from_report(self.bin.run(name, n)?))
     }
 
     /// Runs one program on the machine (interpreter) only.
@@ -239,23 +238,16 @@ pub fn machine_probe(compiled: &Compiled, n: i64) -> ExecProbe {
     }
 }
 
-fn probe_from_report(r: &NativeReport) -> Result<ExecProbe, codegen::NativeError> {
-    for ((key, _), expected) in r.counters.iter().zip(SCHEDULE_KEYS.iter()) {
-        if key != expected {
-            return Err(codegen::NativeError::Report(format!(
-                "counter key order mismatch: got `{key}`, expected `{expected}`"
-            )));
-        }
-    }
-    Ok(ExecProbe {
+fn probe_from_report(r: NativeReport) -> ExecProbe {
+    ExecProbe {
         ok: r.ok,
-        value: r.value.clone(),
-        error_code: r.code.clone(),
-        output: r.output.clone(),
-        counters: r.counter_values()?,
+        value: r.value,
+        error_code: r.code,
+        output: r.output,
+        counters: r.counters,
         leaked_blocks: r.leaked_blocks,
         wall_ns: r.wall_ns,
-    })
+    }
 }
 
 /// The comparison at the heart of the gate. Returns one line per

@@ -5,6 +5,7 @@
 //! * `1` — an operation ran and failed (e.g. `analyze --deny` violations)
 //! * `2` — usage error: unknown subcommand, unknown option, bad value
 
+use perceus_core::json::{self, Json};
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
@@ -20,6 +21,26 @@ fn stdout(out: &Output) -> String {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The command's stdout, parsed as one JSON document.
+fn json_doc(out: &Output) -> Json {
+    let text = stdout(out);
+    json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}: {text}"))
+}
+
+/// An array field of `v`.
+fn arr<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    match v.get(key) {
+        Some(Json::Arr(items)) => items,
+        other => panic!("`{key}` is not an array: {other:?}"),
+    }
+}
+
+fn str_field<'a>(v: &'a Json, key: &str) -> &'a str {
+    v.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("`{key}` is not a string: {v:?}"))
 }
 
 #[test]
@@ -79,23 +100,32 @@ fn missing_option_value_exits_2() {
 fn stages_json_is_well_formed() {
     let out = run(&["stages", "--workload", "map", "--json"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    let json = text.trim();
-    assert!(json.starts_with('{') && json.ends_with('}'), "got: {json}");
-    assert!(json.contains("\"stages\""));
-    assert!(json.contains("\"workload\":\"map\""));
+    let doc = json_doc(&out);
+    assert_eq!(str_field(&doc, "workload"), "map");
+    let stages = arr(&doc, "stages");
+    assert!(!stages.is_empty());
+    for s in stages {
+        assert!(s.get("nodes").and_then(Json::as_u64).is_some(), "{s:?}");
+    }
 }
 
 #[test]
 fn analyze_json_reports_diagnostics() {
     let out = run(&["analyze", "--workload", "rbtree", "--json"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    let json = text.trim();
-    assert!(json.starts_with('{') && json.ends_with('}'), "got: {json}");
-    assert!(json.contains("\"diagnostics\""));
-    assert!(json.contains("\"functions\""));
-    assert!(json.contains("\"violations\""));
+    let doc = json_doc(&out);
+    assert_eq!(doc.get("violations").and_then(Json::as_u64), Some(0));
+    let target = &arr(&doc, "targets")[0];
+    assert_eq!(str_field(target, "name"), "rbtree");
+    let analysis = arr(target, "stages")
+        .last()
+        .unwrap()
+        .get("analysis")
+        .unwrap();
+    assert!(!arr(analysis, "functions").is_empty());
+    for d in arr(analysis, "diagnostics") {
+        assert!(str_field(d, "code").starts_with('L'), "{d:?}");
+    }
 }
 
 #[test]
@@ -122,16 +152,14 @@ fn analyze_deny_json_emits_the_full_report_before_failing() {
     // per-target denied counts, and only then exit 1 — not 2.
     let out = run(&["analyze", "--workload", "rbtree", "--deny", "L4", "--json"]);
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    let json = text.trim();
-    assert!(json.starts_with('{') && json.ends_with('}'), "got: {json}");
+    let doc = json_doc(&out);
+    assert!(doc.get("violations").and_then(Json::as_u64) > Some(0));
+    let target = &arr(&doc, "targets")[0];
+    let denied = arr(target, "denied");
+    assert_eq!(str_field(&denied[0], "code"), "L4");
+    assert!(denied[0].get("count").and_then(Json::as_u64) > Some(0));
     assert!(
-        json.contains("\"denied\":[{\"code\":\"L4\",\"count\":"),
-        "got: {json}"
-    );
-    assert!(json.contains("\"violations\":"), "got: {json}");
-    assert!(
-        json.contains("\"stages\""),
+        !arr(target, "stages").is_empty(),
         "the report body is present too"
     );
 }
@@ -177,12 +205,45 @@ fn parallel_json_is_well_formed() {
         "--json",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    let json = text.trim();
-    assert!(json.starts_with('{') && json.ends_with('}'), "got: {json}");
-    assert!(json.contains("\"atomic_ops\":"), "got: {json}");
-    assert!(json.contains("\"join_audit\":{"), "got: {json}");
-    assert!(json.contains("\"threads\":2"), "got: {json}");
+    let doc = json_doc(&out);
+    assert!(doc.get("atomic_ops").and_then(Json::as_u64).is_some());
+    assert_eq!(doc.get("threads").and_then(Json::as_u64), Some(2));
+    let audit = doc.get("join_audit").unwrap();
+    assert_eq!(audit.get("live_blocks").and_then(Json::as_u64), Some(0));
+}
+
+#[test]
+fn profile_json_is_well_formed() {
+    let out = run(&["profile", "--workload", "rbtree", "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let doc = json_doc(&out);
+    assert_eq!(str_field(&doc, "workload"), "rbtree");
+    let profile = doc.get("profile").unwrap();
+    let functions = arr(profile, "functions");
+    let calls: u64 = functions
+        .iter()
+        .map(|f| f.get("calls").and_then(Json::as_u64).unwrap())
+        .sum();
+    assert!(calls > 0, "{functions:?}");
+    let totals = profile.get("totals").unwrap();
+    assert!(totals.get("rc_ops").and_then(Json::as_u64).is_some());
+}
+
+#[test]
+fn certify_json_is_well_formed() {
+    let out = run(&["certify", "--workload", "map", "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let doc = json_doc(&out);
+    assert_eq!(doc.get("violations").and_then(Json::as_u64), Some(0));
+    let target = &arr(&doc, "targets")[0];
+    assert_eq!(str_field(target, "name"), "map");
+    let stage = arr(target, "stages").last().unwrap();
+    assert!(arr(stage, "checker_errors").is_empty());
+    let certs = arr(stage.get("certificates").unwrap(), "functions");
+    assert!(
+        certs.iter().any(|c| str_field(c, "name") == "map"),
+        "{certs:?}"
+    );
 }
 
 #[test]
