@@ -1,5 +1,6 @@
-//! Server-side caches: compiled programs keyed by source hash, and
-//! frozen shared immutable inputs keyed by (program, size).
+//! Server-side caches: compiled programs keyed by workload name or
+//! source hash, and frozen shared immutable inputs keyed by (program,
+//! size).
 //!
 //! The program cache is the reason a serving daemon beats a batch CLI
 //! at all: the pipeline (parse → HM inference → passes → resource check
@@ -31,9 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// FNV-1a over the source text, strategy label, and borrow flag: the
-/// program cache key. Deterministic across runs (ids in logs are
-/// stable). The borrow-inferred (snapshot-read) build of a program is
-/// a different executable, so it caches under a different key.
+/// cache key of an inline source, and the shared-input key of every
+/// program. Deterministic across runs (ids in logs are stable). The
+/// borrow-inferred (snapshot-read) build of a program is a different
+/// executable, so it caches under a different key.
 pub fn program_key(source: &str, strategy: Strategy, borrow: bool) -> u64 {
     let marker: &[u8] = if borrow { b"+borrow" } else { b"" };
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -48,16 +50,33 @@ pub fn program_key(source: &str, strategy: Strategy, borrow: bool) -> u64 {
     h
 }
 
+/// The program cache key. A registry workload is keyed by its name, so
+/// a hit hashes a few bytes rather than the whole source; an inline
+/// source by [`program_key`] over its text. The two are different
+/// variants, so no inline source can land on a registry entry even
+/// when its text is byte-identical (their names, default sizes and
+/// shared-input specs differ).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ProgramKey {
+    Workload {
+        name: &'static str,
+        strategy: Strategy,
+        borrow: bool,
+    },
+    Source(u64),
+}
+
 /// A compiled program, shared by every worker that runs it.
 pub struct CachedProgram {
-    /// Cache key (source + strategy + borrow hash).
-    pub key: u64,
+    /// Cache key.
+    pub key: ProgramKey,
     /// The borrow-agnostic key. Shared inputs are cached under *this*,
     /// so the borrowed and owned builds of one program attach the same
     /// frozen segment instead of freezing it twice.
     pub input_key: u64,
-    /// The source text. With `strategy` and `borrow` it is what the key
-    /// hashes, kept so that a key hit can be told from a collision.
+    /// The source text. With `strategy` and `borrow` it is what an
+    /// inline source's key hashes, kept so that a key hit can be told
+    /// from a collision.
     pub source: Box<str>,
     /// Strategy the program was compiled under.
     pub strategy: Strategy,
@@ -78,16 +97,23 @@ pub struct CachedProgram {
 }
 
 impl CachedProgram {
-    /// True when this is the build of `(source, strategy, borrow)`, not
-    /// merely a program whose key collides with it.
-    fn is_build_of(&self, source: &str, strategy: Strategy, borrow: bool) -> bool {
-        self.strategy == strategy && self.borrow == borrow && *self.source == *source
+    /// True when this is the build that `key` asks for, not merely a
+    /// program resident under it: a registry key names its build
+    /// exactly, an inline one must also carry the same source.
+    fn is_build_of(&self, key: ProgramKey, source: &str, strategy: Strategy, borrow: bool) -> bool {
+        self.key == key
+            && match key {
+                ProgramKey::Workload { .. } => true,
+                ProgramKey::Source(_) => {
+                    self.strategy == strategy && self.borrow == borrow && *self.source == *source
+                }
+            }
     }
 }
 
 /// The compiled-program cache.
 pub struct ProgramCache {
-    map: Mutex<HashMap<u64, Arc<CachedProgram>>>,
+    map: Mutex<HashMap<ProgramKey, Arc<CachedProgram>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -114,46 +140,54 @@ impl ProgramCache {
     /// insert wins and the loser's work is dropped — correct because
     /// compilation is deterministic).
     ///
-    /// The key is a 64-bit hash that a tenant can collide on purpose, so
-    /// a key hit counts only when the resident entry is this very
-    /// program. A request whose key belongs to another program is a
-    /// miss that compiles and runs uncached; the resident entry stays.
+    /// An inline source's key is a 64-bit hash that a tenant can collide
+    /// on purpose, so a key hit counts only when the resident entry is
+    /// this very program. A request whose key belongs to another
+    /// program is a miss that compiles and runs uncached; the resident
+    /// entry stays.
     pub fn resolve(&self, req: &RunRequest) -> Result<(Arc<CachedProgram>, bool), SuiteError> {
-        let (source, name, spec, default_n) = match (&req.workload, &req.source) {
+        let (strategy, borrow) = (req.strategy, req.borrow);
+        let (key, source, spec, default_n) = match (&req.workload, &req.source) {
             (Some(w), _) => {
                 let w = workload(w).ok_or_else(|| {
                     SuiteError::Audit(format!("unknown workload {w:?} (see `workloads()`)"))
                 })?;
-                (w.source, w.name.to_string(), w.parallel, w.test_n)
+                let key = ProgramKey::Workload {
+                    name: w.name,
+                    strategy,
+                    borrow,
+                };
+                (key, w.source, w.parallel, w.test_n)
             }
-            (None, Some(src)) => (src.as_str(), String::new(), None, 0),
+            (None, Some(src)) => {
+                let key = ProgramKey::Source(program_key(src, strategy, borrow));
+                (key, src.as_str(), None, 0)
+            }
             (None, None) => unreachable!("protocol validation requires one"),
         };
-        let key = program_key(source, req.strategy, req.borrow);
         if let Some(hit) = relock(&self.map)
             .get(&key)
-            .filter(|p| p.is_build_of(source, req.strategy, req.borrow))
+            .filter(|p| p.is_build_of(key, source, strategy, borrow))
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(hit), true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = if req.borrow {
+        let compiled = if borrow {
             compile_borrowing(source)?
         } else {
-            compile_workload(source, req.strategy)?
+            compile_workload(source, strategy)?
         };
-        let name = if name.is_empty() {
-            format!("source-{key:016x}")
-        } else {
-            name
+        let name = match key {
+            ProgramKey::Workload { name, .. } => name.to_string(),
+            ProgramKey::Source(hash) => format!("source-{hash:016x}"),
         };
         let entry = Arc::new(CachedProgram {
             key,
-            input_key: program_key(source, req.strategy, false),
+            input_key: program_key(source, strategy, false),
             source: source.into(),
-            strategy: req.strategy,
-            borrow: req.borrow,
+            strategy,
+            borrow,
             compiled,
             spec,
             name,
@@ -163,7 +197,7 @@ impl ProgramCache {
         if let Some(resident) = map.get(&key) {
             // A racing miss on this program got there first, or the key
             // is another program's and this one runs uncached.
-            let same = resident.is_build_of(source, req.strategy, req.borrow);
+            let same = resident.is_build_of(key, source, strategy, borrow);
             return Ok((if same { Arc::clone(resident) } else { entry }, false));
         }
         if map.len() >= self.capacity {
@@ -312,7 +346,11 @@ mod tests {
         let req_a = inline("fun main(n: int): int { n + 1 }");
         let req_b = inline("fun main(n: int): int { n * 2 }");
         let (a, _) = ProgramCache::new(8).resolve(&req_a).unwrap();
-        let key_b = program_key(req_b.source.as_deref().unwrap(), req_b.strategy, false);
+        let key_b = ProgramKey::Source(program_key(
+            req_b.source.as_deref().unwrap(),
+            req_b.strategy,
+            false,
+        ));
 
         let cache = ProgramCache::new(8);
         relock(&cache.map).insert(key_b, Arc::clone(&a));
@@ -331,6 +369,43 @@ mod tests {
             Arc::ptr_eq(&relock(&cache.map)[&key_b], &a),
             "A stays resident"
         );
+    }
+
+    /// A registry request and an inline request with the registry's
+    /// source byte for byte are two programs: each compiles once, each
+    /// hits its own entry, and each answers its own value (the
+    /// registry's default size is its test size, an inline source's 0).
+    #[test]
+    fn a_registry_workload_and_its_inline_source_cache_apart() {
+        use perceus_runtime::machine::RunConfig;
+        let map = workload("map").unwrap();
+        let registry = run_req("map");
+        let inline = RunRequest {
+            workload: None,
+            source: Some(map.source.into()),
+            ..run_req("")
+        };
+        let cache = ProgramCache::new(8);
+        for round in 0..2 {
+            let (r, r_hit) = cache.resolve(&registry).unwrap();
+            let (i, i_hit) = cache.resolve(&inline).unwrap();
+            assert_eq!((r_hit, i_hit), (round == 1, round == 1));
+            assert_eq!(r.name, "map");
+            assert!(i.name.starts_with("source-"), "{}", i.name);
+            assert!(r.spec.is_some() && i.spec.is_none());
+            for (p, want) in [(&r, map.test_n * (map.test_n + 1) / 2), (&i, 0)] {
+                let out = perceus_suite::run_workload(
+                    &p.compiled,
+                    p.strategy,
+                    p.default_n,
+                    RunConfig::default(),
+                )
+                .unwrap();
+                assert_eq!(out.value.to_string(), want.to_string());
+            }
+        }
+        let (len, hits, misses, _) = cache.stats();
+        assert_eq!((len, hits, misses), (2, 2, 2));
     }
 
     #[test]

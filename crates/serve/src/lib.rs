@@ -2,9 +2,10 @@
 //! runtime.
 //!
 //! The daemon accepts compile+run sessions over newline-delimited JSON
-//! on TCP, caches compiled programs by source hash, and executes
-//! sessions on a sharded pool of workers that each *recycle one heap*
-//! across tenants ([`perceus_runtime::Heap::reset`] between sessions).
+//! on TCP, caches compiled programs by workload name or source hash,
+//! and executes sessions on a sharded pool of workers that each
+//! *recycle one heap* across tenants ([`perceus_runtime::Heap::reset`]
+//! between sessions).
 //! The design leans on the paper's central properties:
 //!
 //! - **Garbage-freedom (Thm. 2/4)** makes per-session accounting

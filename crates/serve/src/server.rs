@@ -4,33 +4,37 @@
 //!
 //! ```text
 //! client ──line──▶ connection reader ──Job──▶ worker shard queue (bounded)
-//!                        │                          │ session on recycled heap
-//! client ◀──line── connection writer ◀──String──────┘
+//!    ▲                   │ control replies          │ session on recycled heap
+//!    └──line──── Conn: write half + lock ◀──reply───┘
 //! ```
 //!
-//! Each accepted connection gets a reader thread (parses
-//! newline-delimited requests, runs admission control, dispatches to a
-//! worker shard round-robin) and a writer thread (serializes response
-//! lines back; workers on different shards finish out of order, which
-//! is why responses carry the client's `id`). Admission control is two
-//! gates: a global in-flight cap, and the bounded per-shard queue —
-//! when every shard's queue is full the session is turned away
-//! immediately with `outcome: "busy"` (transient backpressure, retry
-//! after backoff; `"rejected"` is reserved for permanently unservable
-//! requests) instead of queuing without bound, so an overloaded server
-//! degrades by fast refusal rather than by latency collapse.
+//! Each accepted connection gets one reader thread: it parses
+//! newline-delimited requests, runs admission control and dispatches
+//! to a worker shard round-robin. A reply takes no further hop: the
+//! thread that produces it writes it to the socket itself, under the
+//! connection's [`Conn`] lock — the worker that ran the session, or the
+//! reader for control ops and errors. Workers on different shards
+//! finish out of order, which is why responses carry the client's `id`.
+//! Admission control is two gates: a global in-flight cap, and the
+//! bounded per-shard queue — when every shard's queue is full the
+//! session is turned away immediately with `outcome: "busy"` (transient
+//! backpressure, retry after backoff; `"rejected"` is reserved for
+//! permanently unservable requests) instead of queuing without bound,
+//! so an overloaded server degrades by fast refusal rather than by
+//! latency collapse.
 
 use crate::cache::{ProgramCache, SharedInputs};
 use crate::json::ObjBuilder;
 use crate::protocol::{self, Outcome, ParseError, Request, DEFAULT_FUEL, DEFAULT_MEMORY_WORDS};
+use crate::relock;
 use crate::worker::{worker_loop, Aggregate, Job, ResumeJob, RunJob, ServeCtx};
 use perceus_bench::counters::counter_values;
 use perceus_bench::COUNTER_KEYS;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -97,9 +101,69 @@ impl Default for ServeConfig {
     }
 }
 
+/// How long one reply write may wait for the client to make room. A
+/// write that times out or fails marks its connection dead ([`Conn`]):
+/// both halves shut down, and later replies to it are dropped unwritten
+/// (their sessions still run and still return the in-flight gauge to
+/// zero). This bounds a client that pipelines requests and never reads,
+/// which would otherwise hold a worker in a blocked write forever.
+///
+/// The value is safe because a client that keeps reading never waits
+/// here: a socket buffer holds hundreds of kilobytes of replies, and
+/// the CI loadtest (10 connections × window 20), perfbench and every
+/// test keep far fewer than that unread.
+pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// The write half of one client connection, shared by every thread that
+/// answers on it: the connection's reader (control ops and errors) and
+/// each worker running one of its sessions. The lock makes every reply
+/// one uninterrupted `write_all`, so lines never interleave. When the
+/// last holder drops it the write half shuts down, and the client reads
+/// EOF after its last reply.
+pub struct Conn {
+    /// `None` once a write failed or timed out: the connection is dead.
+    out: Mutex<Option<TcpStream>>,
+}
+
+impl Conn {
+    /// Wraps a connection's write half (a clone of the accepted socket).
+    pub fn new(out: TcpStream) -> Self {
+        Conn {
+            out: Mutex::new(Some(out)),
+        }
+    }
+
+    /// Writes one reply line; the `\n` is added here so line and
+    /// terminator go out in one write. On a dead connection the line is
+    /// dropped; a failed write kills the connection.
+    pub fn send(&self, mut line: String) {
+        let mut out = relock(&self.out);
+        let Some(stream) = out.as_mut() else {
+            return;
+        };
+        line.push('\n');
+        if stream.write_all(line.as_bytes()).is_err() {
+            // Shutting the read half down too ends the reader with EOF.
+            let _ = stream.shutdown(Shutdown::Both);
+            *out = None;
+        }
+    }
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let out = self.out.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(stream) = out {
+            let _ = stream.shutdown(Shutdown::Write);
+        }
+    }
+}
+
 /// A running daemon.
 pub struct ServerHandle {
     addr: SocketAddr,
+    /// Where a connect wakes the acceptor (see [`wake_addr`]).
+    wake: SocketAddr,
     ctx: Arc<ServeCtx>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -118,7 +182,7 @@ impl ServerHandle {
 
     /// Raises the shutdown flag; workers and the acceptor drain out.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        raise_shutdown(&self.shutdown, self.wake);
     }
 
     /// Shuts down and joins every daemon thread.
@@ -133,15 +197,46 @@ impl ServerHandle {
     /// `{"op":"shutdown"}` or another thread's [`ServerHandle::shutdown`]
     /// — then joins every daemon thread. Unlike [`ServerHandle::join`],
     /// this never initiates the shutdown itself: it is how the `serve`
-    /// command keeps the daemon alive for its whole service life.
+    /// command keeps the daemon alive for its whole service life. Every
+    /// daemon thread runs until the flag rises, so joining them is the
+    /// wait.
     pub fn wait(mut self) {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(25));
-        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
+}
+
+/// The address that reaches a listener bound to `addr`: itself, or
+/// loopback on the bound port when `addr` is unspecified (`0.0.0.0`,
+/// `::`).
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip: IpAddr = match addr.ip() {
+        ip if !ip.is_unspecified() => ip,
+        IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+        IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Raises the shutdown flag, then wakes this daemon's acceptor — it
+/// blocks in `accept` — with a connection to its own listener. A
+/// refused connect means the acceptor is gone already.
+fn raise_shutdown(flag: &AtomicBool, wake: SocketAddr) {
+    flag.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(wake);
+}
+
+/// What the acceptor and every connection reader share.
+struct Front {
+    ctx: Arc<ServeCtx>,
+    shutdown: Arc<AtomicBool>,
+    /// Where a connect wakes the acceptor.
+    wake: SocketAddr,
+    shards: Vec<SyncSender<Job>>,
+    next_shard: AtomicUsize,
+    max_inflight: u64,
+    workers: usize,
 }
 
 /// Starts the daemon: binds, spawns the worker pool and the acceptor,
@@ -149,7 +244,7 @@ impl ServerHandle {
 pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let wake = wake_addr(addr);
 
     let ctx = Arc::new(ServeCtx {
         programs: ProgramCache::new(config.cache_capacity),
@@ -191,92 +286,58 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         }
     }
 
-    let acceptor = {
-        let ctx = Arc::clone(&ctx);
-        let shutdown = Arc::clone(&shutdown);
-        let shards = Arc::new(shards);
-        let max_inflight = config.max_inflight;
-        let workers = config.workers;
-        std::thread::spawn(move || {
-            let next_shard = Arc::new(AtomicUsize::new(0));
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let ctx = Arc::clone(&ctx);
-                        let shutdown = Arc::clone(&shutdown);
-                        let shards = Arc::clone(&shards);
-                        let next_shard = Arc::clone(&next_shard);
-                        conns.push(std::thread::spawn(move || {
-                            connection(
-                                stream,
-                                ctx,
-                                shutdown,
-                                shards,
-                                next_shard,
-                                max_inflight,
-                                workers,
-                            );
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-                conns.retain(|c| !c.is_finished());
+    let front = Arc::new(Front {
+        ctx: Arc::clone(&ctx),
+        shutdown: Arc::clone(&shutdown),
+        wake,
+        shards,
+        next_shard: AtomicUsize::new(0),
+        max_inflight: config.max_inflight,
+        workers: config.workers,
+    });
+    threads.push(std::thread::spawn(move || {
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
+        for stream in listener.incoming() {
+            // Whatever woke us, the flag decides: the shutdown wake-up
+            // connection is dropped unanswered.
+            if front.shutdown.load(Ordering::SeqCst) {
+                break;
             }
-            for c in conns {
-                let _ = c.join();
-            }
-        })
-    };
-    threads.push(acceptor);
+            let Ok(stream) = stream else {
+                break;
+            };
+            let front = Arc::clone(&front);
+            conns.push(std::thread::spawn(move || connection(stream, &front)));
+            conns.retain(|c| !c.is_finished());
+        }
+        drop(listener); // later wake-ups are refused, not queued
+        for c in conns {
+            let _ = c.join();
+        }
+    }));
 
     Ok(ServerHandle {
         addr,
+        wake,
         ctx,
         shutdown,
         threads,
     })
 }
 
-/// One client connection: reader here, writer on a side thread.
-#[allow(clippy::too_many_arguments)]
-fn connection(
-    stream: TcpStream,
-    ctx: Arc<ServeCtx>,
-    shutdown: Arc<AtomicBool>,
-    shards: Arc<Vec<SyncSender<Job>>>,
-    next_shard: Arc<AtomicUsize>,
-    max_inflight: u64,
-    workers: usize,
-) {
+/// One client connection's reader. Replies go out through the shared
+/// [`Conn`], written by whichever thread produced them.
+fn connection(stream: TcpStream, front: &Front) {
     // A reply is one small segment the client is waiting for: send it
     // at once. Held back by Nagle's algorithm, a reply written in two
     // pieces waits for the client's delayed ACK of the first (~40 ms).
     let _ = stream.set_nodelay(true);
+    // Socket options are per socket, so the write half shares it.
+    let _ = stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    // Responses (from workers and from the control plane) funnel
-    // through one channel so lines never interleave on the socket.
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let mut out = write_half;
-        while let Ok(mut line) = reply_rx.recv() {
-            // One write per reply: line and terminator together.
-            line.push('\n');
-            if out
-                .write_all(line.as_bytes())
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                break;
-            }
-        }
-        let _ = out.shutdown(std::net::Shutdown::Write);
-    });
+    let conn = Arc::new(Conn::new(write_half));
 
     // Requests are read as raw bytes and split on '\n' by hand. A
     // `BufReader::read_line` over a socket with a read timeout would
@@ -292,7 +353,7 @@ fn connection(
     let mut chunk = [0u8; 4096];
     let mut scanned = 0; // bytes before this hold no '\n'
     let mut too_large = false;
-    'conn: while !shutdown.load(Ordering::Relaxed) {
+    'conn: while !front.shutdown.load(Ordering::Relaxed) {
         while let Some(nl) = buf[scanned..].iter().position(|&b| b == b'\n') {
             let len = scanned + nl;
             scanned = 0;
@@ -306,16 +367,7 @@ fn connection(
             if trimmed.is_empty() {
                 continue;
             }
-            if !dispatch(
-                trimmed,
-                &ctx,
-                &shutdown,
-                &shards,
-                &next_shard,
-                max_inflight,
-                workers,
-                &reply_tx,
-            ) {
+            if !dispatch(trimmed, front, &conn) {
                 break 'conn; // client-initiated shutdown
             }
         }
@@ -341,60 +393,50 @@ fn connection(
         }
     }
     if too_large {
-        let _ = reply_tx.send(protocol::protocol_error(
+        conn.send(protocol::protocol_error(
             "request-too-large",
             &format!("request line longer than {MAX_REQUEST_BYTES} bytes; closing the connection"),
         ));
     }
-    drop(reply_tx);
-    let _ = writer.join();
 }
 
 /// Handles one request line on a connection. Returns `false` when the
 /// client asked the daemon to shut down (the connection stops reading).
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    trimmed: &str,
-    ctx: &Arc<ServeCtx>,
-    shutdown: &AtomicBool,
-    shards: &[SyncSender<Job>],
-    next_shard: &AtomicUsize,
-    max_inflight: u64,
-    workers: usize,
-    reply_tx: &mpsc::Sender<String>,
-) -> bool {
+fn dispatch(trimmed: &str, front: &Front, conn: &Arc<Conn>) -> bool {
+    let ctx = &front.ctx;
+    let shards = &front.shards;
     match protocol::parse_request(trimmed) {
         Err(ParseError::Bad(e)) => {
-            let _ = reply_tx.send(protocol::protocol_error("bad-request", &e));
+            conn.send(protocol::protocol_error("bad-request", &e));
         }
         Err(ParseError::Version { got, id }) => {
-            let _ = reply_tx.send(protocol::version_error(got, id));
+            conn.send(protocol::version_error(got, id));
         }
         Ok(Request::Health) => {
-            let _ = reply_tx.send(
+            conn.send(
                 protocol::response()
                     .bool("ok", true)
-                    .u64("workers", workers as u64)
+                    .u64("workers", front.workers as u64)
                     .u64("inflight", ctx.inflight.load(Ordering::Relaxed))
                     .finish(),
             );
         }
         Ok(Request::Stats) => {
-            let _ = reply_tx.send(render_stats(ctx, workers));
+            conn.send(render_stats(ctx, front.workers));
         }
         Ok(Request::Shutdown) => {
-            let _ = reply_tx.send(protocol::response().bool("ok", true).finish());
-            shutdown.store(true, Ordering::Relaxed);
+            conn.send(protocol::response().bool("ok", true).finish());
+            raise_shutdown(&front.shutdown, front.wake);
             return false;
         }
         Ok(Request::Run(req)) => {
             // Gate 1: the global in-flight cap. Backpressure is
             // `busy` — transient by definition — never `rejected`,
             // which is reserved for requests that can *never* succeed.
-            if ctx.inflight.fetch_add(1, Ordering::Relaxed) >= max_inflight {
+            if ctx.inflight.fetch_add(1, Ordering::Relaxed) >= front.max_inflight {
                 ctx.inflight.fetch_sub(1, Ordering::Relaxed);
                 ctx.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = reply_tx.send(protocol::error_response(
+                conn.send(protocol::error_response(
                     req.id,
                     Outcome::Busy,
                     "busy",
@@ -407,9 +449,9 @@ fn dispatch(
             let id = req.id;
             let mut job = Job::Run(RunJob {
                 req: *req,
-                reply: reply_tx.clone(),
+                reply: Arc::clone(conn),
             });
-            let start = next_shard.fetch_add(1, Ordering::Relaxed);
+            let start = front.next_shard.fetch_add(1, Ordering::Relaxed);
             let mut admitted = false;
             for i in 0..shards.len() {
                 let shard = &shards[(start + i) % shards.len()];
@@ -426,7 +468,7 @@ fn dispatch(
             if !admitted {
                 ctx.inflight.fetch_sub(1, Ordering::Relaxed);
                 ctx.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = reply_tx.send(protocol::error_response(
+                conn.send(protocol::error_response(
                     id,
                     Outcome::Busy,
                     "busy",
@@ -441,7 +483,7 @@ fn dispatch(
             // nothing.
             let shard_idx = (req.session >> 48) as usize;
             if shard_idx >= shards.len() {
-                let _ = reply_tx.send(protocol::error_response(
+                conn.send(protocol::error_response(
                     req.id,
                     Outcome::Rejected,
                     "no-such-session",
@@ -449,10 +491,10 @@ fn dispatch(
                 ));
                 return true;
             }
-            if ctx.inflight.fetch_add(1, Ordering::Relaxed) >= max_inflight {
+            if ctx.inflight.fetch_add(1, Ordering::Relaxed) >= front.max_inflight {
                 ctx.inflight.fetch_sub(1, Ordering::Relaxed);
                 ctx.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = reply_tx.send(protocol::error_response(
+                conn.send(protocol::error_response(
                     req.id,
                     Outcome::Busy,
                     "busy",
@@ -463,14 +505,14 @@ fn dispatch(
             let id = req.id;
             let job = Job::Resume(ResumeJob {
                 req,
-                reply: reply_tx.clone(),
+                reply: Arc::clone(conn),
             });
             match shards[shard_idx].try_send(job) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                     ctx.inflight.fetch_sub(1, Ordering::Relaxed);
                     ctx.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply_tx.send(protocol::error_response(
+                    conn.send(protocol::error_response(
                         id,
                         Outcome::Busy,
                         "busy",

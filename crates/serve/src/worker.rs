@@ -43,6 +43,7 @@
 use crate::cache::{CachedProgram, ProgramCache, SharedInput, SharedInputs};
 use crate::json::ObjBuilder;
 use crate::protocol::{self, Outcome, ResumeRequest, RunRequest};
+use crate::server::Conn;
 use perceus_bench::counters::counter_values;
 use perceus_bench::COUNTER_KEYS;
 use perceus_lang::error::Phase;
@@ -54,21 +55,21 @@ use perceus_runtime::{
 use perceus_suite::{ParallelSpec, Strategy, SuiteError};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A `run` session admitted to a worker queue: the parsed request plus
-/// the owning connection's writer channel.
+/// the connection the worker writes its reply to.
 pub struct RunJob {
     pub req: RunRequest,
-    pub reply: Sender<String>,
+    pub reply: Arc<Conn>,
 }
 
 /// A `resume` op routed to the shard that parked the session.
 pub struct ResumeJob {
     pub req: ResumeRequest,
-    pub reply: Sender<String>,
+    pub reply: Arc<Conn>,
 }
 
 /// Anything a worker shard can be asked to do.
@@ -86,7 +87,7 @@ impl Job {
         }
     }
 
-    fn reply(&self) -> &Sender<String> {
+    fn reply(&self) -> &Conn {
         match self {
             Job::Run(j) => &j.reply,
             Job::Resume(j) => &j.reply,
@@ -192,30 +193,25 @@ pub fn worker_loop(
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        match jobs.recv_timeout(Duration::from_millis(100)) {
+        let (conn, response) = match jobs.recv_timeout(Duration::from_millis(100)) {
             Ok(Job::Run(job)) if !job.req.resumable => {
                 let (returned, response) = run_session(heap, &ctx, &job.req);
                 heap = returned;
-                // A dead connection just discards the response.
-                let _ = job.reply.send(response);
-                ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+                (job.reply, response)
             }
-            Ok(Job::Run(job)) => {
-                let response = run_resumable(&mut parked, &ctx, &job.req);
-                let _ = job.reply.send(response);
-                ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-            }
-            Ok(Job::Resume(job)) => {
-                let response = resume_session(&mut parked, &ctx, &job.req);
-                let _ = job.reply.send(response);
-                ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-            }
+            Ok(Job::Run(job)) => (job.reply, run_resumable(&mut parked, &ctx, &job.req)),
+            Ok(Job::Resume(job)) => (job.reply, resume_session(&mut parked, &ctx, &job.req)),
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => {
                 parked.evict_all(&ctx);
                 return;
             }
-        }
+        };
+        // The session is answered: it leaves the in-flight count before
+        // the write, which may wait on a slow client. A dead connection
+        // just discards the response.
+        ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+        conn.send(response);
     }
     // Shutdown: every parked session is evicted (a real abort with the
     // usual reset + audit accounting) — a daemon going away must not
@@ -225,18 +221,19 @@ pub fn worker_loop(
     // that haven't seen the flag yet) must still be answered and the
     // inflight gauge returned to zero, or their clients hang until EOF.
     // Keep receiving until the last sender is gone — connection threads
-    // exit on the same flag, so disconnection is guaranteed.
+    // exit on the same flag, and the acceptor when the shutdown wakes
+    // it, so disconnection is guaranteed.
     loop {
         match jobs.recv_timeout(Duration::from_millis(100)) {
             Ok(job) => {
-                let _ = job.reply().send(crate::protocol::error_response(
+                ctx.rejected.fetch_add(1, Ordering::Relaxed);
+                ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+                job.reply().send(crate::protocol::error_response(
                     job.id(),
                     Outcome::Rejected,
                     "shutdown",
                     "server shutting down",
                 ));
-                ctx.rejected.fetch_add(1, Ordering::Relaxed);
-                ctx.inflight.fetch_sub(1, Ordering::Relaxed);
             }
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return,
@@ -1341,15 +1338,21 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs_with_rejection() {
+        use std::io::Read;
+        use std::net::{TcpListener, TcpStream};
         use std::sync::mpsc;
         let ctx = Arc::new(ctx());
+        // A loopback socket pair: the accepted end is the connection
+        // the worker answers on, the other is the client.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = Arc::new(Conn::new(listener.accept().unwrap().0));
         let (tx, rx) = mpsc::sync_channel::<Job>(8);
-        let (reply_tx, reply_rx) = mpsc::channel::<String>();
         for id in 0..2 {
             ctx.inflight.fetch_add(1, Ordering::Relaxed);
             tx.send(Job::Run(RunJob {
                 req: RunRequest { id, ..req("map") },
-                reply: reply_tx.clone(),
+                reply: Arc::clone(&conn),
             }))
             .unwrap();
         }
@@ -1360,14 +1363,17 @@ mod tests {
                 session: 1,
                 fuel: None,
             },
-            reply: reply_tx.clone(),
+            reply: conn,
         }))
         .unwrap();
         drop(tx);
-        drop(reply_tx);
         let shutdown = Arc::new(AtomicBool::new(true));
         worker_loop(0, rx, Arc::clone(&ctx), shutdown);
-        let replies: Vec<String> = reply_rx.try_iter().collect();
+        // The jobs held the last handles: the write half is shut down,
+        // so the client reads every reply and then EOF.
+        let mut replies = String::new();
+        client.read_to_string(&mut replies).unwrap();
+        let replies: Vec<&str> = replies.lines().collect();
         assert_eq!(replies.len(), 3, "every queued job must be answered");
         for r in &replies {
             assert!(r.contains("\"outcome\":\"rejected\""), "{r}");

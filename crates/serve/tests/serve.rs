@@ -6,10 +6,12 @@
 use perceus_lang::{MAX_DEPTH, MAX_NESTING};
 use perceus_serve::json::{self, Json};
 use perceus_serve::loadtest::{self, LoadConfig};
-use perceus_serve::server::{start, ServeConfig, MAX_REQUEST_BYTES, WORKER_STACK};
+use perceus_serve::server::{
+    start, ServeConfig, MAX_REQUEST_BYTES, REPLY_WRITE_TIMEOUT, WORKER_STACK,
+};
 use perceus_suite::{compile_borrowing, compile_workload, Strategy};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 fn server(configure: impl FnOnce(&mut ServeConfig)) -> perceus_serve::ServerHandle {
@@ -468,6 +470,177 @@ fn health_shutdown_and_bad_requests() {
     );
     let _ = roundtrip(h.addr(), &[r#"{"op":"shutdown"}"#.to_string()]);
     // The flag is up; join must complete rather than hang.
+    h.join();
+}
+
+/// The acceptor blocks in `accept`, and `join` wakes it with a
+/// connection of its own to that daemon's listener — on loopback when
+/// the daemon is bound to an unspecified address. A daemon nobody ever
+/// connected to still joins; without the wake-up it would hang.
+#[test]
+fn join_of_an_idle_daemon_returns() {
+    let (done, joined) = std::sync::mpsc::channel();
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let h = server(|c| c.addr = addr.into());
+        let done = done.clone();
+        std::thread::spawn(move || {
+            h.join();
+            done.send(addr).unwrap();
+        });
+    }
+    for _ in 0..2 {
+        joined
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("an idle daemon's join returns");
+    }
+}
+
+/// A program whose reply carries `n` printed integers of 7 digits: 8
+/// bytes each on the wire, so 2 000 make a reply larger than a TCP
+/// segment.
+const SPEW: &str = "fun spew(i: int, n: int): int {
+  if i >= n then n
+  else {
+    println(1000000 + i)
+    spew(i + 1, n)
+  }
+}
+fun main(n: int): int { spew(0, n) }
+";
+
+fn spew_line(id: u64, n: usize) -> String {
+    format!(
+        r#"{{"op":"run","id":{id},"n":{n},"source":{}}}"#,
+        json_str(SPEW)
+    )
+}
+
+/// Replies from two workers and from the connection's reader share one
+/// socket; under the connection's lock each is one `write_all`, so no
+/// line tears. 500 sessions pipelined on one connection mix small
+/// replies with ones over 8 KB, interleaved with `health` ops and
+/// malformed lines that the reader answers itself.
+#[test]
+fn pipelined_replies_from_workers_and_reader_never_interleave() {
+    const SESSIONS: u64 = 500;
+    const MIX: [&str; 6] = ["map", "rbtree", "msort", "queue", "deriv", "tmap"];
+    let h = server(|c| {
+        c.queue_depth = 1024;
+        c.max_inflight = 1024;
+    });
+    let stream = TcpStream::connect(h.addr()).expect("connect");
+    let mut w = stream.try_clone().expect("clone");
+    let (mut healths, mut malformed) = (0, 0);
+    let mut lines = String::new();
+    for id in 0..SESSIONS {
+        if id % 3 == 0 {
+            lines += &spew_line(id, 2000);
+        } else {
+            lines += &run_line(id, MIX[id as usize % MIX.len()], "");
+        }
+        lines.push('\n');
+        if id % 7 == 0 {
+            lines += "{\"op\":\"health\"}\n";
+            healths += 1;
+        }
+        if id % 11 == 0 {
+            lines += "{\"op\":\"run\",\"id\":\n";
+            malformed += 1;
+        }
+    }
+    // Written from a thread of its own: the replies outgrow the socket
+    // buffers long before the requests are all sent.
+    let writer = std::thread::spawn(move || w.write_all(lines.as_bytes()).unwrap());
+    let mut reader = BufReader::new(stream);
+    let mut answered = vec![0u32; SESSIONS as usize];
+    let (mut seen_healths, mut seen_malformed, mut big) = (0, 0, 0);
+    for _ in 0..SESSIONS + healths + malformed {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "early EOF");
+        let v = json::parse(line.trim())
+            .unwrap_or_else(|e| panic!("a torn line ({e}): {:.200}…", line));
+        if let Some(id) = v.get("id").and_then(Json::as_u64) {
+            answered[id as usize] += 1;
+            assert_eq!(field(&v, "outcome").as_str(), Some("ok"), "{v:?}");
+            if id % 3 == 0 {
+                assert!(line.len() >= 8 * 2000, "{} bytes", line.len());
+                big += 1;
+            }
+        } else if v.get("outcome").and_then(Json::as_str) == Some("bad-request") {
+            seen_malformed += 1;
+        } else {
+            assert_eq!(field(&v, "workers").as_u64(), Some(2), "{v:?}");
+            seen_healths += 1;
+        }
+    }
+    writer.join().unwrap();
+    assert!(answered.iter().all(|&n| n == 1), "every id exactly once");
+    assert_eq!((seen_healths, seen_malformed), (healths, malformed));
+    assert_eq!(big, SESSIONS.div_ceil(3));
+    h.join();
+}
+
+/// A client that pipelines sessions and never reads: once its socket
+/// buffers fill, a reply write waits `REPLY_WRITE_TIMEOUT`, fails, and
+/// the daemon closes the connection and drops its remaining replies.
+/// Another client is served meanwhile, and the in-flight gauge returns
+/// to zero.
+#[test]
+fn a_client_that_never_reads_is_closed_and_others_are_served() {
+    use std::time::{Duration, Instant};
+    let h = server(|c| {
+        c.queue_depth = 1024;
+        c.max_inflight = 1024;
+    });
+    // 400 replies of ≈ 48 KB, 19 MB: far past the loopback socket
+    // buffers (the daemon's send buffer grows to `tcp_wmem`'s maximum,
+    // 4 MiB by default; an idle client's receive buffer stays near
+    // 128 KiB).
+    let mut a = TcpStream::connect(h.addr()).expect("connect");
+    let mut lines = String::new();
+    for id in 0..400 {
+        lines += &spew_line(id, 6000);
+        lines.push('\n');
+    }
+    a.write_all(lines.as_bytes()).unwrap();
+    let sent = Instant::now();
+
+    let b: Vec<String> = (0..200).map(|id| run_line(id, "map", "")).collect();
+    let rs = roundtrip(h.addr(), &b);
+    assert_eq!(rs.len(), 200);
+    for v in rs.values() {
+        assert_eq!(field(v, "outcome").as_str(), Some("ok"), "{v:?}");
+    }
+
+    // A reads what reached it, then EOF: the daemon closed it. Were it
+    // still open, reading would let the daemon write on and the read
+    // would time out instead.
+    a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut sink = [0u8; 1 << 16];
+    loop {
+        match a.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the daemon never closed a client that does not read: {e}"),
+        }
+    }
+    let closed = sent.elapsed();
+    assert!(
+        closed < Duration::from_secs(5) + 20 * REPLY_WRITE_TIMEOUT,
+        "closed after {closed:?}"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = roundtrip(h.addr(), &[r#"{"op":"stats"}"#.to_string()]);
+        let inflight = field(&stats[&(CONTROL_BASE + 1)], "inflight").as_u64();
+        if inflight == Some(0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "inflight stuck at {inflight:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     h.join();
 }
 

@@ -10,8 +10,11 @@
 # directory, and the change's perfbench/ and BENCHMARK.json must be
 # byte-identical to the parent's: the benchmark is the instrument, a
 # gain measured with a different one is no gain. Which side runs first
-# alternates from pair to pair. Prints every run, then per end-to-end
-# metric each side's median and quartiles and the pairs won.
+# alternates from pair to pair. Prints every run, each side's failed
+# operations next to its median operations attempted per run (on
+# serve-* the sessions run, which rss_peak_mb follows), then
+# per end-to-end metric each side's median and quartiles and the pairs
+# won.
 #
 # Pair i runs both sides with seed SEED+i (SEED defaults to 100, so
 # seeds 101, 102, …: not the seed 1 of development). SECONDS_PER_RUN
@@ -24,7 +27,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
 fi
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -101,7 +104,10 @@ for line in open(sys.argv[1]):
     side, result = line.split(" ", 1)
     sides[side].append(json.loads(result))
 failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
-print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
+attempted = {s: statistics.median(r["attempted"] for r in rs) for s, rs in sides.items()}
+print(f"operations: parent {failed['parent']} failed of {attempted['parent']:.0f}, "
+      f"change {failed['change']} failed of {attempted['change']:.0f} "
+      "(failed summed over the runs, of the median attempted per run)")
 print(f"{'metric':<14}{'side':<8}{'q1':>12}{'median':>12}{'q3':>12}  wins")
 for metric in json.load(open(sys.argv[2]))["end_to_end"]:
     name, lower = metric["name"], metric["better"] == "lower"
@@ -130,8 +136,10 @@ for line in open(sys.argv[1]):
     side, result = line.split(" ", 1)
     sides[side].append(json.loads(result))
 failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
-print(f"traced pairs: {len(sides['parent'])}; failed operations: "
-      f"parent {failed['parent']}, change {failed['change']}")
+attempted = {s: statistics.median(r["attempted"] for r in rs) for s, rs in sides.items()}
+print(f"traced pairs: {len(sides['parent'])}; operations: "
+      f"parent {failed['parent']} failed of {attempted['parent']:.0f}, "
+      f"change {failed['change']} failed of {attempted['change']:.0f}")
 print(f"{'metric':<28}{'parent':>12}{'change':>12}")
 for name in sys.argv[2].split(","):
     medians = []
