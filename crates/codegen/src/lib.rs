@@ -17,8 +17,11 @@
 //! The pipeline is *emit → compile → run*:
 //!
 //! 1. [`emit_batch`] renders any number of compiled programs into one
-//!    Rust source file (a `main.rs` with a fixed runtime shim and one
-//!    module per program);
+//!    Rust source file (a `main.rs` with one module per program). It
+//!    defines no runtime function: the primitives, match dispatch,
+//!    error texts and subprocess driver are imported from
+//!    [`perceus_runtime::native`], the same definitions the machine
+//!    runs;
 //! 2. [`build_programs`] writes it as a tiny cargo project under
 //!    `target/native/` (path-dependencies on `perceus-runtime` and
 //!    `perceus-core`, built `--offline`) and compiles it with the
@@ -49,12 +52,10 @@
 mod emit;
 mod project;
 mod report;
-mod shim;
 
 pub use emit::{emit_batch, emit_module};
 pub use project::{build_programs, build_source, native_workdir, NativeBin};
 pub use report::NativeReport;
-pub use shim::SHIM_SOURCE;
 
 use perceus_runtime::code::Compiled;
 use std::fmt;

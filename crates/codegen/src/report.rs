@@ -131,6 +131,60 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// A run's state as the executor leaves it: printed output, some
+    /// counters moved, one block still live.
+    fn finished_run() -> perceus_runtime::native::Rt {
+        use perceus_runtime::heap::BlockTag;
+        use perceus_runtime::Value;
+        let mut rt = perceus_runtime::native::Rt::new();
+        rt.output = vec![3, -1, i64::MIN];
+        rt.heap.alloc_slice(
+            BlockTag::Ctor(perceus_core::ir::CtorId(2)),
+            &[Value::Int(7)],
+        );
+        rt.heap.stats.steps = 41;
+        rt.heap.stats.dups = 5;
+        rt
+    }
+
+    /// The executor's writer (`perceus_runtime::native::report`) and this
+    /// reader agree on every field of a successful run.
+    #[test]
+    fn native_report_round_trips_a_value() {
+        let rt = finished_run();
+        let line = perceus_runtime::native::report(&rt, &Ok("Cons(1, Nil)".into()), 99);
+        let r = parse_report(&line).unwrap();
+        assert!(r.ok);
+        assert_eq!(r.value.as_deref(), Some("Cons(1, Nil)"));
+        assert_eq!((r.error, r.code), (None, None));
+        assert_eq!(r.output, rt.output);
+        assert_eq!(r.counters, rt.heap.stats.schedule_values());
+        assert_eq!((r.leaked_blocks, r.wall_ns), (1, 99));
+    }
+
+    /// An error run carries its code, output and counters-at-failure;
+    /// a message with quotes, a backslash and control characters comes
+    /// back exactly.
+    #[test]
+    fn native_report_round_trips_errors() {
+        use perceus_runtime::RuntimeError;
+        let rt = finished_run();
+        for e in [
+            RuntimeError::DivisionByZero,
+            RuntimeError::Abort("say \"hi\"\\ \n\t\u{1} λ".into()),
+        ] {
+            let line = perceus_runtime::native::report(&rt, &Err(e.clone()), 7);
+            let r = parse_report(&line).unwrap();
+            assert!(!r.ok);
+            assert_eq!(r.value, None);
+            assert_eq!(r.error, Some(e.to_string()));
+            assert_eq!(r.code.as_deref(), Some(e.code()));
+            assert_eq!(r.output, rt.output);
+            assert_eq!(r.counters, rt.heap.stats.schedule_values());
+            assert_eq!((r.leaked_blocks, r.wall_ns), (1, 7));
+        }
+    }
+
     #[test]
     fn rejects_unknown_fields_and_junk() {
         assert!(parse_report(r#"{"nope":1}"#).is_err());

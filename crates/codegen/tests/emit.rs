@@ -36,7 +36,7 @@ fn reuse_tokens_are_emitted() {
         "null-token fallback to a fresh allocation:\n{src}"
     );
     assert!(
-        src.contains("shim::bad_reuse_token"),
+        src.contains("RuntimeError::bad_reuse_token(other)"),
         "non-token rejection arm:\n{src}"
     );
 

@@ -118,34 +118,6 @@ impl PrimOp {
             PrimOp::Println => "println",
         }
     }
-
-    /// A stable identifier-safe name, one per variant (`add`, `ref_get`,
-    /// …). Code generators use this to name per-primitive helper
-    /// functions, so the emitter and its runtime shim agree on spelling
-    /// by construction.
-    pub fn ident(self) -> &'static str {
-        match self {
-            PrimOp::Add => "add",
-            PrimOp::Sub => "sub",
-            PrimOp::Mul => "mul",
-            PrimOp::Div => "div",
-            PrimOp::Rem => "rem",
-            PrimOp::Neg => "neg",
-            PrimOp::Lt => "lt",
-            PrimOp::Le => "le",
-            PrimOp::Gt => "gt",
-            PrimOp::Ge => "ge",
-            PrimOp::Eq => "eq",
-            PrimOp::Ne => "ne",
-            PrimOp::Min => "min",
-            PrimOp::Max => "max",
-            PrimOp::RefNew => "ref_new",
-            PrimOp::RefGet => "ref_get",
-            PrimOp::RefSet => "ref_set",
-            PrimOp::TShare => "tshare",
-            PrimOp::Println => "println",
-        }
-    }
 }
 
 impl fmt::Display for PrimOp {

@@ -1,6 +1,7 @@
 //! Runtime errors.
 
-use crate::value::Addr;
+use crate::value::{Addr, Value};
+use perceus_core::ir::CtorId;
 use std::fmt;
 
 /// An error raised while executing a compiled program.
@@ -57,6 +58,47 @@ impl RuntimeError {
             RuntimeError::MatchFailure(_) => "match-failure",
             RuntimeError::Internal(_) => "internal",
         }
+    }
+}
+
+/// The texts of the dispatch errors, shared by the machine and the
+/// native backend's generated code (so both report the same message).
+impl RuntimeError {
+    /// A call of function `name` with the wrong number of arguments.
+    #[cold]
+    pub fn fun_arity(name: &str, want: usize, got: usize) -> Self {
+        RuntimeError::TypeMismatch(format!("{name} expects {want} arguments, got {got}"))
+    }
+
+    /// An application of a closure with the wrong number of arguments.
+    #[cold]
+    pub fn closure_arity(want: usize, got: usize) -> Self {
+        RuntimeError::TypeMismatch(format!("closure expects {want} arguments, got {got}"))
+    }
+
+    /// An application of a heap block that is not a closure.
+    #[cold]
+    pub fn non_function_block() -> Self {
+        RuntimeError::TypeMismatch("application of a non-function block".into())
+    }
+
+    /// An application of an immediate that is not a function.
+    #[cold]
+    pub fn apply_non_function(v: Value) -> Self {
+        RuntimeError::TypeMismatch(format!("application of non-function value {v}"))
+    }
+
+    /// A constructor reuse whose token slot holds no token.
+    #[cold]
+    pub fn bad_reuse_token(v: Value) -> Self {
+        RuntimeError::TypeMismatch(format!("constructor reuse argument is not a token: {v}"))
+    }
+
+    /// A match with no arm for constructor `ctor` (named `name`) and no
+    /// default.
+    #[cold]
+    pub fn no_arm(name: &str, ctor: CtorId) -> Self {
+        RuntimeError::MatchFailure(format!("no arm for constructor {name} ({ctor:?})"))
     }
 }
 

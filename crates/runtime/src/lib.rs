@@ -16,6 +16,9 @@
 //!   oracle for Theorem 1;
 //! * [`audit`] — executable checks for the garbage-free theorems
 //!   (Thm. 2/4) and the exact-count property (Appendix D.3);
+//! * [`native`] — what code compiled by `perceus-codegen` links
+//!   against: the per-run state, the report line and the subprocess
+//!   driver (its primitives and dispatch are the machine's own);
 //! * [`profile`] — the attributed profiler: every heap/RC event
 //!   credited to the executing function (calling-context tree,
 //!   per-constructor reuse rates, per-function peak liveness), exact
@@ -46,6 +49,7 @@ pub mod error;
 pub mod gc;
 pub mod heap;
 pub mod machine;
+pub mod native;
 pub mod profile;
 pub mod standard;
 pub mod trace;

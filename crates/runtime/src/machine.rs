@@ -35,7 +35,7 @@ use crate::heap::{BlockTag, Heap, HeapConfig, ReclaimMode};
 use crate::profile::FrameKind;
 use crate::value::Value;
 use perceus_core::ir::expr::PrimOp;
-use perceus_core::ir::{FunId, TypeTable};
+use perceus_core::ir::{CtorId, FunId, TypeTable};
 use perceus_core::passes::Validation;
 use std::fmt;
 
@@ -350,7 +350,7 @@ impl<'p> Machine<'p> {
     pub fn start(&mut self, fun: FunId, mut args: Vec<Value>) -> Result<Execution, RuntimeError> {
         let f = &self.code.funs[fun.0 as usize];
         if f.arity != args.len() {
-            return Err(fun_arity_error(f, args.len()));
+            return Err(RuntimeError::fun_arity(&f.name, f.arity, args.len()));
         }
         self.heap.prof_enter(FrameKind::Fun(fun));
         args.resize(f.nslots, Value::Unit);
@@ -445,7 +445,11 @@ impl<'p> Machine<'p> {
                     for (v, a) in vals.iter_mut().zip(args) {
                         *v = self.read(code, *a);
                     }
-                    (dst, self.eval_prim(op, &vals[..args.len().min(2)])?)
+                    if op == PrimOp::RefNew {
+                        self.maybe_collect();
+                    }
+                    let vals = &vals[..args.len().min(2)];
+                    (dst, eval_prim(&mut self.heap, &mut self.output, op, vals)?)
                 }
                 Instr::MkClosure { dst, lam, captures } => {
                     self.maybe_collect();
@@ -607,7 +611,7 @@ impl<'p> Machine<'p> {
     ) -> Result<usize, RuntimeError> {
         let f = &program.funs[fun.0 as usize];
         if f.arity != args.len() {
-            return Err(fun_arity_error(f, args.len()));
+            return Err(RuntimeError::fun_arity(&f.name, f.arity, args.len()));
         }
         let top = self.stack.len();
         self.push_args(&program.code, args);
@@ -630,17 +634,11 @@ impl<'p> Machine<'p> {
             Value::Ref(addr) => {
                 let block = self.heap.view(addr)?;
                 let BlockTag::Closure(lam) = block.tag else {
-                    return Err(RuntimeError::TypeMismatch(
-                        "application of a non-function block".into(),
-                    ));
+                    return Err(RuntimeError::non_function_block());
                 };
                 let l = &program.lambdas[lam.0 as usize];
                 if l.nparams != args.len() {
-                    return Err(RuntimeError::TypeMismatch(format!(
-                        "closure expects {} arguments, got {}",
-                        l.nparams,
-                        args.len()
-                    )));
+                    return Err(RuntimeError::closure_arity(l.nparams, args.len()));
                 }
                 let top = self.stack.len();
                 self.stack.extend_from_slice(block.fields);
@@ -653,9 +651,7 @@ impl<'p> Machine<'p> {
                 self.open_window(top, l.nslots, FrameKind::Lam(lam), dst, pc)?;
                 Ok(l.entry as usize)
             }
-            other => Err(RuntimeError::TypeMismatch(format!(
-                "application of non-function value {other}"
-            ))),
+            other => Err(RuntimeError::apply_non_function(other)),
         }
     }
 
@@ -715,95 +711,13 @@ impl<'p> Machine<'p> {
                 return Ok(Value::Ref(out));
             }
             Value::Token(None) => {}
-            other => {
-                return Err(RuntimeError::TypeMismatch(format!(
-                    "constructor reuse argument is not a token: {other}"
-                )))
-            }
+            other => return Err(RuntimeError::bad_reuse_token(other)),
         }
         self.maybe_collect();
         let addr = self
             .heap
             .alloc_slice(BlockTag::Ctor(site.ctor), &self.operands);
         Ok(Value::Ref(addr))
-    }
-
-    fn eval_prim(&mut self, op: PrimOp, vals: &[Value]) -> Result<Value, RuntimeError> {
-        use PrimOp::*;
-        let int = |v: &Value| {
-            v.as_int()
-                .ok_or_else(|| RuntimeError::TypeMismatch(format!("expected an integer, got {v}")))
-        };
-        let boolean = |b: bool| Value::Enum(if b { TypeTable::TRUE } else { TypeTable::FALSE });
-        Ok(match op {
-            Add => Value::Int(int(&vals[0])?.wrapping_add(int(&vals[1])?)),
-            Sub => Value::Int(int(&vals[0])?.wrapping_sub(int(&vals[1])?)),
-            Mul => Value::Int(int(&vals[0])?.wrapping_mul(int(&vals[1])?)),
-            Div => {
-                let d = int(&vals[1])?;
-                if d == 0 {
-                    return Err(RuntimeError::DivisionByZero);
-                }
-                Value::Int(int(&vals[0])?.wrapping_div(d))
-            }
-            Rem => {
-                let d = int(&vals[1])?;
-                if d == 0 {
-                    return Err(RuntimeError::DivisionByZero);
-                }
-                Value::Int(int(&vals[0])?.wrapping_rem(d))
-            }
-            Neg => Value::Int(int(&vals[0])?.wrapping_neg()),
-            Lt => boolean(int(&vals[0])? < int(&vals[1])?),
-            Le => boolean(int(&vals[0])? <= int(&vals[1])?),
-            Gt => boolean(int(&vals[0])? > int(&vals[1])?),
-            Ge => boolean(int(&vals[0])? >= int(&vals[1])?),
-            Eq => boolean(value_eq(&vals[0], &vals[1])?),
-            Ne => boolean(!value_eq(&vals[0], &vals[1])?),
-            Min => Value::Int(int(&vals[0])?.min(int(&vals[1])?)),
-            Max => Value::Int(int(&vals[0])?.max(int(&vals[1])?)),
-            RefNew => {
-                self.maybe_collect();
-                let addr = self.heap.alloc_slice(BlockTag::MutRef, &[vals[0]]);
-                Value::Ref(addr)
-            }
-            RefGet => {
-                // §2.7.3: read, retain the content, release the ref.
-                let addr = ref_addr(&vals[0])?;
-                let content = self.heap.view(addr)?.fields[0];
-                self.heap.dup(content)?;
-                self.heap.drop_value(vals[0])?;
-                content
-            }
-            RefSet => {
-                let addr = ref_addr(&vals[0])?;
-                if self.heap.view(addr)?.tag != BlockTag::MutRef {
-                    return Err(RuntimeError::TypeMismatch(":= on a non-ref".into()));
-                }
-                let old = std::mem::replace(self.heap.field_mut(addr, 0)?, vals[1]);
-                self.heap.drop_value(old)?;
-                self.heap.drop_value(vals[0])?;
-                Value::Unit
-            }
-            TShare => {
-                self.heap.tshare(vals[0])?;
-                self.heap.drop_value(vals[0])?;
-                Value::Unit
-            }
-            Println => {
-                let n = match vals[0] {
-                    Value::Int(i) => i,
-                    Value::Unit => 0,
-                    other => {
-                        return Err(RuntimeError::TypeMismatch(format!(
-                            "println of non-integer {other}"
-                        )))
-                    }
-                };
-                self.output.push(n);
-                Value::Unit
-            }
-        })
     }
 
     /// Collect (GC mode) if the policy says so; all live values are on
@@ -822,7 +736,8 @@ impl<'p> Machine<'p> {
     /// Reads a value back as a deep tree (for tests and the oracle
     /// comparison). Does not consume ownership.
     pub fn read_back(&self, v: Value) -> Result<DeepValue, RuntimeError> {
-        read_back_in(&self.heap, &self.code.types, v)
+        let types = &self.code.types;
+        read_back_in(&self.heap, &|c| &*types.ctor(c).name, v)
     }
 
     /// Drops the program result (callers use this before asserting that
@@ -835,13 +750,6 @@ impl<'p> Machine<'p> {
     pub(crate) fn root_values(&self) -> impl Iterator<Item = &Value> {
         self.stack.iter()
     }
-}
-
-fn fun_arity_error(f: &crate::code::CodeFun, got: usize) -> RuntimeError {
-    RuntimeError::TypeMismatch(format!(
-        "{} expects {} arguments, got {got}",
-        f.name, f.arity
-    ))
 }
 
 /// What one step-loop leg produced (internal).
@@ -1011,25 +919,7 @@ fn select_arm(
     arms: &[Arm],
     default: Pc,
 ) -> Result<Pc, RuntimeError> {
-    let (ctor, fields): (_, &[Value]) = match scrut {
-        Value::Enum(c) => (c, &[]),
-        Value::Ref(a) => {
-            let block = heap.view(a)?;
-            match block.tag {
-                BlockTag::Ctor(c) => (c, block.fields),
-                _ => {
-                    return Err(RuntimeError::TypeMismatch(
-                        "match on a non-constructor block".into(),
-                    ))
-                }
-            }
-        }
-        other => {
-            return Err(RuntimeError::TypeMismatch(format!(
-                "match on non-constructor value {other}"
-            )))
-        }
-    };
+    let (ctor, fields) = scrutinee(heap, scrut)?;
     for arm in arms {
         if arm.ctor == ctor {
             let binders = &program.code.binders[arm.binders.range()];
@@ -1044,10 +934,117 @@ fn select_arm(
     if default != NO_PC {
         return Ok(default);
     }
-    Err(RuntimeError::MatchFailure(format!(
-        "no arm for constructor {} ({ctor:?})",
-        program.types.ctor(ctor).name
-    )))
+    Err(RuntimeError::no_arm(&program.types.ctor(ctor).name, ctor))
+}
+
+/// The scrutinee half of a match: the constructor of `v` and its
+/// fields (none for a nullary constructor), borrowed from the heap.
+/// Shared by the machine's arm selection and the native backend's
+/// generated `match`.
+#[inline(always)]
+pub fn scrutinee(heap: &Heap, v: Value) -> Result<(CtorId, &[Value]), RuntimeError> {
+    match v {
+        Value::Enum(c) => Ok((c, &[])),
+        Value::Ref(a) => {
+            let block = heap.view(a)?;
+            match block.tag {
+                BlockTag::Ctor(c) => Ok((c, block.fields)),
+                _ => Err(RuntimeError::TypeMismatch(
+                    "match on a non-constructor block".into(),
+                )),
+            }
+        }
+        other => Err(RuntimeError::TypeMismatch(format!(
+            "match on non-constructor value {other}"
+        ))),
+    }
+}
+
+/// The primitive operations, applied to `vals` (as many as
+/// [`PrimOp::arity`]): integer arithmetic wraps, division and remainder
+/// check for zero, and the reference-cell primitives move ownership as
+/// §2.7.3 describes. `println` appends to `output`. The machine and the
+/// native backend's generated code both call this one definition; it
+/// is always inlined, so a call with a constant `op` folds to that
+/// operation's code.
+#[inline(always)]
+pub fn eval_prim(
+    heap: &mut Heap,
+    output: &mut Vec<i64>,
+    op: PrimOp,
+    vals: &[Value],
+) -> Result<Value, RuntimeError> {
+    use PrimOp::*;
+    let int = |v: &Value| {
+        v.as_int()
+            .ok_or_else(|| RuntimeError::TypeMismatch(format!("expected an integer, got {v}")))
+    };
+    let boolean = |b: bool| Value::Enum(if b { TypeTable::TRUE } else { TypeTable::FALSE });
+    Ok(match op {
+        Add => Value::Int(int(&vals[0])?.wrapping_add(int(&vals[1])?)),
+        Sub => Value::Int(int(&vals[0])?.wrapping_sub(int(&vals[1])?)),
+        Mul => Value::Int(int(&vals[0])?.wrapping_mul(int(&vals[1])?)),
+        Div => {
+            let d = int(&vals[1])?;
+            if d == 0 {
+                return Err(RuntimeError::DivisionByZero);
+            }
+            Value::Int(int(&vals[0])?.wrapping_div(d))
+        }
+        Rem => {
+            let d = int(&vals[1])?;
+            if d == 0 {
+                return Err(RuntimeError::DivisionByZero);
+            }
+            Value::Int(int(&vals[0])?.wrapping_rem(d))
+        }
+        Neg => Value::Int(int(&vals[0])?.wrapping_neg()),
+        Lt => boolean(int(&vals[0])? < int(&vals[1])?),
+        Le => boolean(int(&vals[0])? <= int(&vals[1])?),
+        Gt => boolean(int(&vals[0])? > int(&vals[1])?),
+        Ge => boolean(int(&vals[0])? >= int(&vals[1])?),
+        Eq => boolean(value_eq(&vals[0], &vals[1])?),
+        Ne => boolean(!value_eq(&vals[0], &vals[1])?),
+        Min => Value::Int(int(&vals[0])?.min(int(&vals[1])?)),
+        Max => Value::Int(int(&vals[0])?.max(int(&vals[1])?)),
+        RefNew => Value::Ref(heap.alloc_slice(BlockTag::MutRef, &[vals[0]])),
+        RefGet => {
+            // §2.7.3: read, retain the content, release the ref.
+            let addr = ref_addr(&vals[0])?;
+            let content = heap.view(addr)?.fields[0];
+            heap.dup(content)?;
+            heap.drop_value(vals[0])?;
+            content
+        }
+        RefSet => {
+            let addr = ref_addr(&vals[0])?;
+            if heap.view(addr)?.tag != BlockTag::MutRef {
+                return Err(RuntimeError::TypeMismatch(":= on a non-ref".into()));
+            }
+            let old = std::mem::replace(heap.field_mut(addr, 0)?, vals[1]);
+            heap.drop_value(old)?;
+            heap.drop_value(vals[0])?;
+            Value::Unit
+        }
+        TShare => {
+            heap.tshare(vals[0])?;
+            heap.drop_value(vals[0])?;
+            Value::Unit
+        }
+        Println => {
+            let n = match vals[0] {
+                Value::Int(i) => i,
+                Value::Unit => 0,
+                other => {
+                    return Err(RuntimeError::TypeMismatch(format!(
+                        "println of non-integer {other}"
+                    )))
+                }
+            };
+            output.push(n);
+            Value::Unit
+        }
+    })
 }
 
 fn ref_addr(v: &Value) -> Result<crate::value::Addr, RuntimeError> {
@@ -1110,13 +1107,18 @@ impl fmt::Display for DeepValue {
     }
 }
 
-/// Reads a machine value into a [`DeepValue`] tree.
-pub fn read_back_in(heap: &Heap, types: &TypeTable, v: Value) -> Result<DeepValue, RuntimeError> {
+/// Reads a machine value into a [`DeepValue`] tree, naming each
+/// constructor by `ctor_name`.
+pub fn read_back_in<'n>(
+    heap: &Heap,
+    ctor_name: &dyn Fn(CtorId) -> &'n str,
+    v: Value,
+) -> Result<DeepValue, RuntimeError> {
     match v {
         Value::Unit | Value::Token(_) => Ok(DeepValue::Unit),
         Value::Weak(_) => Ok(DeepValue::Weak),
         Value::Int(i) => Ok(DeepValue::Int(i)),
-        Value::Enum(c) => Ok(DeepValue::Ctor(types.ctor(c).name.to_string(), Vec::new())),
+        Value::Enum(c) => Ok(DeepValue::Ctor(ctor_name(c).to_string(), Vec::new())),
         Value::Global(_) => Ok(DeepValue::Closure),
         Value::Ref(addr) => {
             let b = heap.view(addr)?;
@@ -1124,14 +1126,14 @@ pub fn read_back_in(heap: &Heap, types: &TypeTable, v: Value) -> Result<DeepValu
                 BlockTag::Ctor(c) => {
                     let mut fields = Vec::with_capacity(b.fields.len());
                     for f in b.fields.iter() {
-                        fields.push(read_back_in(heap, types, *f)?);
+                        fields.push(read_back_in(heap, ctor_name, *f)?);
                     }
-                    Ok(DeepValue::Ctor(types.ctor(c).name.to_string(), fields))
+                    Ok(DeepValue::Ctor(ctor_name(c).to_string(), fields))
                 }
                 BlockTag::Closure(_) => Ok(DeepValue::Closure),
                 BlockTag::MutRef => Ok(DeepValue::MutRef(Box::new(read_back_in(
                     heap,
-                    types,
+                    ctor_name,
                     b.fields[0],
                 )?))),
             }

@@ -117,6 +117,112 @@ fn division_by_zero_is_checked() {
     assert_eq!(format!("{}", ok.value), "2");
 }
 
+/// `i64::MAX` and `i64::MIN` in source (there is no literal for MIN).
+const MAX: &str = "9223372036854775807";
+const MIN: &str = "(0 - 9223372036854775807 - 1)";
+
+/// The integer edge cases of the primitives: `(name, main's body over
+/// n, n, result)`, where `None` is a division by zero. Arithmetic wraps
+/// (Fig. 6 is over 64-bit machine integers); `n` carries one operand so
+/// the primitive runs on a slot, not on two constants.
+fn wrapping_cases() -> Vec<(&'static str, String, i64, Option<i64>)> {
+    vec![
+        ("min_div_neg1", format!("{MIN} / n"), -1, Some(i64::MIN)),
+        ("min_rem_neg1", format!("{MIN} % n"), -1, Some(0)),
+        ("neg_min", format!("-({MIN} + n)"), 0, Some(i64::MIN)),
+        ("max_plus_1", format!("{MAX} + n"), 1, Some(i64::MIN)),
+        ("min_minus_1", format!("{MIN} - n"), 1, Some(i64::MAX)),
+        ("max_times_2", format!("{MAX} * n"), 2, Some(-2)),
+        ("div_by_0", "7 / n".into(), 0, None),
+        ("rem_by_0", "7 % n".into(), 0, None),
+    ]
+}
+
+fn wrapping_source(body: &str) -> String {
+    format!("fun main(n: int): int {{ {body} }}")
+}
+
+/// Every strategy and the Fig. 6 oracle agree on the wrapping cases,
+/// and agree on the expected answer: the wrapped integer, or a division
+/// by zero (which `differential_check` alone would accept as "both
+/// failed").
+#[test]
+fn wrapping_arithmetic_matches_the_oracle() {
+    for (name, body, n, want) in wrapping_cases() {
+        let src = wrapping_source(&body);
+        let program = perceus_lang::compile_str(&src).unwrap();
+        let cfg = perceus_suite::FuzzConfig {
+            arg: n,
+            shrink: false,
+            ..Default::default()
+        };
+        let outcome = perceus_suite::differential_check(&program, &cfg);
+        assert!(outcome.agreed(), "{name}: {:?}", outcome.divergences);
+        let oracle = perceus_suite::driver::oracle_run_program(&program, n, cfg.fuel);
+        for s in Strategy::ALL {
+            let run = compile_and_run(&src, s, n, RunConfig::default());
+            match want {
+                Some(v) => {
+                    assert_eq!(run.unwrap().value.to_string(), v.to_string(), "{name}");
+                    assert_eq!(oracle.as_ref().unwrap().0.to_string(), v.to_string());
+                }
+                None => {
+                    assert!(
+                        matches!(run, Err(SuiteError::Runtime(RuntimeError::DivisionByZero))),
+                        "{name} under {}: {run:?}",
+                        s.label()
+                    );
+                    assert!(
+                        matches!(
+                            oracle,
+                            Err(SuiteError::Oracle(
+                                perceus_runtime::standard::OracleError::DivisionByZero
+                            ))
+                        ),
+                        "{name}: oracle {oracle:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The wrapping cases compiled to Rust give the machine's answers,
+/// error codes and counters. A nested cargo build, so it runs only when
+/// `PERCEUS_SLOW_TESTS` is set.
+#[test]
+fn wrapping_arithmetic_runs_natively() {
+    if std::env::var_os("PERCEUS_SLOW_TESTS").is_none() {
+        eprintln!("skipped: set PERCEUS_SLOW_TESTS=1 to build and run the native executor");
+        return;
+    }
+    let cases = wrapping_cases();
+    let programs = cases
+        .iter()
+        .map(|(name, body, _, _)| {
+            let compiled = compile_workload(&wrapping_source(body), Strategy::Perceus).unwrap();
+            (name.to_string(), compiled)
+        })
+        .collect();
+    let harness = NativeHarness::from_programs(programs).expect("build");
+    for (name, _, n, want) in cases {
+        let check = harness.check(name, n).expect("run");
+        assert!(
+            check.passed(),
+            "{name} diverged:\n  {}",
+            check.mismatches.join("\n  ")
+        );
+        match want {
+            Some(v) => assert_eq!(check.native.value, Some(v.to_string()), "{name}"),
+            None => assert_eq!(
+                check.native.error_code.as_deref(),
+                Some("division-by-zero"),
+                "{name}"
+            ),
+        }
+    }
+}
+
 /// The step limit interrupts runaway programs.
 #[test]
 fn step_limit_interrupts() {
