@@ -10,11 +10,16 @@
 //!   twice renders byte-identical reports, and so does a 4-thread
 //!   independent-instance run (spawn-order merge);
 //! * **zero overhead** — a run with the profiler disabled produces
-//!   bit-identical results and statistics to the seed behavior.
+//!   bit-identical results and statistics to the seed behavior;
+//! * **partition on every path** — a shared-input parallel run, a run
+//!   suspended and resumed in budgeted legs, and a run that dies at its
+//!   step limit all still partition their statistics.
 
-use perceus_runtime::machine::RunConfig;
-use perceus_runtime::ProfCounts;
-use perceus_suite::{compile_workload, run_parallel, run_workload, workload, Strategy};
+use perceus_runtime::machine::{Machine, RunConfig};
+use perceus_runtime::{ProfCounts, RuntimeError, Value};
+use perceus_suite::{
+    compile_workload, run_parallel, run_workload, run_workload_budgeted, workload, Strategy,
+};
 use std::process::{Command, Output};
 
 fn profiled() -> RunConfig {
@@ -116,6 +121,75 @@ fn merged_parallel_profile_is_deterministic_and_exact() {
         totals_a,
         ProfCounts::capture(&stats_a),
         "merged attribution must still partition the merged stats"
+    );
+}
+
+#[test]
+fn shared_input_parallel_profile_is_exact() {
+    // map splits one shared input across the workers: the builder's
+    // share barrier, the workers' atomic dup/drop on the segment and
+    // the shared-drop paths all land in the merged stats.
+    let w = workload("map").unwrap();
+    assert!(w.parallel.is_some(), "map has a shared-input split");
+    let out = run_parallel(&w, Strategy::Perceus, w.test_n, 4, profiled()).unwrap();
+    assert!(out.stats.atomic_ops > 0, "the workers touched the segment");
+    let prof = out.profile.expect("profiling was enabled");
+    assert_eq!(
+        prof.totals(),
+        ProfCounts::capture(&out.stats),
+        "shared-input attribution must partition the merged stats"
+    );
+}
+
+#[test]
+fn budgeted_run_profile_is_exact_across_suspensions() {
+    let w = workload("rbtree").unwrap();
+    let compiled = compile_workload(w.source, Strategy::Perceus).unwrap();
+    let whole = run_workload(&compiled, Strategy::Perceus, w.test_n, profiled()).unwrap();
+    let budget = whole.stats.steps.div_ceil(8);
+    let out = run_workload_budgeted(
+        &compiled,
+        Strategy::Perceus,
+        w.test_n,
+        profiled(),
+        &[budget],
+    )
+    .unwrap();
+    assert_eq!(out.suspensions, 7, "eight legs");
+    assert_eq!(out.outcome.stats, whole.stats);
+    let prof = out.outcome.profile.expect("profiling was enabled");
+    assert_eq!(
+        prof.totals(),
+        ProfCounts::capture(&out.outcome.stats),
+        "attribution must partition the stats of a run that suspended"
+    );
+    assert_eq!(
+        prof.render_json(&compiled, Some(w.source)),
+        whole
+            .profile
+            .unwrap()
+            .render_json(&compiled, Some(w.source)),
+        "suspending must not move a single attributed event"
+    );
+}
+
+#[test]
+fn step_limited_run_profile_is_exact() {
+    let w = workload("rbtree").unwrap();
+    let compiled = compile_workload(w.source, Strategy::Perceus).unwrap();
+    let config = profiled().with_step_limit(Some(5_000));
+    let mut m = Machine::new(&compiled, Strategy::Perceus.reclaim_mode(), config);
+    let err = m.run_entry(vec![Value::Int(w.test_n)]).unwrap_err();
+    assert!(matches!(err, RuntimeError::StepLimit(5_000)), "{err}");
+    let prof = m.heap.take_profile().expect("profiling was enabled");
+    assert!(
+        prof.totals().rc_ops() > 0,
+        "the run did work before the limit"
+    );
+    assert_eq!(
+        prof.totals(),
+        ProfCounts::capture(&m.heap.stats),
+        "attribution must partition the stats of a run cut at its step limit"
     );
 }
 

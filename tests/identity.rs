@@ -16,7 +16,12 @@
 //! and compares them with the committed `tests/identity.digests`. The
 //! programs are the 13 suite programs and 104 generated ones at a
 //! fixed seed, each under perceus, perceus-no-opt, scoped and
-//! borrowing. The front end has two classes of its own, under the
+//! borrowing. The 13 suite programs under perceus and scoped also
+//! carry a `profile` class: each runs `main(test_n)` on the machine
+//! with the attributed profiler on, and the digest covers
+//! `Profiler::render_json` (with source locations) followed by
+//! `render_folded` for every `ProfMetric` — per-frame attribution,
+//! constructor counts, size classes and peak liveness. The front end has two classes of its own, under the
 //! config name `front`:
 //!
 //! * `lower` — `program_to_string` of what `compile_str_checked` makes
@@ -41,8 +46,10 @@ use perceus_core::ir::Program;
 use perceus_core::passes::{PassConfig, Pipeline};
 use perceus_lang::{check_depth, lower, parser, resolve, types, LangError, LangWarning};
 use perceus_runtime::code::{self, Compiled};
+use perceus_runtime::machine::RunConfig;
+use perceus_runtime::ProfMetric;
 use perceus_suite::genprog::random_program;
-use perceus_suite::workloads;
+use perceus_suite::{compile_workload, run_workload, workloads, Strategy, Workload};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -100,6 +107,26 @@ fn digest(name: &str, config_name: &str, config: PassConfig, p: Program, out: &m
 }
 
 type Digests = BTreeMap<String, u64>;
+
+/// The `profile` class: one profiled run of a suite program.
+fn profile_digest(w: &Workload, config_name: &str, strategy: Strategy, out: &mut Digests) {
+    let compiled = compile_workload(w.source, strategy)
+        .unwrap_or_else(|e| panic!("{} under {config_name}: {e}", w.name));
+    let run = run_workload(
+        &compiled,
+        strategy,
+        w.test_n,
+        RunConfig::new().with_profile(true),
+    )
+    .unwrap_or_else(|e| panic!("{} under {config_name}: {e}", w.name));
+    let prof = run.profile.expect("profiling was enabled");
+    let mut text = prof.render_json(&compiled, Some(w.source));
+    for (metric, _) in ProfMetric::ALL {
+        text.push('\n');
+        text.push_str(&prof.render_folded(&compiled, metric));
+    }
+    out.insert(format!("{} {config_name} profile", w.name), fnv64(&text));
+}
 
 /// The front end stage by stage, as `compile_str_checked` runs it, with
 /// the lowered program's depth checked; `infer: false` skips type
@@ -234,6 +261,11 @@ fn compute() -> Digests {
         let p = perceus_lang::compile_str(w.source).expect(w.name);
         for (config_name, config) in configs() {
             digest(w.name, config_name, config, p.clone(), &mut out);
+        }
+        for (config_name, strategy) in
+            [("perceus", Strategy::Perceus), ("scoped", Strategy::Scoped)]
+        {
+            profile_digest(w, config_name, strategy, &mut out);
         }
     }
     for i in 0..GEN_PROGRAMS {
