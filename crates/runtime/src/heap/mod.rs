@@ -42,7 +42,7 @@ pub use shared::SharedHeap;
 pub use stats::{Stats, SCHEDULE_KEYS};
 
 use crate::error::RuntimeError;
-use crate::profile::{FrameKind, ProfCounts, Profiler};
+use crate::profile::{FrameKind, Profiler};
 use crate::trace::{Event, Trace};
 use crate::value::{Addr, Value};
 use perceus_core::ir::CtorId;
@@ -380,37 +380,32 @@ impl Heap {
         }
     }
 
-    // ---- attributed profiling ---------------------------------------
-    //
-    // Every public entry point below that mutates an attributable
-    // `Stats` counter is a thin wrapper: snapshot the counters
-    // (`prof_begin`), run the real `*_inner` body, credit the
-    // difference to the profiler's current calling context
-    // (`prof_commit`). Internal calls go to the `_inner` forms so no
-    // event is counted twice; the exactness test in `perceus-suite`
-    // (profile totals == final `Stats`) keeps this split honest. With
-    // the profiler disabled each hook is a single `None` branch.
-
-    /// Enables the attributed profiler (see [`crate::profile`]).
+    /// Enables the attributed profiler (see [`crate::profile`]). Events
+    /// counted before this point stay unattributed.
     pub fn enable_profile(&mut self) {
-        self.prof = Some(Box::default());
+        self.prof = Some(Box::new(Profiler::open(&self.stats)));
     }
 
-    /// The profile accumulated so far, when enabled.
-    pub fn profile(&self) -> Option<&Profiler> {
-        self.prof.as_deref()
+    /// True when the attributed profiler is enabled. The profile itself
+    /// is read through [`Heap::take_profile`], which closes its open
+    /// window first.
+    pub fn profiling(&self) -> bool {
+        self.prof.is_some()
     }
 
-    /// Detaches the profile, disabling further profiling.
+    /// Detaches the profile, crediting the events since the last frame
+    /// change to the current frame; disables further profiling.
     pub fn take_profile(&mut self) -> Option<Profiler> {
-        self.prof.take().map(|b| *b)
+        let mut p = *self.prof.take()?;
+        p.flush(&self.stats);
+        Some(p)
     }
 
     /// Machine hook: a call frame was entered.
     #[inline]
     pub fn prof_enter(&mut self, frame: FrameKind) {
         if let Some(p) = &mut self.prof {
-            p.enter(frame);
+            p.enter(&self.stats, frame);
         }
     }
 
@@ -418,7 +413,7 @@ impl Heap {
     #[inline]
     pub fn prof_exit(&mut self) {
         if let Some(p) = &mut self.prof {
-            p.exit();
+            p.exit(&self.stats);
         }
     }
 
@@ -426,22 +421,7 @@ impl Heap {
     #[inline]
     pub fn prof_tail(&mut self, frame: FrameKind) {
         if let Some(p) = &mut self.prof {
-            p.tail(frame);
-        }
-    }
-
-    #[inline]
-    fn prof_begin(&self) -> Option<ProfCounts> {
-        self.prof.as_ref().map(|_| ProfCounts::capture(&self.stats))
-    }
-
-    #[inline]
-    fn prof_commit(&mut self, snap: Option<ProfCounts>) {
-        if let Some(before) = snap {
-            let delta = ProfCounts::capture(&self.stats).diff(&before);
-            if let Some(p) = &mut self.prof {
-                p.record(&delta);
-            }
+            p.tail(&self.stats, frame);
         }
     }
 
@@ -575,24 +555,17 @@ impl Heap {
 
     // ---- allocation -------------------------------------------------
 
-    /// Allocates a block with reference count 1 holding `vals`. A
-    /// free-list hit rewrites a listed extent in place; a miss bumps
-    /// the arena. Neither touches the global allocator (beyond the
-    /// arena's own amortized growth).
-    pub fn alloc_slice(&mut self, tag: BlockTag, vals: &[Value]) -> Addr {
-        let snap = self.prof_begin();
-        let addr = self.place(tag, vals);
-        self.prof_commit(snap);
-        addr
-    }
-
     /// [`Heap::alloc_slice`] from an owned field box (the box is copied
     /// into the arena and dropped).
     pub fn alloc(&mut self, tag: BlockTag, fields: Box<[Value]>) -> Addr {
         self.alloc_slice(tag, &fields)
     }
 
-    fn place(&mut self, tag: BlockTag, vals: &[Value]) -> Addr {
+    /// Allocates a block with reference count 1 holding `vals`. A
+    /// free-list hit rewrites a listed extent in place; a miss bumps
+    /// the arena. Neither touches the global allocator (beyond the
+    /// arena's own amortized growth).
+    pub fn alloc_slice(&mut self, tag: BlockTag, vals: &[Value]) -> Addr {
         let len = vals.len();
         let words = len as u64 + 1;
         // A hit is the exact class's list being non-empty; an
@@ -670,24 +643,6 @@ impl Heap {
         args: &[Value],
         skip: &[bool],
     ) -> Result<Addr, RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.alloc_into_inner(token, ctor, args, skip);
-        self.prof_commit(snap);
-        if r.is_ok() {
-            if let Some(p) = &mut self.prof {
-                p.on_reuse(ctor);
-            }
-        }
-        r
-    }
-
-    fn alloc_into_inner(
-        &mut self,
-        token: Addr,
-        ctor: CtorId,
-        args: &[Value],
-        skip: &[bool],
-    ) -> Result<Addr, RuntimeError> {
         if !skip.is_empty() && skip.len() != args.len() {
             return Err(RuntimeError::Internal(format!(
                 "reuse skip mask at {token} has {} entries for {} constructor arguments",
@@ -732,6 +687,9 @@ impl Heap {
         self.stats.skipped_writes += (args.len() - written as usize) as u64;
         self.stats.on_reuse();
         self.tr(Event::Reuse(token));
+        if let Some(p) = &mut self.prof {
+            p.on_reuse(ctor);
+        }
         Ok(token)
     }
 
@@ -741,13 +699,6 @@ impl Heap {
     /// first check for the by-far most common case: a uniquely-owned
     /// cell (header exactly 1) skips even the sign test's general path.
     pub fn dup(&mut self, v: Value) -> Result<(), RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.dup_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn dup_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         if self.mode != ReclaimMode::Rc {
             return Ok(());
         }
@@ -802,13 +753,6 @@ impl Heap {
     /// (header 1) is checked first: it frees immediately without the
     /// shared-sign test.
     pub fn drop_value(&mut self, v: Value) -> Result<(), RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.drop_value_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn drop_value_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         if self.mode != ReclaimMode::Rc {
             return Ok(());
         }
@@ -929,13 +873,6 @@ impl Heap {
     /// `decref v` — decrement without the zero check; only emitted in
     /// the shared branch of an `is-unique`, where the count is ≥ 2.
     pub fn decref(&mut self, v: Value) -> Result<(), RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.decref_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn decref_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         if self.mode != ReclaimMode::Rc {
             return Ok(());
         }
@@ -977,13 +914,6 @@ impl Heap {
     /// `is-unique(v)` — thread-shared blocks are never unique (in-place
     /// mutation of shared data is racy, §2.7.3).
     pub fn is_unique(&mut self, v: Value) -> Result<bool, RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.is_unique_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn is_unique_inner(&mut self, v: Value) -> Result<bool, RuntimeError> {
         self.stats.unique_tests += 1;
         let unique = match v {
             Value::Ref(addr) if addr.is_shared() => {
@@ -1005,13 +935,6 @@ impl Heap {
     /// transferred to the surrounding match binders (fast path of
     /// Fig. 1d). Requires a unique cell.
     pub fn free_cell(&mut self, v: Value) -> Result<(), RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.free_cell_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn free_cell_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         let Value::Ref(addr) = v else {
             return Err(RuntimeError::Internal("free of a non-reference".into()));
         };
@@ -1057,13 +980,6 @@ impl Heap {
     /// children and claim the cell; otherwise decrement and return the
     /// null token.
     pub fn drop_reuse(&mut self, v: Value) -> Result<Value, RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.drop_reuse_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn drop_reuse_inner(&mut self, v: Value) -> Result<Value, RuntimeError> {
         match v {
             Value::Ref(addr) if addr.is_shared() => {
                 // Shared blocks are never unique: decrement (possibly
@@ -1136,7 +1052,7 @@ impl Heap {
                 if h.count == 0 {
                     // Shared count hit zero here: free fully.
                     h.count = 1;
-                    return self.drop_value_inner(Value::Ref(addr));
+                    return self.drop_value(Value::Ref(addr));
                 }
             }
         } else {
@@ -1146,33 +1062,6 @@ impl Heap {
             )));
         }
         Ok(())
-    }
-
-    /// Mints a weak reference to a live shared block (the CIRC-style
-    /// `downgrade`): one RMW on the weak half of the packed header.
-    /// Weak references never keep the block alive and never read its
-    /// fields; see [`Value::Weak`].
-    pub fn downgrade(&mut self, v: Value) -> Result<Value, RuntimeError> {
-        let Value::Ref(addr) = v else {
-            return Err(RuntimeError::Internal(
-                "downgrade of a non-reference".into(),
-            ));
-        };
-        if !addr.is_shared() {
-            return Err(RuntimeError::Internal(format!(
-                "downgrade of thread-local block {addr} (weak references are a \
-                 shared-segment feature)"
-            )));
-        }
-        let sh = self
-            .shared
-            .as_deref()
-            .ok_or(RuntimeError::BadAddress(addr))?;
-        // Validate liveness first: downgrading a dead block is a stale
-        // address, not a weak-of-dead (those arise only by outliving).
-        sh.view(addr)?;
-        sh.weak_dup(addr, &mut self.stats)?;
-        Ok(Value::Weak(addr))
     }
 
     /// Attempts to upgrade a weak reference to a strong one. Returns
@@ -1200,13 +1089,6 @@ impl Heap {
 
     /// `drop-token t` — release an unused token, freeing the held memory.
     pub fn drop_token(&mut self, v: Value) -> Result<(), RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.drop_token_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn drop_token_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         match v {
             Value::Token(Some(addr)) => {
                 if Self::lookup(&self.headers, addr)?.count != 0 {
@@ -1226,13 +1108,6 @@ impl Heap {
     /// `tshare v` — mark a value and everything reachable from it as
     /// thread-shared (§2.7.2). Idempotent; safe on cyclic ref structures.
     pub fn tshare(&mut self, v: Value) -> Result<(), RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.tshare_inner(v);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn tshare_inner(&mut self, v: Value) -> Result<(), RuntimeError> {
         let mut work = Vec::new();
         if let Value::Ref(a) = v {
             work.push(a);
@@ -1274,17 +1149,6 @@ impl Heap {
     /// rejected — shared data must be immutable (§2.7.3), which is also
     /// what makes the moved closure acyclic and the traversal total.
     pub fn mark_shared(
-        &mut self,
-        v: Value,
-        segment: &mut SharedHeap,
-    ) -> Result<Value, RuntimeError> {
-        let snap = self.prof_begin();
-        let r = self.mark_shared_inner(v, segment);
-        self.prof_commit(snap);
-        r
-    }
-
-    fn mark_shared_inner(
         &mut self,
         v: Value,
         segment: &mut SharedHeap,
@@ -1430,8 +1294,9 @@ impl Heap {
         if let Some(t) = &mut self.trace {
             t.clear();
         }
+        // The profiler's open window counts from the zeroed `Stats`.
         if self.prof.is_some() {
-            self.prof = Some(Box::default());
+            self.enable_profile();
         }
         reclaimed
     }
@@ -1499,13 +1364,6 @@ impl Heap {
     /// Collector support: sweep unmarked blocks onto the free lists;
     /// returns count swept.
     pub(crate) fn sweep(&mut self) -> u64 {
-        let snap = self.prof_begin();
-        let swept = self.sweep_inner();
-        self.prof_commit(snap);
-        swept
-    }
-
-    fn sweep_inner(&mut self) -> u64 {
         let mut swept = 0;
         for index in 0..self.headers.len() {
             let h = &self.headers[index];

@@ -270,7 +270,7 @@ impl<'p> Machine<'p> {
                 heap.enable_trace(cap);
             }
         }
-        if config.profile && heap.profile().is_none() {
+        if config.profile && !heap.profiling() {
             heap.enable_profile();
         }
         Machine {

@@ -123,13 +123,17 @@ pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 pub struct Conn {
     /// `None` once a write failed or timed out: the connection is dead.
     out: Mutex<Option<TcpStream>>,
+    /// Where a killed connection is counted
+    /// ([`ServeCtx::reply_write_timeouts`]).
+    ctx: Arc<ServeCtx>,
 }
 
 impl Conn {
     /// Wraps a connection's write half (a clone of the accepted socket).
-    pub fn new(out: TcpStream) -> Self {
+    pub fn new(out: TcpStream, ctx: Arc<ServeCtx>) -> Self {
         Conn {
             out: Mutex::new(Some(out)),
+            ctx,
         }
     }
 
@@ -146,6 +150,9 @@ impl Conn {
             // Shutting the read half down too ends the reader with EOF.
             let _ = stream.shutdown(Shutdown::Both);
             *out = None;
+            self.ctx
+                .reply_write_timeouts
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -258,6 +265,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         park_memory_words: config.park_memory_words,
         inflight: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
+        reply_write_timeouts: AtomicU64::new(0),
         parked: AtomicU64::new(0),
         parked_words: AtomicU64::new(0),
     });
@@ -337,7 +345,7 @@ fn connection(stream: TcpStream, front: &Front) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let conn = Arc::new(Conn::new(write_half));
+    let conn = Arc::new(Conn::new(write_half, Arc::clone(&front.ctx)));
 
     // Requests are read as raw bytes and split on '\n' by hand. A
     // `BufReader::read_line` over a socket with a read timeout would
@@ -551,6 +559,10 @@ fn render_stats(ctx: &ServeCtx, workers: usize) -> String {
         .u64("parked_words", ctx.parked_words.load(Ordering::Relaxed))
         .u64("rejected", ctx.rejected.load(Ordering::Relaxed))
         .u64("inflight", ctx.inflight.load(Ordering::Relaxed))
+        .u64(
+            "reply_write_timeouts",
+            ctx.reply_write_timeouts.load(Ordering::Relaxed),
+        )
         .u64("leaked_blocks", agg.leaked_blocks)
         .u64("reclaimed_blocks", agg.reclaimed_blocks)
         .u64("audit_failures", agg.audit_failures)

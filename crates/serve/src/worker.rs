@@ -167,6 +167,9 @@ pub struct ServeCtx {
     pub inflight: AtomicU64,
     /// Sessions turned away by admission control.
     pub rejected: AtomicU64,
+    /// Connections closed because a reply write timed out or failed
+    /// ([`crate::server::REPLY_WRITE_TIMEOUT`]).
+    pub reply_write_timeouts: AtomicU64,
     /// Currently parked sessions, across all shards (gauge).
     pub parked: AtomicU64,
     /// Summed live words of currently parked sessions (gauge).
@@ -991,6 +994,7 @@ mod tests {
             park_memory_words: 32 << 20,
             inflight: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            reply_write_timeouts: AtomicU64::new(0),
             parked: AtomicU64::new(0),
             parked_words: AtomicU64::new(0),
         }
@@ -1346,7 +1350,7 @@ mod tests {
         // the worker answers on, the other is the client.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let conn = Arc::new(Conn::new(listener.accept().unwrap().0));
+        let conn = Arc::new(Conn::new(listener.accept().unwrap().0, Arc::clone(&ctx)));
         let (tx, rx) = mpsc::sync_channel::<Job>(8);
         for id in 0..2 {
             ctx.inflight.fetch_add(1, Ordering::Relaxed);

@@ -582,9 +582,9 @@ fn pipelined_replies_from_workers_and_reader_never_interleave() {
 
 /// A client that pipelines sessions and never reads: once its socket
 /// buffers fill, a reply write waits `REPLY_WRITE_TIMEOUT`, fails, and
-/// the daemon closes the connection and drops its remaining replies.
-/// Another client is served meanwhile, and the in-flight gauge returns
-/// to zero.
+/// the daemon closes the connection and drops its remaining replies
+/// (`stats` counts it in `reply_write_timeouts`). Another client is
+/// served meanwhile, and the in-flight gauge returns to zero.
 #[test]
 fn a_client_that_never_reads_is_closed_and_others_are_served() {
     use std::time::{Duration, Instant};
@@ -610,6 +610,24 @@ fn a_client_that_never_reads_is_closed_and_others_are_served() {
     assert_eq!(rs.len(), 200);
     for v in rs.values() {
         assert_eq!(field(v, "outcome").as_str(), Some("ok"), "{v:?}");
+    }
+
+    // A must not read before the daemon has given up on it: a read
+    // that starts before any reply write has waited out
+    // `REPLY_WRITE_TIMEOUT` lets the writes go on, and A is never
+    // closed.
+    let deadline = Instant::now() + Duration::from_secs(5) + 20 * REPLY_WRITE_TIMEOUT;
+    loop {
+        let stats = roundtrip(h.addr(), &[r#"{"op":"stats"}"#.to_string()]);
+        let timeouts = field(&stats[&(CONTROL_BASE + 1)], "reply_write_timeouts").as_u64();
+        if timeouts >= Some(1) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no reply write to A timed out: {timeouts:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 
     // A reads what reached it, then EOF: the daemon closed it. Were it
