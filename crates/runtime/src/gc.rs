@@ -96,8 +96,8 @@ mod tests {
     #[test]
     fn collects_unreachable_keeps_reachable() {
         let mut h = Heap::new(ReclaimMode::Gc);
-        let keep_inner = cell(&mut h, vec![Value::Int(1)]);
-        let keep = cell(&mut h, vec![keep_inner]);
+        let keep_child = cell(&mut h, vec![Value::Int(1)]);
+        let keep = cell(&mut h, vec![keep_child]);
         let _garbage = cell(&mut h, vec![Value::Int(2)]);
         let _garbage2 = cell(&mut h, vec![Value::Int(3)]);
         let mut gc = Collector::new(GcConfig::default());
