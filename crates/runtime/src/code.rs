@@ -37,6 +37,14 @@
 //! which variable each slot holds on the path it follows and rejects any
 //! read of a slot that holds another, so a liveness bug is a compile
 //! error, never a wrong value.
+//!
+//! Every continuation is resolved here too. The instructions that end a
+//! compound right-hand side deliver to a join that names its
+//! [`Instr::Enter`]. Each non-tail call has a [`CallSite`] holding where
+//! its value goes and where the caller goes on, and how many of the
+//! caller's slots stay across the call: one more than the highest slot
+//! live where it goes on, read from the same live sets. A pending call
+//! keeps nothing dead either.
 
 use crate::error::RuntimeError;
 use crate::heap::LamId;
@@ -60,36 +68,64 @@ pub enum Atom {
 /// A position in [`Code::instrs`].
 pub type Pc = u32;
 
-/// "No position": a match without a default arm, or a call frame that
-/// only passes its value on to the frame below.
+/// "No position": a match without a default arm.
 pub const NO_PC: Pc = u32::MAX;
 
 /// "No slot": a constructor field a match arm does not bind.
 pub const NO_SLOT: Slot = u32::MAX;
 
-/// Where an instruction's value goes. One word: a frame slot, or one of
-/// three marks.
+/// Where an instruction's value goes. One word: a frame slot, a join, a
+/// call site, or one of two marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dst(u32);
 
 impl Dst {
     /// Result of the function: a call here is a tail call.
     pub const TAIL: Dst = Dst(u32::MAX);
-    /// Result of a compound let right-hand side or statement: the value
-    /// goes to the pending continuation of the same frame.
-    pub const RETURN: Dst = Dst(u32::MAX - 1);
     /// Evaluated for effect (the left side of a `Seq`).
-    pub const DISCARD: Dst = Dst(u32::MAX - 2);
+    pub const DISCARD: Dst = Dst(u32::MAX - 1);
+    /// The top two bits say which kind of destination this is.
+    const KIND: u32 = 3 << 30;
+    const JOIN: u32 = 1 << 30;
+    const SITE: u32 = 2 << 30;
 
     /// Store into a frame slot (a `Let` binder).
     pub fn slot(s: Slot) -> Dst {
-        debug_assert!(s < Dst::DISCARD.0);
+        debug_assert!(s < Dst::JOIN);
         Dst(s)
     }
 
     /// The slot to store into, if this is one.
     pub fn as_slot(self) -> Option<Slot> {
-        (self.0 < Dst::DISCARD.0).then_some(self.0)
+        (self.0 < Dst::JOIN).then_some(self.0)
+    }
+
+    /// The end of a compound right-hand side: the value goes where the
+    /// [`Instr::Enter`] at `enter` says, and its `body` runs next.
+    fn join(enter: usize) -> Result<Dst, RuntimeError> {
+        Dst::tagged(Dst::JOIN, enter)
+    }
+
+    /// The [`Instr::Enter`] this joins, if this is a join.
+    pub fn as_join(self) -> Option<Pc> {
+        (self.0 & Dst::KIND == Dst::JOIN).then_some(self.0 & !Dst::KIND)
+    }
+
+    /// A non-tail call's destination: its record in [`Code::sites`].
+    fn site(i: usize) -> Result<Dst, RuntimeError> {
+        Dst::tagged(Dst::SITE, i)
+    }
+
+    /// The index of the call site in [`Code::sites`], if this is one.
+    pub fn as_site(self) -> Option<u32> {
+        (self.0 & Dst::KIND == Dst::SITE).then_some(self.0 & !Dst::KIND)
+    }
+
+    fn tagged(kind: u32, n: usize) -> Result<Dst, RuntimeError> {
+        match u32::try_from(n) {
+            Ok(n) if n < Dst::JOIN => Ok(Dst(kind | n)),
+            _ => Err(too_large()),
+        }
     }
 
     /// Renames the slot this is, if it is one.
@@ -99,11 +135,30 @@ impl Dst {
         }
     }
 
-    /// True for [`Dst::TAIL`] and [`Dst::RETURN`]: the instruction ends
-    /// its expression and its value goes to a continuation.
+    /// True for [`Dst::TAIL`] and joins: the instruction ends its
+    /// expression and its value goes to a continuation.
     pub fn is_terminal(self) -> bool {
-        self.0 >= Dst::RETURN.0
+        self == Dst::TAIL || self.as_join().is_some()
     }
+}
+
+/// What a pending non-tail call goes on with, resolved when the code is
+/// compiled: one record per call site, named by the call's destination
+/// ([`Dst::as_site`]) and by the frame record of the pending call, so a
+/// return is one load.
+#[derive(Debug, Clone, Copy)]
+pub struct CallSite {
+    /// Where the value goes in the caller's window: a slot or
+    /// [`Dst::DISCARD`].
+    pub dst: Dst,
+    /// The caller's instruction to go on at.
+    pub next: Pc,
+    /// The caller's window keeps its slots `0..keep` across the call:
+    /// one more than the highest slot live after it. The callee's
+    /// window opens right above them.
+    pub keep: u32,
+    /// The caller's window size, restored when the call returns.
+    pub window: u32,
 }
 
 /// An operand in [`Code::pool`]: a frame slot, or an index into
@@ -166,15 +221,20 @@ pub enum Instr {
     TokenOf { dst: Dst, var: Slot },
     /// The null token.
     NullToken { dst: Dst },
-    /// Runtime failure with message `Code::aborts[msg]`.
-    Abort { msg: u32 },
-    /// Direct call of a top-level function.
+    /// Runtime failure with message `Code::aborts[msg]`. `end` is where
+    /// the expression it stands in ends ([`Dst::TAIL`] or a join): slot
+    /// packing keeps live what would run after it.
+    Abort { msg: u32, end: Dst },
+    /// Direct call of a top-level function. `dst` is [`Dst::TAIL`] or
+    /// the call's site ([`Dst::as_site`]).
     Call { dst: Dst, fun: FunId, args: Span },
-    /// Application of a closure or global value.
+    /// Application of a closure or global value; `dst` as for `Call`.
     App { dst: Dst, fun: Opnd, args: Span },
     /// A let right-hand side (or statement) that is itself compound: its
-    /// code follows and ends in [`Dst::RETURN`] instructions, whose value
-    /// goes to `dst`; then `body` runs.
+    /// code follows, and each instruction that ends it delivers to the
+    /// join of this `Enter` ([`Dst::as_join`] names its pc): the value
+    /// goes to `dst`, a slot or [`Dst::DISCARD`], and `body` runs next.
+    /// Nothing is pushed: the continuation is resolved here.
     Enter { dst: Dst, body: Pc },
     /// Flat match on a slot: jump to the arm (in `Code::arms`) for the
     /// value's constructor, binding its fields, else to `default`.
@@ -199,6 +259,9 @@ pub enum Instr {
     /// Release an unused reuse token.
     DropToken(Slot),
 }
+
+// Every instruction executed is one copy out of the code.
+const _: () = assert!(std::mem::size_of::<Instr>() == 20);
 
 impl Instr {
     /// True for the instructions between which a state need not be
@@ -266,6 +329,8 @@ pub struct Code {
     pub binders: Vec<Slot>,
     /// Reuse sites.
     pub reuse: Vec<ReuseSite>,
+    /// Non-tail call sites.
+    pub sites: Vec<CallSite>,
     /// Abort messages.
     pub aborts: Vec<Arc<str>>,
 }
@@ -403,6 +468,7 @@ pub fn compile(p: &Program) -> Result<Compiled, RuntimeError> {
     code.arms.shrink_to_fit();
     code.binders.shrink_to_fit();
     code.reuse.shrink_to_fit();
+    code.sites.shrink_to_fit();
     code.aborts.shrink_to_fit();
     Ok(Compiled {
         types: p.types.clone(),
@@ -423,12 +489,16 @@ pub fn compile(p: &Program) -> Result<Compiled, RuntimeError> {
     })
 }
 
+fn too_large() -> RuntimeError {
+    RuntimeError::Internal("program too large for its code offsets".into())
+}
+
 /// A table index as the 31 bits an [`Opnd`] leaves for it.
 fn index(n: usize) -> Result<u32, RuntimeError> {
     u32::try_from(n)
         .ok()
         .filter(|n| *n < Opnd::CONST_BIT)
-        .ok_or_else(|| RuntimeError::Internal("program too large for 31-bit code offsets".into()))
+        .ok_or_else(too_large)
 }
 
 fn span_from(start: usize, end: usize) -> Result<Span, RuntimeError> {
@@ -457,15 +527,19 @@ impl Code {
 
     /// What `ins` reads and writes, and where control goes on from it.
     fn step(&self, ins: &Instr) -> Step {
-        let step = |read: Option<Slot>, args: Span, dst: Dst| Step {
-            read: read.unwrap_or(NO_SLOT),
-            args,
-            def: dst.as_slot().unwrap_or(NO_SLOT),
-            next: match dst {
-                Dst::TAIL => Next::Tail,
-                Dst::RETURN => Next::Return,
-                _ => Next::Pc,
-            },
+        let step = |read: Option<Slot>, args: Span, dst: Dst| {
+            // A non-tail call goes on as its site says.
+            let dst = dst.as_site().map_or(dst, |i| self.sites[i as usize].dst);
+            Step {
+                read: read.unwrap_or(NO_SLOT),
+                args,
+                def: dst.as_slot().unwrap_or(NO_SLOT),
+                next: match dst.as_join() {
+                    Some(enter) => Next::Join(enter),
+                    None if dst == Dst::TAIL => Next::Tail,
+                    None => Next::Pc,
+                },
+            }
         };
         let none = Span { start: 0, len: 0 };
         let rc = |var: Slot| step(Some(var), none, Dst::DISCARD);
@@ -508,8 +582,8 @@ impl Code {
                 next: Next::Enter(dst, body),
                 ..step(None, none, Dst::DISCARD)
             },
-            Instr::Abort { .. } => Step {
-                next: Next::Abort,
+            Instr::Abort { end, .. } => Step {
+                next: Next::Abort(end.as_join()),
                 ..step(None, none, Dst::DISCARD)
             },
         }
@@ -537,6 +611,7 @@ impl Code {
             pool: self.pool.len(),
             binders: self.binders.len(),
             reuse: self.reuse.len(),
+            sites: self.sites.len(),
         }
     }
 
@@ -606,6 +681,7 @@ struct Ends {
     pool: usize,
     binders: usize,
     reuse: usize,
+    sites: usize,
 }
 
 /// True for the expressions that are one instruction wherever they
@@ -641,8 +717,6 @@ struct Lower<'p> {
     ids: Vec<Slot>,
     /// The variable of each virtual slot of that body.
     vars: Vec<&'p Var>,
-    /// The `Enter`s whose right-hand sides are being emitted.
-    open: Vec<Pc>,
     pack: Pack,
 }
 
@@ -654,7 +728,6 @@ impl<'p> Lower<'p> {
             pending: Vec::new(),
             ids: vec![NO_SLOT; p.var_gen.peek() as usize],
             vars: Vec::new(),
-            open: Vec::new(),
             pack: Pack::default(),
         }
     }
@@ -693,6 +766,7 @@ impl<'p> Lower<'p> {
                 self.vars[v]
             )));
         }
+        pack.sites(&mut self.code, from.sites, entry as usize, nslots);
         self.code.rename(from, &pack.phys);
         Ok((entry, nslots))
     }
@@ -707,9 +781,7 @@ impl<'p> Lower<'p> {
         for v in self.vars.drain(..) {
             self.ids[v.id() as usize] = NO_SLOT;
         }
-        self.pack.rets.clear();
         self.pack.aborts.clear();
-        self.open.clear();
         let entry = self.here()?;
         for v in params {
             let s = self.fresh(v);
@@ -788,19 +860,19 @@ impl<'p> Lower<'p> {
     }
 
     /// Emits a node in current-expression position. `end` is where the
-    /// expression's own value goes: [`Dst::TAIL`] or [`Dst::RETURN`].
+    /// expression's own value goes: [`Dst::TAIL`] or a join.
     fn expr(&mut self, e: &'p Expr, end: Dst) -> Result<(), RuntimeError> {
         match e {
             Expr::Let { var, rhs, body } => {
                 // The right-hand side delivers to the binder's slot before
                 // the binder is in scope.
                 let s = self.fresh(var);
-                self.bound(rhs, Dst::slot(s))?;
+                self.bound(rhs, Dst::slot(s), end)?;
                 self.scope(var, s);
                 self.expr(body, end)
             }
             Expr::Seq(a, b) => {
-                self.bound(a, Dst::DISCARD)?;
+                self.bound(a, Dst::DISCARD, end)?;
                 self.expr(b, end)
             }
             Expr::Match {
@@ -877,7 +949,7 @@ impl<'p> Lower<'p> {
                 self.scope(token, s);
                 self.then(Instr::DropReuse { var, token: s }, body, end)
             }
-            leaf => self.leaf(leaf, end),
+            leaf => self.leaf(leaf, end, end),
         }
     }
 
@@ -886,16 +958,15 @@ impl<'p> Lower<'p> {
         self.expr(rest, end)
     }
 
-    /// Emits a `Let`/`Seq` right-hand side delivering to `dst`.
-    fn bound(&mut self, rhs: &'p Expr, dst: Dst) -> Result<(), RuntimeError> {
+    /// Emits a `Let`/`Seq` right-hand side delivering to `dst`, in an
+    /// expression that ends at `end`.
+    fn bound(&mut self, rhs: &'p Expr, dst: Dst, end: Dst) -> Result<(), RuntimeError> {
         if is_leaf(rhs) {
-            return self.leaf(rhs, dst);
+            return self.leaf(rhs, dst, end);
         }
         let at = self.code.instrs.len();
         self.code.instrs.push(Instr::Enter { dst, body: NO_PC });
-        self.open.push(at as Pc);
-        self.expr(rhs, Dst::RETURN)?;
-        self.open.pop();
+        self.expr(rhs, Dst::join(at)?)?;
         self.land(at)
     }
 
@@ -918,16 +989,33 @@ impl<'p> Lower<'p> {
         Ok(())
     }
 
-    /// Emits a call or an expression that cannot call: one instruction.
-    fn leaf(&mut self, e: &'p Expr, dst: Dst) -> Result<(), RuntimeError> {
+    /// A non-tail call's site, which goes on as `dst` says, or
+    /// [`Dst::TAIL`]. Slot packing fills in the rest of the record.
+    fn site(&mut self, dst: Dst) -> Result<Dst, RuntimeError> {
+        if dst == Dst::TAIL {
+            return Ok(dst);
+        }
+        let site = Dst::site(self.code.sites.len())?;
+        self.code.sites.push(CallSite {
+            dst,
+            next: self.here()? + 1,
+            keep: 0,
+            window: 0,
+        });
+        Ok(site)
+    }
+
+    /// Emits a call or an expression that cannot call: one instruction,
+    /// in an expression that ends at `end`.
+    fn leaf(&mut self, e: &'p Expr, dst: Dst, end: Dst) -> Result<(), RuntimeError> {
         let i = match e {
             Expr::App(fun, args) => Instr::App {
-                dst,
+                dst: self.site(dst)?,
                 fun: self.opnd(fun)?,
                 args: self.opnds(args)?,
             },
             Expr::Call(fun, args) => Instr::Call {
-                dst,
+                dst: self.site(dst)?,
                 fun: *fun,
                 args: self.opnds(args)?,
             },
@@ -986,26 +1074,17 @@ impl<'p> Lower<'p> {
             Expr::Abort(msg) => {
                 let i = index(self.code.aborts.len())?;
                 self.code.aborts.push(Arc::from(msg.as_str()));
-                Instr::Abort { msg: i }
+                Instr::Abort { msg: i, end }
             }
             atom => Instr::Atom {
                 dst,
                 a: self.opnd(atom)?,
             },
         };
-        // Slot packing needs to know where a `RETURN` or an abort goes on
-        // for liveness, and which binder an abort leaves undefined.
-        let pc = self.here()?;
-        let abort = matches!(i, Instr::Abort { .. });
-        if abort {
-            if let Some(s) = dst.as_slot() {
-                self.pack.aborts.push((pc, s));
-            }
-        }
-        if abort || dst == Dst::RETURN {
-            if let Some(&enter) = self.open.last() {
-                self.pack.rets.push((pc, enter));
-            }
+        // Slot packing needs to know which binder an abort leaves
+        // undefined.
+        if let (Instr::Abort { .. }, Some(s)) = (i, dst.as_slot()) {
+            self.pack.aborts.push((self.here()?, s));
         }
         self.code.instrs.push(i);
         Ok(())
@@ -1032,10 +1111,11 @@ enum Next {
     Pc,
     /// Out of the function.
     Tail,
-    /// To the body of the innermost `Enter`.
-    Return,
-    /// Nowhere: the run fails.
-    Abort,
+    /// To the body of the `Enter` at this pc.
+    Join(Pc),
+    /// Nowhere: the run fails. For liveness, to the body of the `Enter`
+    /// whose right-hand side it ends, if any.
+    Abort(Option<Pc>),
     /// Into the right-hand side that follows, then to `body` with the
     /// value in `dst`.
     Enter(Dst, Pc),
@@ -1070,9 +1150,6 @@ struct Clash {
 /// read. The buffers are kept from body to body.
 #[derive(Default)]
 struct Pack {
-    /// Each `RETURN`, and each abort in a right-hand side, with the
-    /// `Enter` whose right-hand side it ends, in code order.
-    rets: Vec<(Pc, Pc)>,
     /// Each abort a `let` binds, with the binder: the rest of that `let`
     /// never runs.
     aborts: Vec<(Pc, Slot)>,
@@ -1114,7 +1191,6 @@ impl Pack {
         self.live.resize((instrs.len() + 1) * w, 0);
         let live = &mut self.live[..];
         let at = |pc: Pc| pc as usize - entry;
-        let mut rets = self.rets.iter().rev().peekable();
         for (i, ins) in instrs.iter().enumerate().rev() {
             // What is live after the instruction, less what it defines,
             // plus what it reads.
@@ -1122,17 +1198,15 @@ impl Pack {
             let mut def = step.def;
             match step.next {
                 Next::Pc => union(live, w, i, i + 1),
-                Next::Tail => {}
-                // A `RETURN` goes on at the body of its `Enter`. So, for
+                Next::Tail | Next::Abort(None) => {}
+                // A join goes on at the body of its `Enter`. So, for
                 // liveness, does an abort in a right-hand side: what the
                 // body reads stays live across a right-hand side that
                 // always aborts.
-                Next::Return | Next::Abort => {
-                    if let Some(&(_, enter)) = rets.next_if(|r| r.0 as usize == entry + i) {
-                        if let Instr::Enter { dst, body } = code.instrs[enter as usize] {
-                            union(live, w, i, at(body));
-                            def = dst.as_slot().unwrap_or(NO_SLOT);
-                        }
+                Next::Join(enter) | Next::Abort(Some(enter)) => {
+                    if let Instr::Enter { dst, body } = code.instrs[enter as usize] {
+                        union(live, w, i, at(body));
+                        def = dst.as_slot().unwrap_or(NO_SLOT);
                     }
                 }
                 Next::Enter(dst, body) => {
@@ -1197,7 +1271,7 @@ impl Pack {
     }
 
     /// Follows the paths from `pc` to `end`, the end of its region: a
-    /// body, a right-hand side, an arm or a branch. A `RETURN` records the
+    /// body, a right-hand side, an arm or a branch. A join records the
     /// slots its path wrote since `join`, where the innermost `Enter`
     /// began its right-hand side. A `dead` path runs after an abort: it is
     /// placed, not checked.
@@ -1236,7 +1310,7 @@ impl Pack {
                     }
                 }
                 Next::Tail => return Ok(()),
-                Next::Return => {
+                Next::Join(_) => {
                     if let Some(join) = join {
                         let written = self.undo[join..].iter().map(|&(slot, _)| slot);
                         self.written.extend(written);
@@ -1246,14 +1320,14 @@ impl Pack {
                 // Code after an abort in its own region is the rest of a
                 // `let` or statement whose right-hand side aborts: it never
                 // runs, but its binders still need slots.
-                Next::Abort if pc + 1 < end => {
+                Next::Abort(_) if pc + 1 < end => {
                     pc += 1;
                     dead = true;
                     if let Some(&(_, v)) = self.aborts.iter().find(|a| a.0 as usize + 1 == pc) {
                         self.define(b, v, pc, &[]);
                     }
                 }
-                Next::Abort => return Ok(()),
+                Next::Abort(_) => return Ok(()),
                 Next::Enter(dst, body) => {
                     // The body goes on from the state at the `Enter`, less
                     // every slot a path of the right-hand side wrote.
@@ -1299,6 +1373,38 @@ impl Pack {
                     return self.follow(b, shared as usize, end, join, dead);
                 }
             }
+        }
+    }
+
+    /// Completes the records of the body's call sites, from `from` on,
+    /// for a frame of `window` slots: resolves a join to its `Enter`, and
+    /// keeps across each call the slots up to the highest one live where
+    /// the caller goes on, but for the one the call's value goes to.
+    fn sites(&self, code: &mut Code, from: usize, entry: usize, window: usize) {
+        let Code { instrs, sites, .. } = code;
+        let w = self.words;
+        for site in &mut sites[from..] {
+            if let Some(enter) = site.dst.as_join() {
+                if let Instr::Enter { dst, body } = instrs[enter as usize] {
+                    (site.dst, site.next) = (dst, body);
+                }
+            }
+            let def = site.dst.as_slot().unwrap_or(NO_SLOT);
+            let row = &self.live[(site.next as usize - entry) * w..][..w];
+            let mut keep = 0;
+            for (i, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let v = (i * 64) as Slot + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    if v != def {
+                        keep = keep.max(self.phys[v as usize] + 1);
+                    }
+                }
+            }
+            site.keep = keep;
+            site.window = window as u32;
+            site.dst.rename(|s| self.phys[s as usize]);
         }
     }
 

@@ -539,6 +539,22 @@ impl Heap {
         Ok(self.view_of(Self::lookup(&self.headers, addr)?))
     }
 
+    /// The constructor and fields of a constructor block in either
+    /// segment, with one header lookup, or `None` for another kind of
+    /// block: what a match reads.
+    #[inline]
+    pub fn ctor_fields(&self, addr: Addr) -> Result<Option<(CtorId, &[Value])>, RuntimeError> {
+        if addr.is_shared() {
+            let b = self.view(addr)?;
+            return Ok(match b.tag {
+                BlockTag::Ctor(c) => Some((c, b.fields)),
+                _ => None,
+            });
+        }
+        let h = Self::lookup(&self.headers, addr)?;
+        Ok((h.kind == Kind::Ctor).then(|| (CtorId(h.id), &self.arena[h.extent()])))
+    }
+
     fn view_of(&self, h: &Header) -> BlockView<'_> {
         BlockView {
             header: h.count,
@@ -695,13 +711,28 @@ impl Heap {
 
     // ---- reference counting ------------------------------------------
 
+    /// True when `dup`/`drop` of `v` touches a count: a reference under
+    /// reference counting. Scalars, singletons and tokens are not
+    /// counted, and this test is all they pay.
+    #[inline(always)]
+    fn counted(&self, v: Value) -> bool {
+        matches!(v, Value::Ref(_) | Value::Weak(_)) && self.mode == ReclaimMode::Rc
+    }
+
     /// `dup v` — the paper's fast/slow split on the header sign, with a
     /// first check for the by-far most common case: a uniquely-owned
     /// cell (header exactly 1) skips even the sign test's general path.
+    #[inline(always)]
     pub fn dup(&mut self, v: Value) -> Result<(), RuntimeError> {
-        if self.mode != ReclaimMode::Rc {
-            return Ok(());
+        if self.counted(v) {
+            self.dup_counted(v)
+        } else {
+            Ok(())
         }
+    }
+
+    #[inline(never)]
+    fn dup_counted(&mut self, v: Value) -> Result<(), RuntimeError> {
         if let Value::Weak(addr) = v {
             // Weak references clone on the weak half only (one RMW);
             // the strong count — and liveness — never move.
@@ -752,10 +783,17 @@ impl Heap {
     /// so arbitrarily deep structures are safe). The uniquely-owned case
     /// (header 1) is checked first: it frees immediately without the
     /// shared-sign test.
+    #[inline(always)]
     pub fn drop_value(&mut self, v: Value) -> Result<(), RuntimeError> {
-        if self.mode != ReclaimMode::Rc {
-            return Ok(());
+        if self.counted(v) {
+            self.drop_counted(v)
+        } else {
+            Ok(())
         }
+    }
+
+    #[inline(never)]
+    fn drop_counted(&mut self, v: Value) -> Result<(), RuntimeError> {
         if let Value::Weak(addr) = v {
             self.stats.drops += 1;
             let sh = self
@@ -767,6 +805,17 @@ impl Heap {
         }
         let Value::Ref(addr) = v else { return Ok(()) };
         self.stats.drops += 1;
+        if !addr.is_shared() {
+            // A local block that stays alive: decrement in place; no
+            // worklist, no weak references, nothing retired.
+            let h = Self::lookup_mut(&mut self.headers, addr)?;
+            if h.count > 1 {
+                h.count -= 1;
+                let after = h.count;
+                self.tr(Event::Drop(addr, after));
+                return Ok(());
+            }
+        }
         self.run_drop_loop(addr)
     }
 

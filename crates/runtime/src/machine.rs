@@ -14,13 +14,16 @@
 //!   the FBIP traversals of §2.6 run in constant stack space.
 //!
 //! The machine runs the flat [`Code`] of a [`Compiled`] program on one
-//! value stack. A frame is the window `stack[base..base + nslots]`; a
-//! call pushes the arguments and fills the window to the callee's
-//! `nslots`, a return truncates the stack to the caller's window, and a
-//! tail call slides the new arguments over the dying window. Pending
-//! continuations are 12-byte frame records of `(pc, base, dst)`, so
-//! a suspended [`Execution`] is plain data: numbers and values, valid
-//! against any copy of its program.
+//! value stack. A frame is the window `stack[base..base + nslots]`. A
+//! call trims the caller's window to the slots live across it, pushes
+//! the arguments above them and fills the window to the callee's
+//! `nslots`; a return truncates the stack to the caller's slots and
+//! grows its window back; a tail call puts the new arguments over the
+//! dying window. Every continuation is resolved when the code is
+//! compiled: a compound right-hand side ends in joins, and a pending
+//! call is an 8-byte frame record of `(site, base)`, its call site
+//! naming the rest. So a suspended [`Execution`] is plain data: numbers
+//! and values, valid against any copy of its program.
 //!
 //! The same machine executes all memory-management modes; in GC mode it
 //! additionally triggers the mark–sweep collector of [`crate::gc`] at
@@ -194,25 +197,18 @@ impl Default for RunConfig {
     }
 }
 
-/// A pending continuation: where to go on with a value, in which
-/// window, and where the value goes.
+/// A pending call: the record of its call site in
+/// [`Code::sites`](crate::code::Code::sites), which says where the value
+/// goes, where the caller goes on and how large its window is, and the
+/// start of the caller's window.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    /// The instruction to continue at; [`NO_PC`] passes the value on to
-    /// the frame below (a call that ends a compound right-hand side).
-    pc: Pc,
-    /// The caller's window, restored when a call returns; [`SAME_WINDOW`]
-    /// for the continuation of a compound let right-hand side or
-    /// statement, which runs in the window it was pushed from.
+    site: u32,
     base: u32,
-    /// The slot that receives the value, if this is one.
-    dst: Dst,
 }
 
-const SAME_WINDOW: u32 = u32::MAX;
-
 // The frame stack of a deep recursion is as long as the recursion.
-const _: () = assert!(std::mem::size_of::<Frame>() == 12);
+const _: () = assert!(std::mem::size_of::<Frame>() == 8);
 
 /// The abstract machine.
 pub struct Machine<'p> {
@@ -470,24 +466,20 @@ impl<'p> Machine<'p> {
                 }
                 Instr::TokenOf { dst, var } => (dst, self.heap.claim(self.slot(var))?),
                 Instr::NullToken { dst } => (dst, Value::Token(None)),
-                Instr::Abort { msg } => {
+                Instr::Abort { msg, .. } => {
                     return Err(RuntimeError::Abort(code.aborts[msg as usize].to_string()))
                 }
                 Instr::Call { dst, fun, args } => {
-                    pc = self.call(program, fun, args, dst, pc)?;
+                    pc = self.call(program, fun, args, dst)?;
                     continue;
                 }
                 Instr::App { dst, fun, args } => {
                     let f = self.read(code, fun);
-                    pc = self.apply(program, f, args, dst, pc)?;
+                    pc = self.apply(program, f, args, dst)?;
                     continue;
                 }
-                Instr::Enter { dst, body } => {
-                    self.frames.push(Frame {
-                        pc: body,
-                        base: SAME_WINDOW,
-                        dst,
-                    });
+                // The right-hand side follows; its joins go on at `body`.
+                Instr::Enter { .. } => {
                     pc += 1;
                     continue;
                 }
@@ -550,6 +542,14 @@ impl<'p> Machine<'p> {
             if let Some(s) = dst.as_slot() {
                 self.stack[self.base + s as usize] = v;
                 pc += 1;
+            } else if let Some(enter) = dst.as_join() {
+                let Instr::Enter { dst, body } = code.instrs[enter as usize] else {
+                    return Err(RuntimeError::Internal(format!("join of non-Enter {enter}")));
+                };
+                if let Some(s) = dst.as_slot() {
+                    self.stack[self.base + s as usize] = v;
+                }
+                pc = body as usize;
             } else if dst == Dst::DISCARD {
                 pc += 1;
             } else {
@@ -561,23 +561,20 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Delivers a value to the next continuation.
+    /// Returns a value to the pending call: the callee's window dies and
+    /// the caller's grows back to its size.
     fn ret(&mut self, v: Value) -> Option<Pc> {
-        loop {
-            let f = self.frames.pop()?;
-            if f.base != SAME_WINDOW {
-                // A call returns: its window dies, the caller's is back.
-                self.heap.prof_exit();
-                self.stack.truncate(self.base);
-                self.base = f.base as usize;
-            }
-            if let Some(s) = f.dst.as_slot() {
-                self.stack[self.base + s as usize] = v;
-            }
-            if f.pc != NO_PC {
-                return Some(f.pc);
-            }
+        let f = self.frames.pop()?;
+        let site = self.code.code.sites[f.site as usize];
+        self.heap.prof_exit();
+        self.stack.truncate(self.base);
+        self.base = f.base as usize;
+        self.stack
+            .resize(self.base + site.window as usize, Value::Unit);
+        if let Some(s) = site.dst.as_slot() {
+            self.stack[self.base + s as usize] = v;
         }
+        Some(site.next)
     }
 
     fn slot(&self, s: u32) -> Value {
@@ -593,6 +590,12 @@ impl<'p> Machine<'p> {
 
     fn read_operands(&mut self, code: &Code, args: Span) {
         self.operands.clear();
+        self.push_operands(code, args);
+    }
+
+    /// Appends the values of `args` to the operands.
+    #[inline(always)]
+    fn push_operands(&mut self, code: &Code, args: Span) {
         for a in &code.pool[args.range()] {
             let v = self.read(code, *a);
             self.operands.push(v);
@@ -607,15 +610,13 @@ impl<'p> Machine<'p> {
         fun: FunId,
         args: Span,
         dst: Dst,
-        pc: usize,
     ) -> Result<usize, RuntimeError> {
         let f = &program.funs[fun.0 as usize];
         if f.arity != args.len() {
             return Err(RuntimeError::fun_arity(&f.name, f.arity, args.len()));
         }
-        let top = self.stack.len();
-        self.push_args(&program.code, args);
-        self.open_window(top, f.nslots, FrameKind::Fun(fun), dst, pc)?;
+        self.read_operands(&program.code, args);
+        self.open_window(&program.code, f.nslots, FrameKind::Fun(fun), dst)?;
         Ok(f.entry as usize)
     }
 
@@ -627,10 +628,9 @@ impl<'p> Machine<'p> {
         f: Value,
         args: Span,
         dst: Dst,
-        pc: usize,
     ) -> Result<usize, RuntimeError> {
         match f {
-            Value::Global(id) => self.call(program, id, args, dst, pc),
+            Value::Global(id) => self.call(program, id, args, dst),
             Value::Ref(addr) => {
                 let block = self.heap.view(addr)?;
                 let BlockTag::Closure(lam) = block.tag else {
@@ -640,60 +640,51 @@ impl<'p> Machine<'p> {
                 if l.nparams != args.len() {
                     return Err(RuntimeError::closure_arity(l.nparams, args.len()));
                 }
-                let top = self.stack.len();
-                self.stack.extend_from_slice(block.fields);
-                self.push_args(&program.code, args);
+                self.operands.clear();
+                for &v in block.fields {
+                    self.operands.push(v);
+                }
+                self.push_operands(&program.code, args);
                 // Rule (appᵣ): retain the captures, release the closure.
-                for i in top..top + l.ncaptures {
-                    self.heap.dup(self.stack[i])?;
+                for i in 0..l.ncaptures {
+                    self.heap.dup(self.operands[i])?;
                 }
                 self.heap.drop_value(f)?;
-                self.open_window(top, l.nslots, FrameKind::Lam(lam), dst, pc)?;
+                self.open_window(&program.code, l.nslots, FrameKind::Lam(lam), dst)?;
                 Ok(l.entry as usize)
             }
             other => Err(RuntimeError::apply_non_function(other)),
         }
     }
 
-    /// Pushes a call's argument values (read in the current window).
-    fn push_args(&mut self, code: &Code, args: Span) {
-        for a in &code.pool[args.range()] {
-            let v = self.read(code, *a);
-            self.stack.push(v);
-        }
-    }
-
-    /// Makes the values pushed since `top` the first slots of a new
-    /// window of `nslots`. A tail call slides them over the dying window;
-    /// any other call leaves a frame record to return by.
+    /// Makes the operands the first slots of a new window of `nslots`.
+    /// A tail call puts them over the dying window. Any other call keeps
+    /// of the caller's window only the slots its site says are live
+    /// across the call, opens the new window right above them and leaves
+    /// a frame record to return by.
     fn open_window(
         &mut self,
-        top: usize,
+        code: &Code,
         nslots: usize,
         callee: FrameKind,
         dst: Dst,
-        pc: usize,
     ) -> Result<(), RuntimeError> {
-        if dst == Dst::TAIL {
-            self.heap.prof_tail(callee);
-            let pushed = self.stack.len() - top;
-            self.stack.copy_within(top.., self.base);
-            self.stack.truncate(self.base + pushed);
-        } else {
-            self.heap.prof_enter(callee);
-            let base = u32::try_from(self.base)
-                .ok()
-                .filter(|b| *b != SAME_WINDOW)
-                .ok_or_else(|| RuntimeError::Internal("value stack overflow".into()))?;
-            // A call that ends a compound right-hand side has nothing of
-            // its own to continue with: its value is the frame below's.
-            let pc = if dst == Dst::RETURN {
-                NO_PC
-            } else {
-                pc as Pc + 1
-            };
-            self.frames.push(Frame { pc, base, dst });
-            self.base = top;
+        match dst.as_site() {
+            None => {
+                self.heap.prof_tail(callee);
+                self.stack.truncate(self.base);
+            }
+            Some(site) => {
+                self.heap.prof_enter(callee);
+                let base = u32::try_from(self.base)
+                    .map_err(|_| RuntimeError::Internal("value stack overflow".into()))?;
+                self.frames.push(Frame { site, base });
+                self.base += code.sites[site as usize].keep as usize;
+                self.stack.truncate(self.base);
+            }
+        }
+        for &v in &self.operands {
+            self.stack.push(v);
         }
         self.stack.resize(self.base + nslots, Value::Unit);
         Ok(())
@@ -791,7 +782,7 @@ pub enum StepOutcome {
 /// suspending at instructions satisfying Theorem 4's side condition.
 ///
 /// It is also the *checkpoint*: plain data — a [`Pc`], a window base,
-/// values, `(pc, base, dst)` records, printed integers, a step count
+/// values, `(site, base)` records, printed integers, a step count
 /// and the program's [`Compiled::uid`] — that borrows nothing. A serving
 /// worker parks it in a table across requests and later runs it on a
 /// fresh [`Machine`] over the parked heap and any copy of the program.
@@ -945,15 +936,9 @@ fn select_arm(
 pub fn scrutinee(heap: &Heap, v: Value) -> Result<(CtorId, &[Value]), RuntimeError> {
     match v {
         Value::Enum(c) => Ok((c, &[])),
-        Value::Ref(a) => {
-            let block = heap.view(a)?;
-            match block.tag {
-                BlockTag::Ctor(c) => Ok((c, block.fields)),
-                _ => Err(RuntimeError::TypeMismatch(
-                    "match on a non-constructor block".into(),
-                )),
-            }
-        }
+        Value::Ref(a) => heap
+            .ctor_fields(a)?
+            .ok_or_else(|| RuntimeError::TypeMismatch("match on a non-constructor block".into())),
         other => Err(RuntimeError::TypeMismatch(format!(
             "match on non-constructor value {other}"
         ))),
@@ -1471,6 +1456,74 @@ mod tests {
         m.drop_result(v).unwrap();
         assert_eq!(m.heap.live_blocks(), 0);
         assert_eq!(m.heap.stats, uninterrupted, "bit-identical schedule");
+    }
+
+    /// Compiles a source under Perceus.
+    fn compile_src(src: &str) -> Compiled {
+        let p = perceus_lang::compile_str(src).unwrap();
+        compile(&Pipeline::new(PassConfig::perceus()).run(p).unwrap()).unwrap()
+    }
+
+    /// The suspensions of an execution of `main(n)` in legs of `budget`
+    /// steps, each as `(live_words, frame records, value-stack slots, pc)`.
+    fn suspensions(c: &Compiled, n: i64, budget: u64, legs: usize) -> Vec<(u64, usize, usize, Pc)> {
+        let mut m = Machine::new(c, ReclaimMode::Rc, RunConfig::default());
+        let mut exec = m.start_entry(vec![Value::Int(n)]).unwrap();
+        let mut out = Vec::new();
+        while out.len() < legs {
+            match exec.run(&mut m, Some(budget)).unwrap() {
+                StepOutcome::Suspended { live_words, .. } => {
+                    let pc = exec.pc.unwrap();
+                    out.push((live_words, exec.frames.len(), exec.stack.len(), pc));
+                }
+                StepOutcome::Done(_) => break,
+            }
+        }
+        out
+    }
+
+    /// In `f(n) = 1 + f(n - 1)` no slot is live across the call: a level
+    /// of the recursion costs one frame record and no value-stack slot,
+    /// so suspensions k levels apart differ in `live_words` by exactly k.
+    #[test]
+    fn a_level_of_recursion_costs_one_frame_record_and_no_stack() {
+        let c = compile_src(
+            "fun f(n: int): int { if n == 0 then 0 else 1 + f(n - 1) }
+             fun main(n: int): int { f(n) }",
+        );
+        let f = &c.funs[c.find_fun("f").unwrap().0 as usize];
+        let sites: Vec<_> = (c.code.sites.iter()).map(|s| (s.keep, s.window)).collect();
+        assert_eq!(sites, [(0, f.nslots as u32)], "one call site, nothing kept");
+        let seen = suspensions(&c, 1_000_000, 1_000, 5);
+        assert_eq!(seen.len(), 5);
+        for w in seen.windows(2) {
+            let k = w[1].1 - w[0].1;
+            assert!(k > 100, "{seen:?}");
+            assert_eq!(w[1].0 - w[0].0, k as u64, "{seen:?}");
+            assert_eq!(w[1].2, f.nslots, "the stack holds f's window only");
+        }
+    }
+
+    /// A compound right-hand side goes on at its `Enter`'s body by its
+    /// join: suspended anywhere inside one, a run has no frame record.
+    #[test]
+    fn a_compound_right_hand_side_pushes_no_frame_record() {
+        let c = compile_src(
+            "fun main(n: int): int {
+               val k = if n > 2 then { val t = n * 2
+                                       t + 1 } else n
+               k + n
+             }",
+        );
+        let rhs = (c.code.instrs.iter().enumerate())
+            .find_map(|(pc, i)| match i {
+                Instr::Enter { body, .. } => Some(pc as Pc + 1..*body),
+                _ => None,
+            })
+            .expect("a compound right-hand side");
+        let seen = suspensions(&c, 5, 1, usize::MAX);
+        assert!(seen.iter().any(|s| rhs.contains(&s.3)), "{seen:?}");
+        assert!(seen.iter().all(|s| s.1 == 0), "{seen:?}");
     }
 
     /// Singleton constructors dispatch without touching the heap.

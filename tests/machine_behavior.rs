@@ -241,8 +241,10 @@ fun main(n: int): int { spin(n) }
 /// The memory limit meters the value stack and the frame records with
 /// the heap: a deep non-tail recursion that allocates no block is
 /// stopped at the same step every time, long before its ten million
-/// frames exist. `f`'s frame is 2 slots, so each level costs 3 words and
-/// the limit trips at step 2 002 (with 3-slot frames it tripped at 1 602).
+/// frames exist. No slot of `f`'s 2-slot frame is live across its call,
+/// so each level costs one word, its frame record, and the limit trips
+/// at step 7 994 (when each level kept its whole window, 3 words, it
+/// tripped at 2 002; with 3-slot frames, at 1 602).
 #[test]
 fn memory_limit_meters_the_stack_of_a_deep_recursion() {
     let src = r#"
