@@ -126,13 +126,11 @@ pub fn check_heap(heap: &Heap, roots: &[Addr]) -> Result<AuditReport, String> {
         if block.header == 0 {
             continue; // claimed by a reuse token: contents meaningless
         }
-        for f in block.fields.iter() {
-            if let Value::Ref(child) = f {
-                if !heap.ref_alive(*child) {
-                    return Err(format!("block {addr} holds dangling reference {child}"));
-                }
-                *internal.at(child.index) += 1;
+        for child in block.fields.iter().filter_map(|f| f.addr()) {
+            if !heap.ref_alive(child) {
+                return Err(format!("block {addr} holds dangling reference {child}"));
             }
+            *internal.at(child.index) += 1;
         }
     }
 
@@ -182,11 +180,7 @@ pub fn check_heap(heap: &Heap, roots: &[Addr]) -> Result<AuditReport, String> {
         if block.header == 0 {
             continue; // claimed cells hold no real references
         }
-        for f in block.fields.iter() {
-            if let Value::Ref(child) = f {
-                work.push(*child);
-            }
-        }
+        work.extend(block.fields.iter().filter_map(|f| f.addr()));
     }
     let unreachable: Vec<Addr> = live
         .iter()
@@ -246,11 +240,7 @@ fn flood(heap: &Heap, start: Addr, out: &mut HashSet<u32>) {
             continue;
         }
         if let Ok(b) = heap.view(n) {
-            for f in b.fields.iter() {
-                if let Value::Ref(c) = f {
-                    work.push(*c);
-                }
-            }
+            work.extend(b.fields.iter().filter_map(|f| f.addr()));
         }
     }
 }
@@ -260,11 +250,7 @@ fn on_cycle(heap: &Heap, start: Addr) -> bool {
     let mut seen = HashSet::new();
     let mut work = Vec::new();
     if let Ok(b) = heap.view(start) {
-        for f in b.fields.iter() {
-            if let Value::Ref(c) = f {
-                work.push(*c);
-            }
-        }
+        work.extend(b.fields.iter().filter_map(|f| f.addr()));
     }
     while let Some(n) = work.pop() {
         if n.index == start.index {
@@ -274,11 +260,7 @@ fn on_cycle(heap: &Heap, start: Addr) -> bool {
             continue;
         }
         if let Ok(b) = heap.view(n) {
-            for f in b.fields.iter() {
-                if let Value::Ref(c) = f {
-                    work.push(*c);
-                }
-            }
+            work.extend(b.fields.iter().filter_map(|f| f.addr()));
         }
     }
     false
@@ -331,22 +313,18 @@ pub fn check_shared_at_join(segment: &SharedHeap) -> Result<SharedAudit, String>
         }
         live.push((addr, header));
         for f in fields.iter() {
-            match f {
-                Value::Ref(child) => {
-                    if !child.is_shared() {
-                        return Err(format!(
-                            "shared block {addr} holds thread-local reference {child}"
-                        ));
-                    }
-                    *internal.entry(child.index).or_insert(0) += 1;
+            if let Some(child) = f.addr() {
+                if !child.is_shared() {
+                    return Err(format!(
+                        "shared block {addr} holds thread-local reference {child}"
+                    ));
                 }
+                *internal.entry(child.index).or_insert(0) += 1;
+            } else if let Some(child) = f.weak() {
                 // Weak fields are not strong references: they confer no
                 // liveness and are excluded from strong adequacy. Each
                 // owns one *weak* count, checked below.
-                Value::Weak(child) => {
-                    *weak_internal.entry(child.index).or_insert(0) += 1;
-                }
-                _ => {}
+                *weak_internal.entry(child.index).or_insert(0) += 1;
             }
         }
     }
@@ -384,11 +362,7 @@ pub fn check_shared_at_join(segment: &SharedHeap) -> Result<SharedAudit, String>
                     continue;
                 }
                 if let Ok(b) = segment.view(n) {
-                    for f in b.fields.iter() {
-                        if let Value::Ref(c) = f {
-                            work.push(*c);
-                        }
-                    }
+                    work.extend(b.fields.iter().filter_map(|f| f.addr()));
                 }
             }
         }
@@ -457,7 +431,7 @@ mod tests {
         let mut h = Heap::new(ReclaimMode::Rc);
         let r = h.alloc(BlockTag::MutRef, vec![Value::Unit].into_boxed_slice());
         let holder = cell(&mut h, vec![Value::Ref(r)]);
-        *h.field_mut(r, 0).unwrap() = Value::Ref(holder);
+        h.replace_field(r, 0, Value::Ref(holder)).unwrap();
         // Neither is reachable from any root, but they sustain each
         // other — the §2.7.4 situation.
         let report = check_heap(&h, &[]).unwrap();

@@ -69,7 +69,7 @@ impl Collector {
             // workers and is audited at thread join instead.
             if let Some(fields) = heap.mark(addr) {
                 marked += 1;
-                work.extend(fields.iter().filter_map(Value::addr));
+                work.extend(fields.iter().filter_map(|f| f.addr()));
             }
         }
         heap.stats.gc_collections += 1;
@@ -115,7 +115,7 @@ mod tests {
         let mut h = Heap::new(ReclaimMode::Gc);
         let a = cell(&mut h, vec![Value::Unit]);
         let b = cell(&mut h, vec![a]);
-        *h.field_mut(a.addr().unwrap(), 0).unwrap() = b;
+        h.replace_field(a.addr().unwrap(), 0, b).unwrap();
         let mut gc = Collector::new(GcConfig::default());
         let swept = gc.collect(&mut h, std::iter::empty());
         assert_eq!(swept, 2);

@@ -21,7 +21,9 @@
 //! * every address is generation-checked, so a use-after-free in
 //!   generated code is a deterministic error, not corruption;
 //! * a block is a fixed-size **header record** plus an **extent of one
-//!   field arena** the heap owns — no `malloc` per cell. The extent is
+//!   field arena** the heap owns — no `malloc` per cell. Fields are
+//!   stored as packed 9-byte [`Field`]s (both segments store them so),
+//!   decoded to [`Value`]s only where a reader binds them. The extent is
 //!   assigned when the header is first created and never split, merged
 //!   or moved; a dead header is **relisted by exact field count** on
 //!   size-class free lists, the design Lean's runtime uses (Ullrich &
@@ -44,7 +46,7 @@ pub use stats::{Stats, SCHEDULE_KEYS};
 use crate::error::RuntimeError;
 use crate::profile::{FrameKind, Profiler};
 use crate::trace::{Event, Trace};
-use crate::value::{Addr, Value};
+use crate::value::{Addr, Field, Value};
 use perceus_core::ir::CtorId;
 use perceus_core::passes::Validation;
 use std::collections::HashMap;
@@ -211,14 +213,15 @@ impl Default for HeapConfig {
 /// A read-only, segment-agnostic view of a block: the one shape both
 /// the thread-local heap and the shared segment can serve, and the
 /// only way to read a block (the machine's match/apply/read-back, the
-/// auditor).
+/// auditor). Both segments store fields as packed [`Field`]s; a reader
+/// decodes only the fields it uses.
 pub struct BlockView<'a> {
     /// Signed header at read time (for shared blocks: an atomic load).
     pub header: i32,
     /// Block kind.
     pub tag: BlockTag,
     /// Fields (immutable for shared blocks by construction).
-    pub fields: &'a [Value],
+    pub fields: &'a [Field],
     /// True when the block lives in the shared segment.
     pub shared: bool,
 }
@@ -227,8 +230,8 @@ pub struct BlockView<'a> {
 pub struct Heap {
     /// One record per block ever created, indexed by [`Addr::index`].
     headers: Vec<Header>,
-    /// Every block's fields; a header names its extent.
-    arena: Vec<Value>,
+    /// Every block's fields, 9 bytes each; a header names its extent.
+    arena: Vec<Field>,
     /// Size-class segregated free lists: `classes[k]` holds the listed
     /// headers whose extent has exactly `k` fields.
     classes: [Vec<u32>; NUM_SIZE_CLASSES],
@@ -336,7 +339,8 @@ impl Heap {
     }
 
     /// The attached shared segment, if any.
-    pub fn shared_segment(&self) -> Option<&SharedHeap> {
+    #[cfg(test)]
+    fn shared_segment(&self) -> Option<&SharedHeap> {
         self.shared.as_deref()
     }
 
@@ -345,7 +349,8 @@ impl Heap {
     /// outgoing references transferring onto the ledger as they enter
     /// the drop worklist. Zero whenever the heap's owner has spent
     /// every reference it minted.
-    pub fn shared_refs_held(&self) -> u64 {
+    #[cfg(test)]
+    fn shared_refs_held(&self) -> u64 {
         self.shared_held
     }
 
@@ -511,13 +516,15 @@ impl Heap {
         Self::lookup_mut(&mut self.headers, addr)
     }
 
-    /// Field `i` of a thread-local block, for writing
-    /// (generation-checked): the store of a mutable reference.
-    pub fn field_mut(&mut self, addr: Addr, i: usize) -> Result<&mut Value, RuntimeError> {
+    /// Stores `v` in field `i` of a thread-local block
+    /// (generation-checked) and returns the value it held: the store of
+    /// a mutable reference. Counts are the caller's.
+    pub fn replace_field(&mut self, addr: Addr, i: usize, v: Value) -> Result<Value, RuntimeError> {
         let extent = self.local_mut(addr)?.extent();
-        self.arena[extent]
+        let f = self.arena[extent]
             .get_mut(i)
-            .ok_or_else(|| RuntimeError::Internal(format!("block {addr} has no field {i}")))
+            .ok_or_else(|| RuntimeError::Internal(format!("block {addr} has no field {i}")))?;
+        Ok(std::mem::replace(f, Field::new(v)).value())
     }
 
     /// The signed reference count of a thread-local block, for writing
@@ -543,7 +550,7 @@ impl Heap {
     /// segment, with one header lookup, or `None` for another kind of
     /// block: what a match reads.
     #[inline]
-    pub fn ctor_fields(&self, addr: Addr) -> Result<Option<(CtorId, &[Value])>, RuntimeError> {
+    pub fn ctor_fields(&self, addr: Addr) -> Result<Option<(CtorId, &[Field])>, RuntimeError> {
         if addr.is_shared() {
             let b = self.view(addr)?;
             return Ok(match b.tag {
@@ -615,7 +622,9 @@ impl Heap {
                 h.count = 1;
                 h.mark = false;
                 h.set_tag(tag);
-                self.arena[h.extent()].copy_from_slice(vals);
+                for (f, &v) in self.arena[h.extent()].iter_mut().zip(vals) {
+                    *f = Field::new(v);
+                }
                 Addr { index, gen: h.gen }
             }
             None => {
@@ -625,7 +634,7 @@ impl Heap {
                     .expect("local heap out of header indices");
                 let off = u32::try_from(self.arena.len()).expect("field arena out of offsets");
                 let len = u32::try_from(len).expect("block wider than the field arena");
-                self.arena.extend_from_slice(vals);
+                self.arena.extend(vals.iter().map(|&v| Field::new(v)));
                 self.headers.push(Header::new(tag, off, len));
                 Addr { index, gen: 0 }
             }
@@ -683,17 +692,17 @@ impl Heap {
         }
         let fields = &mut self.arena[h.extent()];
         let mut written = 0;
-        for (i, v) in args.iter().enumerate() {
+        for (i, &v) in args.iter().enumerate() {
             if skip.get(i).copied().unwrap_or(false) {
-                if check_skipped && fields[i] != *v {
+                if check_skipped && fields[i] != Field::new(v) {
                     return Err(RuntimeError::Internal(format!(
                         "reuse skip mask at {token}: skipped field {i} holds {} but the \
                          constructor argument is {v}",
-                        fields[i]
+                        fields[i].value()
                     )));
                 }
             } else {
-                fields[i] = *v;
+                fields[i] = Field::new(v);
                 written += 1;
             }
         }
@@ -1175,7 +1184,7 @@ impl Heap {
                 )));
             }
             h.count = -h.count;
-            work.extend(self.arena[h.extent()].iter().filter_map(Value::addr));
+            work.extend(self.arena[h.extent()].iter().filter_map(|f| f.addr()));
             self.stats.shared_marks += 1;
             self.tr(Event::Share(addr));
         }
@@ -1227,9 +1236,9 @@ impl Heap {
             }
             if let Some(f) = b.fields.get(i) {
                 stack.push((addr, i + 1));
-                if let Value::Ref(child) = f {
+                if let Some(child) = f.addr() {
                     if !child.is_shared() && !moved.contains_key(&child.index) {
-                        stack.push((*child, 0));
+                        stack.push((child, 0));
                     }
                 }
                 continue;
@@ -1238,12 +1247,12 @@ impl Heap {
             let pinned = b.header <= STICKY;
             let count = b.header.unsigned_abs();
             let tag = b.tag;
-            let fields: Box<[Value]> = b
+            let fields: Box<[Field]> = b
                 .fields
                 .iter()
-                .map(|f| match f {
-                    Value::Ref(c) if !c.is_shared() => Value::Ref(moved[&c.index]),
-                    other => *other,
+                .map(|&f| match f.addr() {
+                    Some(c) if !c.is_shared() => Field::new(Value::Ref(moved[&c.index])),
+                    _ => f,
                 })
                 .collect();
             let saddr = segment.install(tag, fields, count, pinned);
@@ -1313,10 +1322,12 @@ impl Heap {
                 // contents.
                 if repay && h.count != 0 {
                     for f in &self.arena[h.extent()] {
-                        match f {
-                            Value::Ref(a) if a.is_shared() => held.push(*a),
-                            Value::Weak(a) => weak_held.push(*a),
-                            _ => {}
+                        if let Some(a) = f.addr() {
+                            if a.is_shared() {
+                                held.push(a);
+                            }
+                        } else if let Some(a) = f.weak() {
+                            weak_held.push(a);
                         }
                     }
                 }
@@ -1402,7 +1413,7 @@ impl Heap {
     /// Collector support: marks a live local block; returns its fields
     /// the first time, `None` when it was already marked or `addr` is
     /// stale or shared.
-    pub(crate) fn mark(&mut self, addr: Addr) -> Option<&[Value]> {
+    pub(crate) fn mark(&mut self, addr: Addr) -> Option<&[Field]> {
         let h = Self::lookup_mut(&mut self.headers, addr).ok()?;
         if std::mem::replace(&mut h.mark, true) {
             return None;
@@ -1429,12 +1440,12 @@ impl Heap {
 
 /// Sorts the references a dying (or just claimed) block held onto the
 /// drop worklists.
-fn push_children(fields: &[Value], work: &mut Vec<Addr>, weak: &mut Vec<Addr>) {
+fn push_children(fields: &[Field], work: &mut Vec<Addr>, weak: &mut Vec<Addr>) {
     for f in fields {
-        match f {
-            Value::Ref(child) => work.push(*child),
-            Value::Weak(child) => weak.push(*child),
-            _ => {}
+        if let Some(child) = f.addr() {
+            work.push(child);
+        } else if let Some(child) = f.weak() {
+            weak.push(child);
         }
     }
 }
@@ -1640,7 +1651,7 @@ mod tests {
         let r = h.alloc(BlockTag::MutRef, vec![Value::Unit].into_boxed_slice());
         let holder = cell(&mut h, vec![Value::Ref(r)]);
         // Tie the knot: r -> holder -> r.
-        *h.field_mut(r, 0).unwrap() = Value::Ref(holder);
+        h.replace_field(r, 0, Value::Ref(holder)).unwrap();
         h.tshare(Value::Ref(holder)).unwrap(); // must terminate
         assert!(h.view(r).unwrap().header < 0);
         assert!(h.view(holder).unwrap().header < 0);
@@ -1783,11 +1794,11 @@ mod tests {
         let view = h.view(sroot).unwrap();
         assert_eq!(view.header, -1);
         assert!(view.shared);
-        let Value::Ref(schild) = view.fields[0] else {
+        let Value::Ref(schild) = view.fields[0].value() else {
             panic!()
         };
         assert!(schild.is_shared(), "intra-closure references rewritten");
-        assert_eq!(h.view(schild).unwrap().fields[0], Value::Int(7));
+        assert_eq!(h.view(schild).unwrap().fields[0].value(), Value::Int(7));
         // Dropping the only reference empties the segment; the drops
         // are real atomic RMWs.
         h.drop_value(shared).unwrap();
@@ -1810,10 +1821,10 @@ mod tests {
         let seg = Arc::new(seg);
         h.attach_shared(seg.clone());
         let Value::Ref(sroot) = shared else { panic!() };
-        let Value::Ref(sleft) = h.view(sroot).unwrap().fields[0] else {
+        let Value::Ref(sleft) = h.view(sroot).unwrap().fields[0].value() else {
             panic!()
         };
-        let Value::Ref(sbase) = h.view(sleft).unwrap().fields[0] else {
+        let Value::Ref(sbase) = h.view(sleft).unwrap().fields[0].value() else {
             panic!()
         };
         assert_eq!(h.view(sbase).unwrap().header, -2, "count carried over");
@@ -1881,7 +1892,7 @@ mod tests {
         assert_eq!(h.arena.len(), 2, "the listed extent was rewritten in place");
         // The stale address is a deterministic error, never the new cell.
         assert!(matches!(h.view(a), Err(RuntimeError::UseAfterFree(_))));
-        assert_eq!(h.view(b).unwrap().fields[0], Value::Int(3));
+        assert_eq!(h.view(b).unwrap().fields[0].value(), Value::Int(3));
         h.drop_value(Value::Ref(b)).unwrap();
     }
 
@@ -1935,7 +1946,14 @@ mod tests {
         assert_eq!(a.index, b.index);
         assert_ne!(a.gen, b.gen);
         assert_eq!(h.arena.len(), arena);
-        assert_eq!(h.view(b).unwrap().fields, &big[..]);
+        let fields: Vec<Value> = h
+            .view(b)
+            .unwrap()
+            .fields
+            .iter()
+            .map(|f| f.value())
+            .collect();
+        assert_eq!(fields, big);
         assert_eq!(h.stats.freelist_hits, 0);
         assert_eq!(h.stats.freelist_misses, 3);
         h.check_extents().unwrap();

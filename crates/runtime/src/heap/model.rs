@@ -7,6 +7,7 @@
 
 use super::*;
 use crate::audit;
+use perceus_core::ir::FunId;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -122,8 +123,9 @@ impl Model {
         }
     }
 
-    /// `len` field values: integers and references to blocks the driver
-    /// has a handle on, each reference retained for the field to own.
+    /// `len` field values: references to blocks the driver has a handle
+    /// on, each retained for the field to own, and scalars of every
+    /// other stored tag.
     fn fields(&mut self, len: usize, mut r: u64) -> Vec<Value> {
         (0..len)
             .map(|_| {
@@ -135,7 +137,7 @@ impl Model {
                         self.dup(a);
                         Value::Ref(a)
                     }
-                    _ => Value::Int((r >> 40) as i64),
+                    _ => Self::scalar(r),
                 }
             })
             .collect()
@@ -319,6 +321,22 @@ impl Model {
         Ok(())
     }
 
+    /// A field that owns no reference: integers at full width and at
+    /// their extremes, singletons, globals, unit and the null token.
+    fn scalar(r: u64) -> Value {
+        let id = (r >> 24) as u32;
+        match (r >> 56) % 10 {
+            0 => Value::Int(i64::MIN),
+            1 => Value::Int(i64::MAX),
+            2 => Value::Int(-1),
+            3 => Value::Enum(CtorId(id)),
+            4 => Value::Global(FunId(id)),
+            5 => Value::Unit,
+            6 => Value::Token(None),
+            _ => Value::Int(r.rotate_left(23) as i64),
+        }
+    }
+
     fn check(&self) -> Check {
         let heap = &self.heap;
         for (addr, m) in &self.blocks {
@@ -329,7 +347,8 @@ impl Model {
             prop_assert_eq!(v.header, m.count, "count of {}", addr);
             prop_assert_eq!(v.fields.len(), m.fields.len(), "length of {}", addr);
             // A claimed cell's contents are meaningless (but stay put).
-            prop_assert_eq!(v.fields, &m.fields[..], "fields of {}", addr);
+            let fields: Vec<Value> = v.fields.iter().map(|f| f.value()).collect();
+            prop_assert_eq!(fields, m.fields.clone(), "fields of {}", addr);
             if m.count != 0 {
                 prop_assert_eq!(v.tag, m.tag, "tag of {}", addr);
             }

@@ -54,7 +54,7 @@ use crate::error::RuntimeError;
 use crate::heap::epoch::Collector;
 use crate::heap::stats::Stats;
 use crate::heap::{BlockTag, BlockView, STICKY};
-use crate::value::{Addr, Value};
+use crate::value::{Addr, Field, Value};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -94,7 +94,7 @@ struct SharedSlot {
     /// proves no reader can hold a view (the single writer is whoever
     /// drained the slot's index from the retirement queue — the queue
     /// mutex hands each index to exactly one caller, ever).
-    fields: UnsafeCell<Box<[Value]>>,
+    fields: UnsafeCell<Box<[Field]>>,
 }
 
 // SAFETY: `fields` is written (a) before the freeze through `&mut self`
@@ -109,7 +109,7 @@ impl SharedSlot {
     /// SAFETY: caller must be a pinned participant (or the segment must
     /// be quiescent); see the struct-level safety comment.
     #[inline]
-    unsafe fn fields(&self) -> &[Value] {
+    unsafe fn fields(&self) -> &[Field] {
         unsafe { &*self.fields.get() }
     }
 
@@ -193,7 +193,7 @@ impl SharedHeap {
     pub(crate) fn install(
         &mut self,
         tag: BlockTag,
-        fields: Box<[Value]>,
+        fields: Box<[Field]>,
         count: u32,
         pinned: bool,
     ) -> Addr {
@@ -225,6 +225,7 @@ impl SharedHeap {
     /// §2.7.3 cycle demonstration — without routing through a local
     /// heap (whose `mark_shared` barrier rejects cyclic data).
     pub fn alloc(&mut self, tag: BlockTag, fields: Box<[Value]>, count: u32) -> Addr {
+        let fields = fields.into_vec().into_iter().map(Field::new).collect();
         self.install(tag, fields, count, false)
     }
 
@@ -259,10 +260,10 @@ impl SharedHeap {
             )));
         };
         debug_assert!(
-            !f.is_ref() && !matches!(f, Value::Weak(_)),
+            f.addr().is_none() && f.weak().is_none(),
             "link would overwrite an owning reference"
         );
-        *f = v;
+        *f = Field::new(v);
         Ok(())
     }
 
@@ -415,20 +416,16 @@ impl SharedHeap {
                     // SAFETY: see above.
                     let fields = unsafe { slot.fields() };
                     for f in fields.iter() {
-                        match f {
-                            Value::Ref(child) => {
-                                debug_assert!(
-                                    child.is_shared(),
-                                    "shared block held a thread-local reference"
-                                );
-                                work.push(*child);
-                            }
-                            Value::Weak(child) => {
-                                // Weak edges never cascade: release the
-                                // count inline.
-                                self.weak_drop(*child, stats)?;
-                            }
-                            _ => {}
+                        if let Some(child) = f.addr() {
+                            debug_assert!(
+                                child.is_shared(),
+                                "shared block held a thread-local reference"
+                            );
+                            work.push(child);
+                        } else if let Some(child) = f.weak() {
+                            // Weak edges never cascade: release the
+                            // count inline.
+                            self.weak_drop(child, stats)?;
                         }
                     }
                     // One RMW moves a block from `live` to `freed`:
@@ -590,7 +587,7 @@ impl SharedHeap {
     /// and fields (audit support; call only when the segment is
     /// quiescent — e.g. at thread join). Reclaimed slots show their
     /// dead header and empty fields.
-    pub(crate) fn iter_slots(&self) -> impl Iterator<Item = (Addr, i32, u32, &[Value])> + '_ {
+    pub(crate) fn iter_slots(&self) -> impl Iterator<Item = (Addr, i32, u32, &[Field])> + '_ {
         self.slots.iter().enumerate().map(|(i, s)| {
             let h = s.header.load(Ordering::Acquire);
             (
@@ -683,7 +680,7 @@ mod tests {
     #[test]
     fn dead_slots_retire_through_the_epoch_queue_and_reclaim() {
         let mut seg = SharedHeap::new();
-        let payload: Box<[Value]> = (0..8).map(Value::Int).collect();
+        let payload: Box<[Field]> = (0..8).map(|i| Field::new(Value::Int(i))).collect();
         let a = seg.install(ctor(), payload, 1, false);
         let mut stats = Stats::default();
         let mut work = Vec::new();
@@ -703,7 +700,7 @@ mod tests {
     #[test]
     fn a_pinned_participant_blocks_reclaim_until_it_ticks() {
         let mut seg = SharedHeap::new();
-        let a = seg.install(ctor(), Box::new([Value::Int(1)]), 1, false);
+        let a = seg.alloc(ctor(), Box::new([Value::Int(1)]), 1);
         let reader = seg.collector().register();
         let mut stats = Stats::default();
         let mut work = Vec::new();

@@ -59,4 +59,4 @@ pub use error::RuntimeError;
 pub use heap::{Heap, ReclaimMode, SharedHeap, Stats, SCHEDULE_KEYS};
 pub use machine::{DeepValue, Execution, Machine, RunConfig, StepOutcome};
 pub use profile::{FrameKind, ProfCounts, ProfMetric, Profiler};
-pub use value::Value;
+pub use value::{Field, Value};

@@ -36,7 +36,7 @@ use crate::error::RuntimeError;
 use crate::gc::{Collector, GcConfig};
 use crate::heap::{BlockTag, Heap, HeapConfig, ReclaimMode};
 use crate::profile::FrameKind;
-use crate::value::Value;
+use crate::value::{Field, Value};
 use perceus_core::ir::expr::PrimOp;
 use perceus_core::ir::{CtorId, FunId, TypeTable};
 use perceus_core::passes::Validation;
@@ -641,8 +641,8 @@ impl<'p> Machine<'p> {
                     return Err(RuntimeError::closure_arity(l.nparams, args.len()));
                 }
                 self.operands.clear();
-                for &v in block.fields {
-                    self.operands.push(v);
+                for f in block.fields {
+                    self.operands.push(f.value());
                 }
                 self.push_operands(&program.code, args);
                 // Rule (appᵣ): retain the captures, release the closure.
@@ -914,9 +914,9 @@ fn select_arm(
     for arm in arms {
         if arm.ctor == ctor {
             let binders = &program.code.binders[arm.binders.range()];
-            for (slot, v) in binders.iter().zip(fields) {
+            for (slot, f) in binders.iter().zip(fields) {
                 if *slot != NO_SLOT {
-                    window[*slot as usize] = *v;
+                    window[*slot as usize] = f.value();
                 }
             }
             return Ok(arm.body);
@@ -933,7 +933,7 @@ fn select_arm(
 /// Shared by the machine's arm selection and the native backend's
 /// generated `match`.
 #[inline(always)]
-pub fn scrutinee(heap: &Heap, v: Value) -> Result<(CtorId, &[Value]), RuntimeError> {
+pub fn scrutinee(heap: &Heap, v: Value) -> Result<(CtorId, &[Field]), RuntimeError> {
     match v {
         Value::Enum(c) => Ok((c, &[])),
         Value::Ref(a) => heap
@@ -996,7 +996,7 @@ pub fn eval_prim(
         RefGet => {
             // §2.7.3: read, retain the content, release the ref.
             let addr = ref_addr(&vals[0])?;
-            let content = heap.view(addr)?.fields[0];
+            let content = heap.view(addr)?.fields[0].value();
             heap.dup(content)?;
             heap.drop_value(vals[0])?;
             content
@@ -1006,7 +1006,7 @@ pub fn eval_prim(
             if heap.view(addr)?.tag != BlockTag::MutRef {
                 return Err(RuntimeError::TypeMismatch(":= on a non-ref".into()));
             }
-            let old = std::mem::replace(heap.field_mut(addr, 0)?, vals[1]);
+            let old = heap.replace_field(addr, 0, vals[1])?;
             heap.drop_value(old)?;
             heap.drop_value(vals[0])?;
             Value::Unit
@@ -1111,7 +1111,7 @@ pub fn read_back_in<'n>(
                 BlockTag::Ctor(c) => {
                     let mut fields = Vec::with_capacity(b.fields.len());
                     for f in b.fields.iter() {
-                        fields.push(read_back_in(heap, ctor_name, *f)?);
+                        fields.push(read_back_in(heap, ctor_name, f.value())?);
                     }
                     Ok(DeepValue::Ctor(ctor_name(c).to_string(), fields))
                 }
@@ -1119,7 +1119,7 @@ pub fn read_back_in<'n>(
                 BlockTag::MutRef => Ok(DeepValue::MutRef(Box::new(read_back_in(
                     heap,
                     ctor_name,
-                    b.fields[0],
+                    b.fields[0].value(),
                 )?))),
             }
         }

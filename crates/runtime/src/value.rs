@@ -1,9 +1,16 @@
 //! Runtime values.
 //!
-//! Following Koka's data representation, values are one machine word:
-//! integers and unit are unboxed, arity-0 constructors are tagged
-//! immediates ("singletons" — `Nil`, `Leaf`, `True` never allocate),
-//! and everything else is a reference into the [`Heap`](crate::heap::Heap).
+//! Following Koka's data representation, integers and unit are
+//! unboxed, arity-0 constructors are tagged immediates ("singletons" —
+//! `Nil`, `Leaf`, `True` never allocate), and everything else is a
+//! reference into the [`Heap`](crate::heap::Heap).
+//!
+//! A [`Value`] is a 16-byte enum: that is its form in registers, on the
+//! machine's value stack and in every signature. A block's fields are
+//! stored as 9-byte [`Field`]s instead — a tag byte and a 64-bit
+//! payload, which keeps a full-width `Int` and an address's 32-bit
+//! generation — so the heap spends 9 bytes per field where a `Value`
+//! spends 16.
 
 use perceus_core::ir::{CtorId, FunId};
 use std::fmt;
@@ -55,6 +62,20 @@ impl Addr {
     pub(crate) fn shared_slot(self) -> usize {
         (self.index & !Self::SHARED_BIT) as usize
     }
+
+    /// `index | gen << 32`: the payload of a stored reference.
+    #[inline(always)]
+    const fn to_bits(self) -> u64 {
+        self.index as u64 | (self.gen as u64) << 32
+    }
+
+    #[inline(always)]
+    const fn from_bits(bits: u64) -> Addr {
+        Addr {
+            index: bits as u32,
+            gen: (bits >> 32) as u32,
+        }
+    }
 }
 
 impl fmt::Display for Addr {
@@ -67,7 +88,8 @@ impl fmt::Display for Addr {
     }
 }
 
-/// A machine value (one word).
+/// A machine value: 16 bytes in registers and frames (a block stores
+/// it as a 9-byte [`Field`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Value {
     /// The unit value.
@@ -141,10 +163,145 @@ impl fmt::Display for Value {
     }
 }
 
+/// A block field as the heap stores it: a tag byte and a 64-bit
+/// payload, packed into 9 bytes. References (`Ref`, `Token(Some)`,
+/// `Weak`) store `index | gen << 32`, `Int` its full 64 bits, `Enum`
+/// and `Global` their ids; `Unit` and `Token(None)` store only the tag
+/// (payload 0, so equal values have equal fields). Encoding is lossless:
+/// `Field::new(v).value() == v` for every `v`.
+///
+/// The struct is packed, so its payload is read by value, never by
+/// reference.
+#[repr(C, packed)]
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    tag: u8,
+    bits: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Field>() == 9);
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
+impl Field {
+    const REF: u8 = 0;
+    const INT: u8 = 1;
+    const ENUM: u8 = 2;
+    const GLOBAL: u8 = 3;
+    const UNIT: u8 = 4;
+    const TOKEN_NONE: u8 = 5;
+    const TOKEN_SOME: u8 = 6;
+    const WEAK: u8 = 7;
+
+    /// Encodes `v` (losslessly).
+    #[inline(always)]
+    pub const fn new(v: Value) -> Field {
+        let (tag, bits) = match v {
+            Value::Ref(a) => (Self::REF, a.to_bits()),
+            Value::Int(i) => (Self::INT, i as u64),
+            Value::Enum(c) => (Self::ENUM, c.0 as u64),
+            Value::Global(g) => (Self::GLOBAL, g.0 as u64),
+            Value::Unit => (Self::UNIT, 0),
+            Value::Token(None) => (Self::TOKEN_NONE, 0),
+            Value::Token(Some(a)) => (Self::TOKEN_SOME, a.to_bits()),
+            Value::Weak(a) => (Self::WEAK, a.to_bits()),
+        };
+        Field { tag, bits }
+    }
+
+    /// Decodes the stored value. Every branch is inline, so the value
+    /// is built in registers and stored straight into its destination:
+    /// a branch left out of line returns it through a stack temporary,
+    /// and reloading 16 bytes just written as narrower stores stalls
+    /// store forwarding on every field (measured 15–40 % slower on the
+    /// match-heavy suite programs).
+    #[inline(always)]
+    pub fn value(&self) -> Value {
+        let bits = self.bits;
+        match self.tag {
+            Self::REF => Value::Ref(Addr::from_bits(bits)),
+            Self::INT => Value::Int(bits as i64),
+            Self::ENUM => Value::Enum(CtorId(bits as u32)),
+            Self::GLOBAL => Value::Global(FunId(bits as u32)),
+            Self::UNIT => Value::Unit,
+            Self::TOKEN_NONE => Value::Token(None),
+            Self::TOKEN_SOME => Value::Token(Some(Addr::from_bits(bits))),
+            Self::WEAK => Value::Weak(Addr::from_bits(bits)),
+            tag => unreachable!("field tag {tag} is never encoded"),
+        }
+    }
+
+    /// The address, if this field holds a (strong) heap reference.
+    #[inline(always)]
+    pub fn addr(&self) -> Option<Addr> {
+        let bits = self.bits;
+        (self.tag == Self::REF).then_some(Addr::from_bits(bits))
+    }
+
+    /// The address, if this field holds a weak reference.
+    #[inline(always)]
+    pub fn weak(&self) -> Option<Addr> {
+        let bits = self.bits;
+        (self.tag == Self::WEAK).then_some(Addr::from_bits(bits))
+    }
+}
+
+impl fmt::Debug for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.value(), f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use perceus_core::ir::TypeTable;
+
+    #[test]
+    fn every_value_round_trips_through_a_field() {
+        let addrs = [
+            Addr { index: 0, gen: 0 },
+            Addr {
+                index: 7,
+                gen: u32::MAX,
+            },
+            Addr::shared(5, 3),
+            Addr {
+                index: u32::MAX,
+                gen: u32::MAX,
+            },
+        ];
+        let mut values = vec![
+            Value::Unit,
+            Value::Token(None),
+            Value::Enum(CtorId(0)),
+            Value::Enum(CtorId(u32::MAX)),
+            Value::Global(FunId(0)),
+            Value::Global(FunId(u32::MAX)),
+        ];
+        for i in [i64::MIN, -1, 0, 1, i64::MAX] {
+            values.push(Value::Int(i));
+        }
+        for a in addrs {
+            values.extend([Value::Ref(a), Value::Token(Some(a)), Value::Weak(a)]);
+        }
+        for &v in &values {
+            let f = Field::new(v);
+            assert_eq!(f.value(), v, "{v:?}");
+            assert_eq!(f.addr(), v.addr(), "{v:?}");
+            let weak = match v {
+                Value::Weak(a) => Some(a),
+                _ => None,
+            };
+            assert_eq!(f.weak(), weak, "{v:?}");
+        }
+        // Distinct values encode to distinct fields, so comparing
+        // fields compares values.
+        for (i, &a) in values.iter().enumerate() {
+            for &b in &values[i + 1..] {
+                assert_ne!(Field::new(a), Field::new(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
 
     #[test]
     fn bool_interpretation() {

@@ -173,8 +173,8 @@ fn epoch_reclaim_races_the_closing_cas() {
                     let mut expect = 15;
                     while let Value::Ref(a) = v {
                         let view = h.view(a).unwrap();
-                        assert_eq!(view.fields[0], Value::Int(expect));
-                        v = *view.fields.get(1).unwrap_or(&Value::Unit);
+                        assert_eq!(view.fields[0].value(), Value::Int(expect));
+                        v = view.fields.get(1).map_or(Value::Unit, |f| f.value());
                         expect -= 1;
                     }
                     assert_eq!(expect, -1, "walked all 16 cells");
@@ -234,7 +234,7 @@ fn weak_upgrade_after_free_is_deterministic() {
                             // reference: the field is readable and
                             // the reference must be released.
                             let Value::Ref(a) = v else { panic!() };
-                            assert_eq!(h.view(a).unwrap().fields[0], Value::Int(7));
+                            assert_eq!(h.view(a).unwrap().fields[0].value(), Value::Int(7));
                             h.drop_value(v).unwrap();
                         }
                     }
@@ -288,7 +288,7 @@ fn cyclic_structure_with_weak_back_edge_reclaims() {
     let mut h = Heap::new(ReclaimMode::Rc);
     h.attach_shared(seg.clone());
     // The ring is alive and navigable: n0 -> n1 -> n2 -~> n0.
-    assert_eq!(h.view(n2).unwrap().fields[0], Value::Int(2));
+    assert_eq!(h.view(n2).unwrap().fields[0].value(), Value::Int(2));
     let upgraded = h.upgrade_weak(probe).unwrap().expect("ring is live");
     h.drop_value(upgraded).unwrap();
 
