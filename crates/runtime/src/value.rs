@@ -113,6 +113,12 @@ pub enum Value {
     /// [`crate::heap::SharedHeap::downgrade`]; surface programs never
     /// construct them.
     Weak(Addr),
+    /// The hole of a constructor recursion compiled as a loop (tail
+    /// recursion modulo cons): the block whose last field the loop's
+    /// next value fills. Not a reference and not counted — the block is
+    /// owned through the chain from the context's root — so it is never
+    /// a root, and it is never stored in a block.
+    Hole(Addr),
 }
 
 impl Value {
@@ -159,16 +165,18 @@ impl fmt::Display for Value {
             Value::Token(Some(a)) => write!(f, "ru@{a}"),
             Value::Token(None) => f.write_str("ru@NULL"),
             Value::Weak(a) => write!(f, "weak@{a}"),
+            Value::Hole(a) => write!(f, "hole@{a}"),
         }
     }
 }
 
 /// A block field as the heap stores it: a tag byte and a 64-bit
 /// payload, packed into 9 bytes. References (`Ref`, `Token(Some)`,
-/// `Weak`) store `index | gen << 32`, `Int` its full 64 bits, `Enum`
-/// and `Global` their ids; `Unit` and `Token(None)` store only the tag
-/// (payload 0, so equal values have equal fields). Encoding is lossless:
-/// `Field::new(v).value() == v` for every `v`.
+/// `Weak`, and `Hole`, which no block holds) store `index | gen << 32`,
+/// `Int` its full 64 bits, `Enum` and `Global` their ids; `Unit` and
+/// `Token(None)` store only the tag (payload 0, so equal values have
+/// equal fields). Encoding is lossless: `Field::new(v).value() == v`
+/// for every `v`.
 ///
 /// The struct is packed, so its payload is read by value, never by
 /// reference.
@@ -191,6 +199,7 @@ impl Field {
     const TOKEN_NONE: u8 = 5;
     const TOKEN_SOME: u8 = 6;
     const WEAK: u8 = 7;
+    const HOLE: u8 = 8;
 
     /// Encodes `v` (losslessly).
     #[inline(always)]
@@ -204,6 +213,7 @@ impl Field {
             Value::Token(None) => (Self::TOKEN_NONE, 0),
             Value::Token(Some(a)) => (Self::TOKEN_SOME, a.to_bits()),
             Value::Weak(a) => (Self::WEAK, a.to_bits()),
+            Value::Hole(a) => (Self::HOLE, a.to_bits()),
         };
         Field { tag, bits }
     }
@@ -226,6 +236,7 @@ impl Field {
             Self::TOKEN_NONE => Value::Token(None),
             Self::TOKEN_SOME => Value::Token(Some(Addr::from_bits(bits))),
             Self::WEAK => Value::Weak(Addr::from_bits(bits)),
+            Self::HOLE => Value::Hole(Addr::from_bits(bits)),
             tag => unreachable!("field tag {tag} is never encoded"),
         }
     }
@@ -282,7 +293,12 @@ mod tests {
             values.push(Value::Int(i));
         }
         for a in addrs {
-            values.extend([Value::Ref(a), Value::Token(Some(a)), Value::Weak(a)]);
+            values.extend([
+                Value::Ref(a),
+                Value::Token(Some(a)),
+                Value::Weak(a),
+                Value::Hole(a),
+            ]);
         }
         for &v in &values {
             let f = Field::new(v);

@@ -599,8 +599,7 @@ fn advance(
             // roots account for *every* live block (garbage-freedom at
             // the suspension point), checked here on the live heap
             // before the session is parked.
-            let roots = exec.root_addrs(&m.heap);
-            let audit_ok = audit::check_heap(&m.heap, &roots).is_ok();
+            let audit_ok = exec.audit(&m.heap).is_ok();
             let heap = m.into_heap();
             let token = parked.park(
                 ParkedSession {

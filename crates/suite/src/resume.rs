@@ -12,7 +12,6 @@
 //! subcommand) use to prove that.
 
 use crate::driver::{RunOutcome, Strategy, SuiteError};
-use perceus_runtime::audit;
 use perceus_runtime::code::Compiled;
 use perceus_runtime::machine::{Machine, RunConfig, StepOutcome};
 use perceus_runtime::Value;
@@ -58,8 +57,7 @@ pub fn run_workload_budgeted(
             StepOutcome::Suspended { .. } => {
                 suspensions += 1;
                 if audit_suspensions {
-                    let roots = exec.root_addrs(&m.heap);
-                    audit::check_heap(&m.heap, &roots)
+                    exec.audit(&m.heap)
                         .map_err(|e| SuiteError::Audit(format!("at suspension point: {e}")))?;
                 }
             }

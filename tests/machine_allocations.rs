@@ -73,7 +73,11 @@ struct Run {
 
 fn allocator_calls_in_run(name: &str, n: i64) -> Run {
     let w = workload(name).expect("registered");
-    let c = compile_workload(w.source, Strategy::Perceus).unwrap();
+    allocator_calls_in_source(w.source, n)
+}
+
+fn allocator_calls_in_source(src: &str, n: i64) -> Run {
+    let c = compile_workload(src, Strategy::Perceus).unwrap();
     let mut m = Machine::new(&c, ReclaimMode::Rc, RunConfig::default());
     let args = vec![Value::Int(n)];
     let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
@@ -81,7 +85,7 @@ fn allocator_calls_in_run(name: &str, n: i64) -> Run {
     let calls = CALLS.with(Cell::get) - before.0;
     let bytes = BYTES.with(Cell::get) - before.1;
     m.drop_result(v).unwrap();
-    assert_eq!(m.heap.live_blocks(), 0, "{name}");
+    assert_eq!(m.heap.live_blocks(), 0, "{src}");
     Run {
         calls,
         bytes,
@@ -89,24 +93,57 @@ fn allocator_calls_in_run(name: &str, n: i64) -> Run {
     }
 }
 
-/// `map` recurses once per list cell: 20 000 frames deep.
+/// `len` recurses once per list cell, under `+`: 20 000 frames deep.
+/// (`build` is a loop, tail recursion modulo cons.)
 #[test]
 fn deep_recursion_allocates_only_block_storage() {
-    let run = allocator_calls_in_run("map", 20_000);
+    let src = "type list<a> { Nil; Cons(head: a, tail: list<a>) }
+        fun build(i: int, n: int): list<int> {
+          if i >= n then Nil else Cons(i, build(i + 1, n))
+        }
+        fun len(xs: list<int>): int {
+          match xs {
+            Cons(_, xx) -> 1 + len(xx)
+            Nil -> 0
+          }
+        }
+        fun main(n: int): int { len(build(0, n)) }";
+    let run = allocator_calls_in_source(src, 20_000);
     assert!(run.stats.freelist_misses >= 20_000, "every cell is fresh");
     assert!(run.calls <= DOUBLINGS, "{} allocator calls", run.calls);
-    // With a `Box<[Value]>` per block the same run made 20 063 calls
-    // for 7 324 768 bytes, and with slots numbered per scope 6 946 912,
-    // of which the value stack's capacity was 4 194 304 (7-slot frames).
-    // Packed by liveness, `map`'s frame is 4 slots: the stack's capacity
-    // was 2 097 152 and the run asked for 4 849 760 (77 calls). A pending
+    // With a `Box<[Value]>` per block, `map` at 20 000 (then a
+    // recursion, not a loop) made 20 063 calls for 7 324 768 bytes,
+    // and with slots numbered per scope 6 946 912, of which the value
+    // stack's capacity was 4 194 304 (7-slot frames). Packed by
+    // liveness, `map`'s frame is 4 slots: the stack's capacity was
+    // 2 097 152 and the run asked for 4 849 760 (77 calls). A pending
     // call keeps only the 3 slots live across it, and leaves one 8-byte
     // frame record where a call and a compound right-hand side left two
     // of 12: the stack's capacity is 1 048 576, the records' 262 144, and
     // the run asks for 3 276 896 (75 calls). Storing each field as a
     // 9-byte packed `Field` instead of a 16-byte `Value` shrinks the
-    // arena's doublings: the run asks for 2 818 144 (75 calls).
-    assert!(run.bytes <= 2_850_000, "{} bytes requested", run.bytes);
+    // arena's doublings: the run asks for 2 818 144 (75 calls). `len`
+    // keeps no slot across its call, so the same list and 20 000 frames
+    // ask for 1 769 648 (60 calls): `map`'s block storage below, and
+    // 262 144 of frame records.
+    assert!(run.bytes <= 1_800_000, "{} bytes requested", run.bytes);
+}
+
+/// `build` and `map` are loops (tail recursion modulo cons): `map` at
+/// 20 000 keeps no frame per cell, so what the run asks for is block
+/// storage. The value stack's capacity does not depend on the length
+/// (`machine`'s unit test pins that).
+#[test]
+fn constructor_recursion_allocates_only_block_storage() {
+    let run = allocator_calls_in_run("map", 20_000);
+    assert!(run.stats.freelist_misses >= 20_000, "every cell is fresh");
+    assert!(run.calls <= DOUBLINGS, "{} allocator calls", run.calls);
+    // The run asks for 1 507 584 bytes (49 calls): the header table's
+    // 786 432 (32 768 headers of 24 bytes), the field arena's 589 824
+    // (65 536 fields of 9 bytes) and the free list's 131 072, and 256
+    // bytes for everything else. As a recursion it asked for 2 818 144,
+    // 1 310 720 of them for frames.
+    assert!(run.bytes <= 1_510_000, "{} bytes requested", run.bytes);
 }
 
 /// `rbtree` makes ~150 000 calls and as many `Prim`/`Con` evaluations,
