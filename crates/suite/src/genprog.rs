@@ -7,6 +7,12 @@
 //! terminate, while still exercising every ownership situation:
 //! multiple/zero uses of bindings, shared and unique data, matches that
 //! can be reuse-paired, closures that capture, and higher-order calls.
+//!
+//! A second entry point, [`random_list_recursion`], generates the user
+//! recursion the first leaves out: structurally recursive list
+//! functions, which terminate because each recurses only on the tail it
+//! matched, built so that the backend compiles them as loops (tail
+//! recursion modulo cons).
 
 use perceus_core::ir::builder::ite;
 use perceus_core::ir::expr::{Arm, Expr, Lambda, PrimOp};
@@ -111,7 +117,244 @@ pub fn random_program(seed: u64, size: u32) -> Program {
     p
 }
 
+/// Generates a random program of structurally recursive list functions
+/// whose entry takes one integer argument. Each function `rec<j>(xs, a)`
+/// matches `xs` and recurses only on its tail: in a constructor's last
+/// field (a site of tail recursion modulo cons, with random other
+/// fields), in tail position, or behind a random test; arms may abort,
+/// and the `Nil` case returns a list. `rec0` has a site and no tail
+/// call of another function, so it is always compiled as a loop; a
+/// later one may tail-call an earlier one, which rules it out. `main`
+/// builds a list and maps it, unique (reuse in place) or shared (fresh
+/// cells).
+pub fn random_list_recursion(seed: u64, size: u32) -> Program {
+    let mut p = Program::new();
+    let list = p.types.add_data("list");
+    let nil = p.types.add_ctor_arity(list, "Nil", 0);
+    let cons = p.types.add_ctor_arity(list, "Cons", 2);
+    let mut g = Gen {
+        rng: Rng::new(seed),
+        gen: VarGen::default(),
+        nil,
+        cons,
+        scope: Vec::new(),
+        fuel: 0,
+        helpers: Vec::new(),
+    };
+    // build(i, n) = if i >= n then Nil else Cons(i, build(i + 1, n))
+    let (i, n) = (g.gen.fresh("i"), g.gen.fresh("n"));
+    let build = p.add_fun(FunDef {
+        name: "build".into(),
+        params: vec![i.clone(), n.clone()],
+        body: Expr::unit(),
+    });
+    let c = g.gen.fresh("c");
+    let next = Expr::Prim(PrimOp::Add, vec![Expr::Var(i.clone()), Expr::int(1)]);
+    let more = g.cons(
+        Expr::Var(i.clone()),
+        Expr::Call(build, vec![next, Expr::Var(n.clone())]),
+    );
+    p.funs[build.0 as usize].body = Expr::let_(
+        c.clone(),
+        Expr::Prim(PrimOp::Ge, vec![Expr::Var(i), Expr::Var(n)]),
+        ite(c, g.nil(), more),
+    );
+    // sum(xs, acc): the loop that consumes a result.
+    let (xs, acc, h, t) = (
+        g.gen.fresh("xs"),
+        g.gen.fresh("acc"),
+        g.gen.fresh("h"),
+        g.gen.fresh("t"),
+    );
+    let sum = p.add_fun(FunDef {
+        name: "sum".into(),
+        params: vec![xs.clone(), acc.clone()],
+        body: Expr::unit(),
+    });
+    let add = Expr::Prim(
+        PrimOp::Add,
+        vec![Expr::Var(acc.clone()), Expr::Var(h.clone())],
+    );
+    p.funs[sum.0 as usize].body = g.match_xs(
+        xs,
+        h,
+        t.clone(),
+        Expr::Call(sum, vec![Expr::Var(t), add]),
+        Expr::Var(acc),
+    );
+
+    let mut recs = Vec::new();
+    for j in 0..1 + g.rng.below(3) {
+        let (xs, a) = (g.gen.fresh("xs"), g.gen.fresh("a"));
+        let f = p.add_fun(FunDef {
+            name: format!("rec{j}").into(),
+            params: vec![xs.clone(), a.clone()],
+            body: Expr::unit(),
+        });
+        let (h, t) = (g.gen.fresh("h"), g.gen.fresh("t"));
+        g.scope = vec![(h.clone(), Sort::Int), (a.clone(), Sort::Int)];
+        let mut arm = g.rec_arm(f, &t, &recs, size / 4, 3);
+        if j == 0 && !has_site(f, &arm) {
+            arm = g.rec_site(f, &t, size / 4);
+        }
+        g.scope = vec![(a.clone(), Sort::Int)];
+        let base = g.rec_base(size / 4);
+        p.funs[f.0 as usize].body = g.match_xs(xs, h, t, arm, base);
+        recs.push(f);
+    }
+
+    // main(n): map a built list once (unique) or twice (shared).
+    let (n, xs) = (g.gen.fresh("n"), g.gen.fresh("xs"));
+    g.scope = vec![(n.clone(), Sort::Int)];
+    g.fuel = size / 4;
+    let pick = |g: &mut Gen| {
+        let f = recs[g.rng.below(recs.len())];
+        let a = g.expr(Sort::Int);
+        let mapped = Expr::Call(f, vec![Expr::Var(xs.clone()), a]);
+        Expr::Call(sum, vec![mapped, Expr::int(0)])
+    };
+    let first = pick(&mut g);
+    let body = if g.rng.chance(40) {
+        let second = pick(&mut g);
+        Expr::Prim(PrimOp::Add, vec![first, second])
+    } else {
+        first
+    };
+    let len = Expr::Prim(PrimOp::Min, vec![Expr::Var(n.clone()), Expr::int(40)]);
+    let body = Expr::let_(xs, Expr::Call(build, vec![Expr::int(0), len]), body);
+    let main = p.add_fun(FunDef {
+        name: "main".into(),
+        params: vec![n],
+        body,
+    });
+    p.entry = Some(main);
+    p.var_gen = g.gen;
+    p
+}
+
+/// True when `e` has a constructor whose last field is a call of `f`.
+fn has_site(f: FunId, e: &Expr) -> bool {
+    match e {
+        Expr::Con { args, .. } => matches!(args.last(), Some(Expr::Call(g, _)) if *g == f),
+        Expr::Let { body, .. } => has_site(f, body),
+        Expr::Match { arms, .. } => arms.iter().any(|a| has_site(f, &a.body)),
+        _ => false,
+    }
+}
+
 impl Gen {
+    fn nil(&self) -> Expr {
+        Expr::Con {
+            ctor: self.nil,
+            args: vec![],
+            reuse: None,
+            skip: vec![],
+        }
+    }
+
+    fn cons(&self, head: Expr, tail: Expr) -> Expr {
+        Expr::Con {
+            ctor: self.cons,
+            args: vec![head, tail],
+            reuse: None,
+            skip: vec![],
+        }
+    }
+
+    /// `match xs { Cons(h, t) -> cons_body; Nil -> nil_body }`.
+    fn match_xs(&self, xs: Var, h: Var, t: Var, cons_body: Expr, nil_body: Expr) -> Expr {
+        Expr::Match {
+            scrutinee: xs,
+            arms: vec![
+                Arm {
+                    ctor: self.cons,
+                    binders: vec![Some(h), Some(t)],
+                    reuse_token: None,
+                    body: cons_body,
+                },
+                Arm {
+                    ctor: self.nil,
+                    binders: vec![],
+                    reuse_token: None,
+                    body: nil_body,
+                },
+            ],
+            default: None,
+        }
+    }
+
+    /// A random integer expression over the scope, of `fuel` nodes.
+    fn small_int(&mut self, fuel: u32) -> Expr {
+        self.fuel = fuel;
+        self.expr(Sort::Int)
+    }
+
+    /// `f(t, e)`: the recursion on the matched tail `t`.
+    fn rec_call(&mut self, f: FunId, t: &Var, fuel: u32) -> Expr {
+        let a = self.small_int(fuel);
+        Expr::Call(f, vec![Expr::Var(t.clone()), a])
+    }
+
+    /// `Cons(e, f(t, e'))`: a site.
+    fn rec_site(&mut self, f: FunId, t: &Var, fuel: u32) -> Expr {
+        let head = self.small_int(fuel);
+        let call = self.rec_call(f, t, fuel);
+        self.cons(head, call)
+    }
+
+    /// The `Cons` arm of a recursive function `f`, `depth` tests deep:
+    /// a site, a tail self call, a test between two arms, an abort
+    /// behind a test, or a tail call of an earlier function in `recs`.
+    fn rec_arm(&mut self, f: FunId, t: &Var, recs: &[FunId], fuel: u32, depth: u32) -> Expr {
+        match self.rng.below(20) {
+            _ if depth == 0 => self.rec_site(f, t, fuel),
+            0..=9 => self.rec_site(f, t, fuel),
+            10..=12 => self.rec_call(f, t, fuel),
+            13..=16 => {
+                let (a, b) = (self.small_int(fuel), self.small_int(fuel));
+                let c = self.gen.fresh("c");
+                let yes = self.rec_arm(f, t, recs, fuel, depth - 1);
+                let no = self.rec_arm(f, t, recs, fuel, depth - 1);
+                Expr::let_(
+                    c.clone(),
+                    Expr::Prim(PrimOp::Lt, vec![a, b]),
+                    ite(c, yes, no),
+                )
+            }
+            17 | 18 => {
+                let (a, b) = (self.small_int(fuel), self.small_int(fuel));
+                let c = self.gen.fresh("c");
+                let rest = self.rec_arm(f, t, recs, fuel, depth - 1);
+                let abort = Expr::Abort(format!("rec abort {}", self.rng.below(100)));
+                Expr::let_(
+                    c.clone(),
+                    Expr::Prim(PrimOp::Eq, vec![a, b]),
+                    ite(c, abort, rest),
+                )
+            }
+            _ => match recs.last() {
+                Some(&g) => self.rec_call(g, t, fuel),
+                None => self.rec_site(f, t, fuel),
+            },
+        }
+    }
+
+    /// The `Nil` arm: a list (empty or fresh) or an abort.
+    fn rec_base(&mut self, fuel: u32) -> Expr {
+        match self.rng.below(10) {
+            0..=4 => self.nil(),
+            5..=7 => {
+                let head = self.small_int(fuel);
+                self.cons(head, self.nil())
+            }
+            8 => {
+                self.fuel = fuel;
+                self.expr(Sort::List)
+            }
+            _ => Expr::Abort("rec abort at the end".into()),
+        }
+    }
+
     fn vars_of(&self, sort: Sort) -> Vec<Var> {
         self.scope
             .iter()
