@@ -21,6 +21,8 @@
 //! harness re-run on a second machine; invoke `fig9-time`/`fig9-rss`
 //! there.
 
+#![forbid(unsafe_code)]
+
 use perceus_bench::measure::{measure, Measurement};
 use perceus_core::passes::{Ablation, PassConfig};
 use perceus_runtime::machine::RunConfig;

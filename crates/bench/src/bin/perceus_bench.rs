@@ -33,6 +33,8 @@
 //! comma-separated `--workload` list, emitted as one JSON line (the
 //! `native-speedup` CI artifact).
 
+#![forbid(unsafe_code)]
+
 use perceus_bench::counters::Baseline;
 use perceus_runtime::machine::RunConfig;
 use perceus_suite::{run_contended, run_parallel, workload, workloads, ReadMode, Strategy};

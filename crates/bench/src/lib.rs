@@ -7,6 +7,8 @@
 //! formats the paper's tables. Wall-clock claims are measured by the
 //! separate `perfbench/` package (see its README), not here.
 
+#![forbid(unsafe_code)]
+
 //! The `counters` module turns the deterministic counter subset of
 //! [`perceus_runtime::Stats`] into a committed baseline
 //! (`BENCH_BASELINE.json`) that CI compares at zero tolerance; the

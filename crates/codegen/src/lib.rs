@@ -49,6 +49,8 @@
 //!   leak baseline; both stay interpreter-only.
 //! * **Single-threaded.** One subprocess, one heap, no shared segment.
 
+#![forbid(unsafe_code)]
+
 mod emit;
 mod project;
 mod report;

@@ -33,6 +33,8 @@
 //! assert!(compiled.funs.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod check;
 pub mod ir;

@@ -19,6 +19,8 @@
 //! assert!(program.entry.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lower;

@@ -526,6 +526,14 @@ fn too_large() -> RuntimeError {
     RuntimeError::Internal("program too large for its code offsets".into())
 }
 
+/// A constructor or lambda id, refused unless it fits the bits a block
+/// header holds for it ([`crate::heap::ID_LIMIT`]).
+fn block_id(id: u32) -> Result<u32, RuntimeError> {
+    (id < crate::heap::ID_LIMIT)
+        .then_some(id)
+        .ok_or_else(too_large)
+}
+
 /// A table index as the 31 bits an [`Opnd`] leaves for it.
 fn index(n: usize) -> Result<u32, RuntimeError> {
     u32::try_from(n)
@@ -1174,6 +1182,7 @@ impl<'p> Lower<'p> {
         skip: &[bool],
         dst: Dst,
     ) -> Result<Instr, RuntimeError> {
+        block_id(ctor.0)?;
         let Some(token) = reuse else {
             return Ok(Instr::Con { dst, ctor, args });
         };
@@ -1243,7 +1252,7 @@ impl<'p> Lower<'p> {
                     let o = self.slot_opnd(c)?;
                     self.code.pool.push(o);
                 }
-                let id = LamId(index(self.pending.len())?);
+                let id = LamId(block_id(index(self.pending.len())?)?);
                 self.pending.push(lam);
                 Instr::MkClosure {
                     dst,
@@ -1673,6 +1682,16 @@ mod tests {
     use super::*;
     use perceus_core::ir::builder::ProgramBuilder;
     use perceus_core::ir::Expr;
+
+    #[test]
+    fn ids_past_the_header_width_are_refused() {
+        let last = crate::heap::ID_LIMIT - 1;
+        assert_eq!(block_id(last).unwrap(), last);
+        for id in [last + 1, u32::MAX] {
+            let err = block_id(id).unwrap_err();
+            assert!(err.to_string().contains("too large"), "{err}");
+        }
+    }
 
     #[test]
     fn compiles_simple_function() {

@@ -20,15 +20,16 @@
 //!   (in-place build) or released by `drop-token`;
 //! * every address is generation-checked, so a use-after-free in
 //!   generated code is a deterministic error, not corruption;
-//! * a block is a fixed-size **header record** plus an **extent of one
+//! * a block is a 16-byte **header record** plus an **extent of one
 //!   field arena** the heap owns — no `malloc` per cell. Fields are
 //!   stored as packed 9-byte [`Field`]s (both segments store them so),
 //!   decoded to [`Value`]s only where a reader binds them. The extent is
 //!   assigned when the header is first created and never split, merged
 //!   or moved; a dead header is **relisted by exact field count** on
-//!   size-class free lists, the design Lean's runtime uses (Ullrich &
-//!   de Moura, *Counting Immutable Beans*), and the next same-arity
-//!   allocation rewrites its extent in place. See `docs/RUNTIME.md`
+//!   size-class free lists threaded through the dead headers
+//!   themselves, the design Lean's runtime uses (Ullrich & de Moura,
+//!   *Counting Immutable Beans*), and the next same-arity allocation
+//!   rewrites its extent in place. See `docs/RUNTIME.md`
 //!   for the full memory model and the block state diagram
 //!   (live → token → listed → recycled).
 //!
@@ -37,6 +38,8 @@
 //! by [`crate::gc`] (or not at all).
 
 pub mod epoch;
+// The one module with `unsafe`: the shared segment's field cells.
+#[allow(unsafe_code)]
 pub mod shared;
 pub mod stats;
 
@@ -45,7 +48,6 @@ pub use stats::{Stats, SCHEDULE_KEYS};
 
 use crate::error::RuntimeError;
 use crate::profile::{FrameKind, Profiler};
-use crate::trace::{Event, Trace};
 use crate::value::{Addr, Field, Value};
 use perceus_core::ir::CtorId;
 use perceus_core::passes::Validation;
@@ -68,33 +70,33 @@ pub enum BlockTag {
 }
 
 /// A header record's lifecycle state (see the diagram in
-/// `docs/RUNTIME.md`).
+/// `docs/RUNTIME.md`), stored as its discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
+    /// A live block (or one claimed by a reuse token, count 0).
+    Used,
+    /// Dead and threaded on the free list of its field count: neither
+    /// live nor a leak, and the generation has already been bumped, so
+    /// every stale address errors deterministically. Its `count` holds
+    /// the next listed header's index.
+    Listed,
     /// Dead and on no list: vacated with recycling off. Its extent is
     /// never handed out again.
     Vacant,
-    /// Dead and parked on the free list of its field count: neither
-    /// live nor a leak, and the generation has already been bumped, so
-    /// every stale address errors deterministically.
-    Listed,
-    /// A live block (or one claimed by a reuse token, count 0).
-    Used,
 }
 
-/// Which [`BlockTag`] variant a header holds; the variant's payload is
-/// [`Header::id`]. Split so the record stays within 24 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Ctor,
-    Closure,
-    MutRef,
-}
+/// Constructor and lambda ids a block can carry: the 21 bits of a
+/// header's `meta` word left by kind, state, mark and the inline field
+/// count. `code::compile` refuses a program with more.
+pub const ID_LIMIT: u32 = 1 << 21;
+
+/// The end of the free lists (local indices are below 2³¹).
+const NIL: u32 = u32::MAX;
 
 /// The fixed-size record of one block. [`Addr::index`] is its position
-/// in [`Heap::headers`]; its fields are `arena[off .. off + len]`, an
-/// extent assigned once, when the record is created, and kept for the
-/// life of the heap.
+/// in [`Heap::headers`]; its fields are the extent of the arena that
+/// starts at `off`, assigned once, when the record is created, and kept
+/// for the life of the heap.
 #[derive(Debug, Clone, Copy)]
 struct Header {
     /// Bumped at every death, so a stale address never names the
@@ -102,64 +104,120 @@ struct Header {
     gen: u32,
     /// Signed reference count (see module docs). `0` means the cell is
     /// *claimed* by a reuse token: memory held, contents meaningless.
+    /// A listed header's count is the index of the next header on its
+    /// free list ([`NIL`] at the end).
     count: i32,
     off: u32,
-    len: u32,
-    /// Payload of the tag ([`CtorId`] or [`LamId`]; unused for refs).
-    id: u32,
-    kind: Kind,
-    state: State,
-    /// Mark bit for the tracing collector.
-    mark: bool,
+    /// Packed, low bit first: kind (2 bits), state (2), mark (1), the
+    /// inline field count (6; [`Header::WIDE`] escapes to the tiling)
+    /// and the [`CtorId`]/[`LamId`] payload (21).
+    meta: u32,
 }
 
 // A million-cell heap is a million of these.
-const _: () = assert!(std::mem::size_of::<Header>() <= 24);
+const _: () = assert!(std::mem::size_of::<Header>() == 16);
 
 impl Header {
+    const STATE_SHIFT: u32 = 2;
+    const MARK: u32 = 1 << 4;
+    const LEN_SHIFT: u32 = 5;
+    /// The inline count of a block with more than 62 fields: its extent
+    /// ends where the next header's begins (or at the arena's end), the
+    /// tiling `check_extents` verifies.
+    const WIDE: u32 = 0x3f;
+    const ID_SHIFT: u32 = 11;
+
+    /// A used header (state bits 0) with count 1.
     fn new(tag: BlockTag, off: u32, len: u32) -> Self {
-        let (kind, id) = Self::split(tag);
-        Header {
+        let mut h = Header {
             gen: 0,
             count: 1,
             off,
-            len,
-            id,
-            kind,
-            state: State::Used,
-            mark: false,
+            meta: len.min(Self::WIDE) << Self::LEN_SHIFT,
+        };
+        h.set_tag(tag);
+        h
+    }
+
+    #[inline(always)]
+    fn state(&self) -> State {
+        match (self.meta >> Self::STATE_SHIFT) & 3 {
+            0 => State::Used,
+            1 => State::Listed,
+            _ => State::Vacant,
         }
     }
 
-    fn split(tag: BlockTag) -> (Kind, u32) {
-        match tag {
-            BlockTag::Ctor(c) => (Kind::Ctor, c.0),
-            BlockTag::Closure(l) => (Kind::Closure, l.0),
-            BlockTag::MutRef => (Kind::MutRef, 0),
-        }
+    fn set_state(&mut self, state: State) {
+        self.meta = (self.meta & !(3 << Self::STATE_SHIFT)) | ((state as u32) << Self::STATE_SHIFT);
     }
 
+    fn mark(&self) -> bool {
+        self.meta & Self::MARK != 0
+    }
+
+    fn set_mark(&mut self, mark: bool) {
+        self.meta = (self.meta & !Self::MARK) | if mark { Self::MARK } else { 0 };
+    }
+
+    /// The field count, or `None` for a block wider than the inline
+    /// count holds.
+    #[inline(always)]
+    fn inline_len(&self) -> Option<usize> {
+        let len = (self.meta >> Self::LEN_SHIFT) & Self::WIDE;
+        (len != Self::WIDE).then_some(len as usize)
+    }
+
+    #[inline(always)]
     fn tag(&self) -> BlockTag {
-        match self.kind {
-            Kind::Ctor => BlockTag::Ctor(CtorId(self.id)),
-            Kind::Closure => BlockTag::Closure(LamId(self.id)),
-            Kind::MutRef => BlockTag::MutRef,
+        let id = self.meta >> Self::ID_SHIFT;
+        match self.meta & 3 {
+            0 => BlockTag::Ctor(CtorId(id)),
+            1 => BlockTag::Closure(LamId(id)),
+            _ => BlockTag::MutRef,
         }
     }
 
+    /// Stores `tag`. Its id must be below [`ID_LIMIT`].
+    #[inline]
     fn set_tag(&mut self, tag: BlockTag) {
-        (self.kind, self.id) = Self::split(tag);
+        let (kind, id) = match tag {
+            BlockTag::Ctor(c) => (0, c.0),
+            BlockTag::Closure(l) => (1, l.0),
+            BlockTag::MutRef => (2, 0),
+        };
+        assert!(id < ID_LIMIT, "block id {id} does not fit a header");
+        let keep = ((1 << Self::ID_SHIFT) - 1) & !3;
+        self.meta = (self.meta & keep) | (id << Self::ID_SHIFT) | kind;
     }
+}
 
-    /// The block's fields within the arena.
-    fn extent(&self) -> std::ops::Range<usize> {
-        self.off as usize..self.off as usize + self.len as usize
+/// Header `index`'s fields within the arena: the inline count, or for a
+/// wide block the tiling, which hands extents out in header order, back
+/// to back.
+#[inline(always)]
+fn extent(headers: &[Header], arena_len: usize, index: usize) -> std::ops::Range<usize> {
+    let h = &headers[index];
+    let off = h.off as usize;
+    match h.inline_len() {
+        Some(len) => off..off + len,
+        None => off..tiled_end(headers, arena_len, index),
     }
+}
 
-    /// Words occupied (fields + one header word).
-    fn words(&self) -> u64 {
-        self.len as u64 + 1
-    }
+#[cold]
+fn tiled_end(headers: &[Header], arena_len: usize, index: usize) -> usize {
+    headers
+        .get(index + 1)
+        .map_or(arena_len, |next| next.off as usize)
+}
+
+/// One size class's free list, threaded through its listed headers'
+/// `count` words.
+#[derive(Debug, Clone, Copy)]
+struct FreeList {
+    head: u32,
+    len: u32,
 }
 
 /// How the heap reclaims memory.
@@ -232,11 +290,10 @@ pub struct Heap {
     headers: Vec<Header>,
     /// Every block's fields, 9 bytes each; a header names its extent.
     arena: Vec<Field>,
-    /// Size-class segregated free lists: `classes[k]` holds the listed
-    /// headers whose extent has exactly `k` fields.
-    classes: [Vec<u32>; NUM_SIZE_CLASSES],
-    /// Listed headers with `NUM_SIZE_CLASSES` fields or more.
-    overflow: Vec<u32>,
+    /// Size-class segregated free lists: `lists[k]` threads the listed
+    /// headers whose extent has exactly `k` fields, and the last list
+    /// those with `NUM_SIZE_CLASSES` fields or more.
+    lists: [FreeList; NUM_SIZE_CLASSES + 1],
     /// How many headers are [`State::Used`]: with none, `reset` and
     /// `iter_live` do not walk `headers`.
     used: usize,
@@ -265,7 +322,6 @@ pub struct Heap {
     shared_held: u64,
     /// Runtime statistics.
     pub stats: Stats,
-    trace: Option<Trace>,
     /// The attributed profiler (see [`crate::profile`]), boxed to keep
     /// the disabled-by-default case one pointer wide.
     prof: Option<Box<Profiler>>,
@@ -283,8 +339,7 @@ impl Heap {
         Heap {
             headers: Vec::new(),
             arena: Vec::new(),
-            classes: std::array::from_fn(|_| Vec::new()),
-            overflow: Vec::new(),
+            lists: [FreeList { head: NIL, len: 0 }; NUM_SIZE_CLASSES + 1],
             used: 0,
             drop_work: Vec::new(),
             config,
@@ -293,7 +348,6 @@ impl Heap {
             epoch_pin: None,
             shared_held: 0,
             stats: Stats::default(),
-            trace: None,
             prof: None,
         }
     }
@@ -365,24 +419,6 @@ impl Heap {
     /// vanishing silently.
     pub fn take_shared_drift(&mut self) -> u64 {
         std::mem::take(&mut self.shared_held)
-    }
-
-    /// Enables the reference-count event tracer (see [`crate::trace`]),
-    /// retaining the most recent `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The event trace, when enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    #[inline]
-    fn tr(&mut self, e: Event) {
-        if let Some(t) = &mut self.trace {
-            t.record(e);
-        }
     }
 
     /// Enables the attributed profiler (see [`crate::profile`]). Events
@@ -466,18 +502,17 @@ impl Heap {
 
     /// Blocks currently parked on the free lists.
     pub fn listed_blocks(&self) -> u64 {
-        let classed: usize = self.classes.iter().map(Vec::len).sum();
-        (classed + self.overflow.len()) as u64
+        self.lists.iter().map(|l| u64::from(l.len)).sum()
     }
 
     /// Free-list occupancy per size class: `(field_count, blocks)` for
     /// every nonempty class, ascending.
     pub fn free_list_occupancy(&self) -> Vec<(usize, usize)> {
-        self.classes
+        self.lists[..NUM_SIZE_CLASSES]
             .iter()
             .enumerate()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(k, c)| (k, c.len()))
+            .filter(|(_, l)| l.len > 0)
+            .map(|(k, l)| (k, l.len as usize))
             .collect()
     }
 
@@ -489,7 +524,7 @@ impl Heap {
             .ok_or(RuntimeError::BadAddress(addr))?;
         // A dead header's generation is already stale, but stay
         // defensive: a listed extent must never be readable.
-        if h.gen != addr.gen || h.state != State::Used {
+        if h.gen != addr.gen || h.state() != State::Used {
             return Err(RuntimeError::UseAfterFree(addr));
         }
         Ok(h)
@@ -499,28 +534,36 @@ impl Heap {
         let h = headers
             .get_mut(addr.index as usize)
             .ok_or(RuntimeError::BadAddress(addr))?;
-        if h.gen != addr.gen || h.state != State::Used {
+        if h.gen != addr.gen || h.state() != State::Used {
             return Err(RuntimeError::UseAfterFree(addr));
         }
         Ok(h)
     }
 
-    /// A *thread-local* block's header for writing; shared blocks are
-    /// immutable by construction, so a shared address is an error.
-    fn local_mut(&mut self, addr: Addr) -> Result<&mut Header, RuntimeError> {
+    /// Header `index`'s fields within the arena.
+    #[inline(always)]
+    fn extent(&self, index: u32) -> std::ops::Range<usize> {
+        extent(&self.headers, self.arena.len(), index as usize)
+    }
+
+    /// Checks that `addr` names a live *thread-local* block, for
+    /// writing; shared blocks are immutable by construction, so a shared
+    /// address is an error.
+    fn local(&self, addr: Addr) -> Result<(), RuntimeError> {
         if addr.is_shared() {
             return Err(RuntimeError::Internal(format!(
                 "mutation of immutable shared block {addr}"
             )));
         }
-        Self::lookup_mut(&mut self.headers, addr)
+        Self::lookup(&self.headers, addr).map(drop)
     }
 
     /// Stores `v` in field `i` of a thread-local block
     /// (generation-checked) and returns the value it held: the store of
     /// a mutable reference. Counts are the caller's.
     pub fn replace_field(&mut self, addr: Addr, i: usize, v: Value) -> Result<Value, RuntimeError> {
-        let extent = self.local_mut(addr)?.extent();
+        self.local(addr)?;
+        let extent = self.extent(addr.index);
         let f = self.arena[extent]
             .get_mut(i)
             .ok_or_else(|| RuntimeError::Internal(format!("block {addr} has no field {i}")))?;
@@ -533,7 +576,8 @@ impl Heap {
     /// write — the constructor counted that field when it stored the
     /// placeholder — and counts are the caller's.
     pub(crate) fn fill_hole(&mut self, addr: Addr, v: Value) -> Result<(), RuntimeError> {
-        let extent = self.local_mut(addr)?.extent();
+        self.local(addr)?;
+        let extent = self.extent(addr.index);
         match self.arena[extent].last_mut() {
             Some(f) if *f == Field::new(Value::Unit) => {
                 *f = Field::new(v);
@@ -548,7 +592,8 @@ impl Heap {
     /// The signed reference count of a thread-local block, for writing
     /// (generation-checked): how tests pin a count at the sticky floor.
     pub fn header_mut(&mut self, addr: Addr) -> Result<&mut i32, RuntimeError> {
-        Ok(&mut self.local_mut(addr)?.count)
+        self.local(addr)?;
+        Ok(&mut self.headers[addr.index as usize].count)
     }
 
     /// Reads a block from either segment (generation-checked locally,
@@ -561,7 +606,8 @@ impl Heap {
                 .ok_or(RuntimeError::BadAddress(addr))?;
             return sh.view(addr);
         }
-        Ok(self.view_of(Self::lookup(&self.headers, addr)?))
+        Self::lookup(&self.headers, addr)?;
+        Ok(self.view_of(addr.index))
     }
 
     /// The constructor and fields of a constructor block in either
@@ -576,15 +622,19 @@ impl Heap {
                 _ => None,
             });
         }
-        let h = Self::lookup(&self.headers, addr)?;
-        Ok((h.kind == Kind::Ctor).then(|| (CtorId(h.id), &self.arena[h.extent()])))
+        let BlockTag::Ctor(c) = Self::lookup(&self.headers, addr)?.tag() else {
+            return Ok(None);
+        };
+        Ok(Some((c, &self.arena[self.extent(addr.index)])))
     }
 
-    fn view_of(&self, h: &Header) -> BlockView<'_> {
+    /// Header `index`, read as a block.
+    fn view_of(&self, index: u32) -> BlockView<'_> {
+        let h = &self.headers[index as usize];
         BlockView {
             header: h.count,
             tag: h.tag(),
-            fields: &self.arena[h.extent()],
+            fields: &self.arena[self.extent(index)],
             shared: false,
         }
     }
@@ -592,6 +642,56 @@ impl Heap {
     /// True when `addr` names a live block in either segment.
     pub fn ref_alive(&self, addr: Addr) -> bool {
         self.view(addr).is_ok()
+    }
+
+    // ---- free lists --------------------------------------------------
+
+    /// Threads dead header `index`, of `len` fields, onto the head of
+    /// its free list.
+    fn relist(&mut self, index: u32, len: usize) {
+        let list = &mut self.lists[len.min(NUM_SIZE_CLASSES)];
+        let h = &mut self.headers[index as usize];
+        h.set_state(State::Listed);
+        h.count = list.head as i32;
+        list.head = index;
+        list.len += 1;
+    }
+
+    /// Unthreads the head of size class `len`'s list (LIFO).
+    #[inline]
+    fn pop_class(&mut self, len: usize) -> Option<u32> {
+        if len >= NUM_SIZE_CLASSES {
+            return None;
+        }
+        let list = &mut self.lists[len];
+        let index = list.head;
+        if index == NIL {
+            return None;
+        }
+        list.head = self.headers[index as usize].count as u32;
+        list.len -= 1;
+        Some(index)
+    }
+
+    /// Unthreads the first header of exactly `len` fields from the
+    /// overflow list, searched from its head.
+    fn take_overflow(&mut self, len: usize) -> Option<u32> {
+        let mut prev = NIL;
+        let mut index = self.lists[NUM_SIZE_CLASSES].head;
+        while index != NIL {
+            let next = self.headers[index as usize].count;
+            if self.extent(index).len() == len {
+                match prev {
+                    NIL => self.lists[NUM_SIZE_CLASSES].head = next as u32,
+                    _ => self.headers[prev as usize].count = next,
+                }
+                self.lists[NUM_SIZE_CLASSES].len -= 1;
+                return Some(index);
+            }
+            prev = index;
+            index = next as u32;
+        }
+        None
     }
 
     // ---- allocation -------------------------------------------------
@@ -605,7 +705,8 @@ impl Heap {
     /// Allocates a block with reference count 1 holding `vals`. A
     /// free-list hit rewrites a listed extent in place; a miss bumps
     /// the arena. Neither touches the global allocator (beyond the
-    /// arena's own amortized growth).
+    /// arena's own amortized growth). The tag's id must be below
+    /// [`ID_LIMIT`].
     pub fn alloc_slice(&mut self, tag: BlockTag, vals: &[Value]) -> Addr {
         let len = vals.len();
         let words = len as u64 + 1;
@@ -615,35 +716,34 @@ impl Heap {
         let mut hit = false;
         let listed = if !self.config.recycle {
             None
-        } else if let Some(index) = self.classes.get_mut(len).and_then(Vec::pop) {
+        } else if let Some(index) = self.pop_class(len) {
             hit = true;
             Some(index)
         } else {
             self.stats.freelist_misses += 1;
-            self.overflow
-                .iter()
-                .position(|&i| self.headers[i as usize].len as usize == len)
-                .map(|at| self.overflow.swap_remove(at))
+            self.take_overflow(len)
         };
         let addr = match listed {
             Some(index) => {
+                let extent = self.extent(index);
                 let h = &mut self.headers[index as usize];
                 debug_assert!(
-                    h.state == State::Listed && h.len as usize == len,
+                    h.state() == State::Listed && extent.len() == len,
                     "free list served header {index} ({:?}, {} fields) for {len} fields",
-                    h.state,
-                    h.len,
+                    h.state(),
+                    extent.len(),
                 );
                 // The generation was bumped when the previous tenant
                 // died.
-                h.state = State::Used;
+                h.set_state(State::Used);
                 h.count = 1;
-                h.mark = false;
+                h.set_mark(false);
                 h.set_tag(tag);
-                for (f, &v) in self.arena[h.extent()].iter_mut().zip(vals) {
+                let gen = h.gen;
+                for (f, &v) in self.arena[extent].iter_mut().zip(vals) {
                     *f = Field::new(v);
                 }
-                Addr { index, gen: h.gen }
+                Addr { index, gen }
             }
             None => {
                 let index = u32::try_from(self.headers.len())
@@ -664,9 +764,6 @@ impl Heap {
         if hit {
             self.stats.freelist_hits += 1;
             self.stats.recycled_words += words;
-            self.tr(Event::Recycle(addr, words));
-        } else {
-            self.tr(Event::Alloc(addr, words));
         }
         addr
     }
@@ -694,21 +791,22 @@ impl Heap {
             )));
         }
         let check_skipped = self.config.validation.active();
-        let h = Self::lookup_mut(&mut self.headers, token)?;
+        let h = Self::lookup(&self.headers, token)?;
         if h.count != 0 {
             return Err(RuntimeError::Internal(format!(
                 "reuse of unclaimed cell {token} (header {})",
                 h.count
             )));
         }
-        if h.len as usize != args.len() {
+        let extent = self.extent(token.index);
+        if extent.len() != args.len() {
             return Err(RuntimeError::Internal(format!(
                 "reuse size mismatch at {token}: cell has {} fields, constructor {}",
-                h.len,
+                extent.len(),
                 args.len()
             )));
         }
-        let fields = &mut self.arena[h.extent()];
+        let fields = &mut self.arena[extent];
         let mut written = 0;
         for (i, &v) in args.iter().enumerate() {
             if skip.get(i).copied().unwrap_or(false) {
@@ -724,12 +822,12 @@ impl Heap {
                 written += 1;
             }
         }
+        let h = &mut self.headers[token.index as usize];
         h.count = 1;
         h.set_tag(BlockTag::Ctor(ctor));
         self.stats.field_writes += written;
         self.stats.skipped_writes += (args.len() - written as usize) as u64;
         self.stats.on_reuse();
-        self.tr(Event::Reuse(token));
         if let Some(p) = &mut self.prof {
             p.on_reuse(ctor);
         }
@@ -778,11 +876,10 @@ impl Heap {
                 .shared
                 .as_deref()
                 .ok_or(RuntimeError::BadAddress(addr))?;
-            let (after, counted) = sh.dup(addr, &mut self.stats)?;
+            let (_, counted) = sh.dup(addr, &mut self.stats)?;
             if counted {
                 self.shared_held += 1;
             }
-            self.tr(Event::Dup(addr, after));
             return Ok(());
         }
         let h = Self::lookup_mut(&mut self.headers, addr)?;
@@ -801,8 +898,6 @@ impl Heap {
                 h.count -= 1;
             }
         }
-        let after = h.count;
-        self.tr(Event::Dup(addr, after));
         Ok(())
     }
 
@@ -838,8 +933,6 @@ impl Heap {
             let h = Self::lookup_mut(&mut self.headers, addr)?;
             if h.count > 1 {
                 h.count -= 1;
-                let after = h.count;
-                self.tr(Event::Drop(addr, after));
                 return Ok(());
             }
         }
@@ -873,21 +966,14 @@ impl Heap {
                         self.shared_held += (work.len() - before) as u64;
                     }
                 }
-                self.tr(Event::Drop(addr, after));
-                if after == 0 {
-                    self.tr(Event::Free(addr));
-                }
                 continue;
             }
             let h = Self::lookup_mut(&mut self.headers, addr)?;
             if h.count == 1 {
                 // Last reference: free, children join the worklist.
-                self.tr(Event::Drop(addr, 0));
                 self.free_block(addr, work, &mut weak_drops);
             } else if h.count > 1 {
                 h.count -= 1;
-                let after = h.count;
-                self.tr(Event::Drop(addr, after));
             } else if h.count == 0 {
                 return Err(RuntimeError::Internal(format!(
                     "drop of claimed cell {addr}"
@@ -914,11 +1000,10 @@ impl Heap {
     /// Frees a live block whose last reference just went: its children
     /// join the worklists and its header is vacated.
     fn free_block(&mut self, addr: Addr, work: &mut Vec<Addr>, weak_drops: &mut Vec<Addr>) {
-        let extent = self.headers[addr.index as usize].extent();
+        let extent = self.extent(addr.index);
         push_children(&self.arena[extent], work, weak_drops);
         let words = self.vacate(addr.index);
         self.stats.on_free(words);
-        self.tr(Event::Free(addr));
     }
 
     /// The one way a used header dies (zero count, `free`, drop-token,
@@ -928,22 +1013,18 @@ impl Heap {
     /// off. The extent stays where it is. Returns the words the block
     /// occupied; live accounting is the caller's.
     fn vacate(&mut self, index: u32) -> u64 {
+        let len = self.extent(index).len();
         let h = &mut self.headers[index as usize];
-        debug_assert_eq!(h.state, State::Used, "vacating dead header {index}");
+        debug_assert_eq!(h.state(), State::Used, "vacating dead header {index}");
         h.gen = h.gen.wrapping_add(1);
-        let words = h.words();
         if self.config.recycle {
-            h.state = State::Listed;
-            match self.classes.get_mut(h.len as usize) {
-                Some(class) => class.push(index),
-                None => self.overflow.push(index),
-            }
+            self.relist(index, len);
         } else {
-            h.state = State::Vacant;
+            h.set_state(State::Vacant);
         }
         self.used -= 1;
         self.prof_on_release(index);
-        words
+        len as u64 + 1
     }
 
     /// `decref v` — decrement without the zero check; only emitted in
@@ -1048,7 +1129,6 @@ impl Heap {
             )));
         }
         h.count = 0;
-        self.tr(Event::Claim(addr));
         Ok(Value::Token(Some(addr)))
     }
 
@@ -1076,9 +1156,9 @@ impl Heap {
                     let mut work = std::mem::take(&mut self.drop_work);
                     let mut weak_children: Vec<Addr> = Vec::new();
                     h.count = 0;
-                    push_children(&self.arena[h.extent()], &mut work, &mut weak_children);
+                    let extent = self.extent(addr.index);
+                    push_children(&self.arena[extent], &mut work, &mut weak_children);
                     self.stats.drops += (work.len() + weak_children.len()) as u64;
-                    self.tr(Event::Claim(addr));
                     let r = self.drop_loop(&mut work);
                     work.clear();
                     self.drop_work = work;
@@ -1202,9 +1282,9 @@ impl Heap {
                 )));
             }
             h.count = -h.count;
-            work.extend(self.arena[h.extent()].iter().filter_map(|f| f.addr()));
+            let extent = self.extent(addr.index);
+            work.extend(self.arena[extent].iter().filter_map(|f| f.addr()));
             self.stats.shared_marks += 1;
-            self.tr(Event::Share(addr));
         }
         Ok(())
     }
@@ -1277,7 +1357,6 @@ impl Heap {
             moved.insert(addr.index, saddr);
             self.evict(addr)?;
             self.stats.shared_marks += 1;
-            self.tr(Event::Share(addr));
         }
         Ok(Value::Ref(moved[&root.index]))
     }
@@ -1333,13 +1412,13 @@ impl Heap {
             let mut weak_held: Vec<Addr> = Vec::new();
             for index in 0..self.headers.len() {
                 let h = &self.headers[index];
-                if h.state != State::Used {
+                if h.state() != State::Used {
                     continue;
                 }
                 // A cell claimed by a reuse token has meaningless
                 // contents.
                 if repay && h.count != 0 {
-                    for f in &self.arena[h.extent()] {
+                    for f in &self.arena[self.extent(index as u32)] {
                         if let Some(a) = f.addr() {
                             if a.is_shared() {
                                 held.push(a);
@@ -1369,9 +1448,6 @@ impl Heap {
         self.stats = Stats::default();
         // Deliberately *not* zeroed: `shared_held` carries the aborted
         // session's un-returned references out to `take_shared_drift`.
-        if let Some(t) = &mut self.trace {
-            t.clear();
-        }
         // The profiler's open window counts from the zeroed `Stats`.
         if self.prof.is_some() {
             self.enable_profile();
@@ -1392,7 +1468,6 @@ impl Heap {
         Self::lookup(&self.headers, addr)?;
         let words = self.vacate(addr.index);
         self.stats.on_free(words);
-        self.tr(Event::Free(addr));
         Ok(())
     }
 
@@ -1410,21 +1485,21 @@ impl Heap {
         self.headers
             .iter()
             .enumerate()
-            .filter(|(_, h)| h.state == State::Used)
+            .filter(|(_, h)| h.state() == State::Used)
             .take(self.used)
             .map(|(i, h)| {
                 let addr = Addr {
                     index: i as u32,
                     gen: h.gen,
                 };
-                (addr, self.view_of(h))
+                (addr, self.view_of(addr.index))
             })
     }
 
     /// Collector support: clear all mark bits.
     pub(crate) fn clear_marks(&mut self) {
         for h in &mut self.headers {
-            h.mark = false;
+            h.set_mark(false);
         }
     }
 
@@ -1433,10 +1508,11 @@ impl Heap {
     /// stale or shared.
     pub(crate) fn mark(&mut self, addr: Addr) -> Option<&[Field]> {
         let h = Self::lookup_mut(&mut self.headers, addr).ok()?;
-        if std::mem::replace(&mut h.mark, true) {
+        if h.mark() {
             return None;
         }
-        Some(&self.arena[h.extent()])
+        h.set_mark(true);
+        Some(&self.arena[self.extent(addr.index)])
     }
 
     /// Collector support: sweep unmarked blocks onto the free lists;
@@ -1445,7 +1521,7 @@ impl Heap {
         let mut swept = 0;
         for index in 0..self.headers.len() {
             let h = &self.headers[index];
-            if h.state == State::Used && !h.mark {
+            if h.state() == State::Used && !h.mark() {
                 let words = self.vacate(index as u32);
                 self.stats.on_free(words);
                 swept += 1;
@@ -2037,5 +2113,87 @@ mod tests {
         // served from the lists.
         assert!(h.stats.freelist_hits >= 1999, "{}", h.stats.freelist_hits);
         assert!(h.stats.recycled_words >= 1999 * 2);
+    }
+
+    #[test]
+    fn class_lists_hand_headers_back_in_lifo_order() {
+        let mut h = heap();
+        let blocks: Vec<Addr> = (0..3)
+            .map(|i| h.alloc_slice(BlockTag::Ctor(CtorId(9)), &[Value::Int(i), Value::Int(i)]))
+            .collect();
+        for &a in &blocks {
+            h.drop_value(Value::Ref(a)).unwrap();
+        }
+        h.check_extents().unwrap();
+        let again: Vec<u32> = (0..3)
+            .map(|i| {
+                h.alloc_slice(BlockTag::Ctor(CtorId(9)), &[Value::Int(i), Value::Int(i)])
+                    .index
+            })
+            .collect();
+        let freed_last_first: Vec<u32> = blocks.iter().rev().map(|a| a.index).collect();
+        assert_eq!(again, freed_last_first);
+        assert_eq!(h.stats.freelist_hits, 3);
+    }
+
+    #[test]
+    fn wide_blocks_read_their_length_from_the_tiling() {
+        let wide: Vec<Value> = (0..Header::WIDE as i64 + 7).map(Value::Int).collect();
+        // Once as the last header, once with a header after it.
+        for followed in [false, true] {
+            let mut h = heap();
+            let before = h.alloc_slice(BlockTag::Ctor(CtorId(1)), &[Value::Int(0)]);
+            let a = h.alloc_slice(BlockTag::Ctor(CtorId(2)), &wide);
+            assert!(h.headers[a.index as usize].inline_len().is_none());
+            let after = followed.then(|| h.alloc_slice(BlockTag::Ctor(CtorId(3)), &[]));
+            assert_eq!(h.view(a).unwrap().fields.len(), wide.len());
+            h.check_extents().unwrap();
+            h.drop_value(Value::Ref(a)).unwrap();
+            assert_eq!(h.listed_blocks(), 1);
+            h.check_extents().unwrap();
+            let arena = h.arena.len();
+            let b = h.alloc_slice(BlockTag::Ctor(CtorId(4)), &wide);
+            assert_eq!(
+                (b.index, h.arena.len()),
+                (a.index, arena),
+                "recycled in place"
+            );
+            let v = h.view(b).unwrap();
+            assert_eq!(v.fields.len(), wide.len());
+            assert_eq!(v.fields[wide.len() - 1].value(), wide[wide.len() - 1]);
+            assert_eq!(v.tag, BlockTag::Ctor(CtorId(4)));
+            h.check_extents().unwrap();
+            for x in [Some(before), Some(b), after].into_iter().flatten() {
+                h.drop_value(Value::Ref(x)).unwrap();
+            }
+            assert_eq!(h.live_blocks(), 0);
+            h.check_extents().unwrap();
+        }
+    }
+
+    #[test]
+    fn header_meta_round_trips_every_field() {
+        let mut h = Header::new(BlockTag::Closure(LamId(ID_LIMIT - 1)), 5, 62);
+        assert_eq!(h.tag(), BlockTag::Closure(LamId(ID_LIMIT - 1)));
+        assert_eq!(
+            (h.inline_len(), h.state(), h.mark()),
+            (Some(62), State::Used, false)
+        );
+        h.set_mark(true);
+        h.set_state(State::Listed);
+        h.set_tag(BlockTag::MutRef);
+        assert_eq!(h.tag(), BlockTag::MutRef);
+        assert_eq!(
+            (h.inline_len(), h.state(), h.mark()),
+            (Some(62), State::Listed, true)
+        );
+        h.set_tag(BlockTag::Ctor(CtorId(7)));
+        h.set_state(State::Vacant);
+        assert_eq!(h.tag(), BlockTag::Ctor(CtorId(7)));
+        assert_eq!(
+            (h.inline_len(), h.state(), h.mark()),
+            (Some(62), State::Vacant, true)
+        );
+        assert_eq!(Header::new(BlockTag::MutRef, 0, 63).inline_len(), None);
     }
 }

@@ -36,8 +36,12 @@ type Check = Result<(), TestCaseError>;
 impl Heap {
     /// Test support: every header's extent lies inside the arena, no
     /// two headers' extents overlap (dead ones included: an extent is
-    /// never split, merged or moved), `used` is exact, and every list
-    /// holds exactly the listed headers of its length.
+    /// never split, merged or moved), only a block wider than the
+    /// inline count reads its length from the tiling, `used` is exact,
+    /// and the free lists thread exactly the listed headers: each chain
+    /// acyclic, each listed header on one chain of its own length, and
+    /// the chain lengths those [`Heap::free_list_occupancy`] and
+    /// [`Heap::listed_blocks`] report.
     pub(super) fn check_extents(&self) -> Result<(), String> {
         let mut end = 0;
         for (i, h) in self.headers.iter().enumerate() {
@@ -45,7 +49,13 @@ impl Heap {
             if h.off as usize != end {
                 return Err(format!("header {i} starts at {} not {end}", h.off));
             }
-            end = h.extent().end;
+            end = self.extent(i as u32).end;
+            if h.inline_len().is_none() && end - (h.off as usize) < Header::WIDE as usize {
+                return Err(format!(
+                    "wide header {i} has {} fields",
+                    end - h.off as usize
+                ));
+            }
         }
         if end != self.arena.len() {
             return Err(format!(
@@ -53,7 +63,7 @@ impl Heap {
                 self.arena.len()
             ));
         }
-        let count = |s: State| self.headers.iter().filter(|h| h.state == s).count();
+        let count = |s: State| self.headers.iter().filter(|h| h.state() == s).count();
         if count(State::Used) != self.used {
             return Err(format!(
                 "{} used headers, counted {}",
@@ -61,28 +71,53 @@ impl Heap {
                 self.used
             ));
         }
+        let mut chained = vec![false; self.headers.len()];
+        let mut occupancy = Vec::new();
         let mut listed = 0;
-        let lists = self.classes.iter().enumerate().map(|(k, c)| (Some(k), c));
-        for (class, list) in lists.chain([(None, &self.overflow)]) {
-            for &i in list {
-                let h = &self.headers[i as usize];
+        for (class, list) in self.lists.iter().enumerate() {
+            let mut len = 0;
+            let mut i = list.head;
+            while i != NIL {
+                let h = self
+                    .headers
+                    .get(i as usize)
+                    .ok_or(format!("list {class} names header {i}"))?;
+                if std::mem::replace(&mut chained[i as usize], true) {
+                    return Err(format!("header {i} is on a list twice (list {class})"));
+                }
+                let fields = self.extent(i).len();
                 let fits = match class {
-                    Some(k) => h.len as usize == k,
-                    None => h.len as usize >= NUM_SIZE_CLASSES,
+                    NUM_SIZE_CLASSES => fields >= NUM_SIZE_CLASSES,
+                    k => fields == k,
                 };
-                if h.state != State::Listed || !fits {
+                if h.state() != State::Listed || !fits {
                     return Err(format!(
-                        "list {class:?} holds header {i}: {:?} with {} fields",
-                        h.state, h.len
+                        "list {class} holds header {i}: {:?} with {fields} fields",
+                        h.state()
                     ));
                 }
-                listed += 1;
+                len += 1;
+                i = h.count as u32;
             }
+            if len != list.len {
+                return Err(format!("list {class} threads {len}, counts {}", list.len));
+            }
+            if class < NUM_SIZE_CLASSES && len > 0 {
+                occupancy.push((class, len as usize));
+            }
+            listed += len as usize;
         }
         if listed != count(State::Listed) {
             return Err(format!(
                 "{} listed headers, {listed} on lists",
                 count(State::Listed)
+            ));
+        }
+        if occupancy != self.free_list_occupancy() || listed as u64 != self.listed_blocks() {
+            return Err(format!(
+                "chains {occupancy:?} ({listed}), reported {:?} ({})",
+                self.free_list_occupancy(),
+                self.listed_blocks()
             ));
         }
         if !self.config.recycle && listed != 0 {
@@ -166,10 +201,12 @@ impl Model {
 
     fn step(&mut self, op: u8, a: u64, b: u64) -> Check {
         match op {
-            // alloc_slice / alloc: lengths straddle the last size class.
+            // alloc_slice / alloc: lengths straddle the last size class
+            // and the widest inline count.
             0..=3 => {
                 let len = match a % 8 {
                     0 => NUM_SIZE_CLASSES - 1 + (a >> 8) as usize % 4,
+                    1 => Header::WIDE as usize - 2 + (a >> 8) as usize % 4,
                     _ => (a >> 8) as usize % 5,
                 };
                 let fields = self.fields(len, b);

@@ -43,6 +43,8 @@
 //! assert_eq!(out.as_int(), Some(7));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod audit;
 pub mod code;
 pub mod error;
@@ -52,7 +54,6 @@ pub mod machine;
 pub mod native;
 pub mod profile;
 pub mod standard;
-pub mod trace;
 pub mod value;
 
 pub use error::RuntimeError;

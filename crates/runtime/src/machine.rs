@@ -60,7 +60,6 @@ pub struct RunConfig {
     memory_limit_words: Option<u64>,
     gc: Option<GcConfig>,
     audit_every: Option<u64>,
-    trace_capacity: Option<usize>,
     heap_recycle: bool,
     validation: Validation,
     profile: bool,
@@ -68,14 +67,13 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// The default configuration: no limits, allocator recycling on,
-    /// default validation, no tracing or profiling.
+    /// default validation, no profiling.
     pub fn new() -> Self {
         RunConfig {
             step_limit: None,
             memory_limit_words: None,
             gc: None,
             audit_every: None,
-            trace_capacity: None,
             heap_recycle: true,
             validation: Validation::default(),
             profile: false,
@@ -116,13 +114,6 @@ impl RunConfig {
     /// for tests). See [`crate::audit`].
     pub fn with_audit_every(mut self, every: Option<u64>) -> Self {
         self.audit_every = every;
-        self
-    }
-
-    /// Retain the most recent N reference-count events for debugging
-    /// (see [`crate::trace`]); `None` disables tracing.
-    pub fn with_trace_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -168,11 +159,6 @@ impl RunConfig {
     /// The audit cadence, if any.
     pub fn audit_every(&self) -> Option<u64> {
         self.audit_every
-    }
-
-    /// The rc-trace ring capacity, if any.
-    pub fn trace_capacity(&self) -> Option<usize> {
-        self.trace_capacity
     }
 
     /// Whether allocations are served from size-class free lists.
@@ -248,7 +234,7 @@ impl<'p> Machine<'p> {
     /// session's allocations hit the previous sessions' warm free
     /// lists. The heap keeps its own reclaim mode and allocator policy;
     /// the run configuration contributes the per-session limits and
-    /// turns tracing/profiling on if the heap doesn't have them yet.
+    /// turns profiling on if the heap does not have it yet.
     ///
     /// The machine holds no state besides the heap and this call's
     /// fresh stack, so a `with_heap` → run → [`Machine::into_heap`]
@@ -261,11 +247,6 @@ impl<'p> Machine<'p> {
             ReclaimMode::Gc => Some(Collector::new(config.gc.unwrap_or_default())),
             _ => None,
         };
-        if let Some(cap) = config.trace_capacity {
-            if heap.trace().is_none() {
-                heap.enable_trace(cap);
-            }
-        }
         if config.profile && !heap.profiling() {
             heap.enable_profile();
         }

@@ -24,6 +24,8 @@
 //! lifecycle state machine, and `crate::loadtest` for the traffic
 //! generator behind the `serve-smoke` CI gate.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod loadtest;
 pub mod protocol;

@@ -2,6 +2,8 @@
 //! drives one (spawning an in-process daemon unless `--addr` points at
 //! a running one).
 
+#![forbid(unsafe_code)]
+
 use perceus_bench::Baseline;
 use perceus_serve::{loadtest, server, LoadConfig, ServeConfig};
 use std::process::ExitCode;

@@ -225,9 +225,6 @@ pub struct RunOutcome {
     /// **zero** (Theorem 2); the GC/arena strategies retain whatever
     /// they haven't collected.
     pub leaked_blocks: u64,
-    /// The tail of the reference-count event trace, when tracing was
-    /// enabled in the run configuration.
-    pub trace_tail: Option<String>,
     /// Size-class free-list occupancy at exit: `(field_count, blocks)`
     /// for every nonempty class (empty when recycling is off).
     pub free_list_occupancy: Vec<(usize, usize)>,
@@ -258,7 +255,6 @@ pub fn run_workload(
         stats,
         output,
         leaked_blocks: m.heap.live_blocks(),
-        trace_tail: m.heap.trace().map(|t| t.render_tail(64)),
         free_list_occupancy: m.heap.free_list_occupancy(),
         audits: m.audits_run(),
         profile: m.heap.take_profile(),

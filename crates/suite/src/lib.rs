@@ -16,6 +16,8 @@
 //! | [`Strategy::Gc`] | OCaml / Haskell / Java (tracing collection) |
 //! | [`Strategy::Arena`] | C++ leak baseline (deriv, nqueens, cfold) |
 
+#![forbid(unsafe_code)]
+
 //! The differential-testing subsystem lives in [`diff`] (strategy ×
 //! oracle agreement plus the garbage-free invariant, over [`genprog`]
 //! programs) and [`shrink`] (greedy counterexample reduction); the

@@ -57,6 +57,8 @@
 //! Exit codes: 0 success, 1 operational failure (including denied
 //! lints), 2 usage error.
 
+#![forbid(unsafe_code)]
+
 use perceus_core::analysis::LintCode;
 use perceus_core::json::str_lit;
 use perceus_core::passes::{PassName, Pipeline};

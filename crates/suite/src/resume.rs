@@ -73,7 +73,6 @@ pub fn run_workload_budgeted(
             stats,
             output,
             leaked_blocks: m.heap.live_blocks(),
-            trace_tail: m.heap.trace().map(|t| t.render_tail(64)),
             free_list_occupancy: m.heap.free_list_occupancy(),
             audits: m.audits_run(),
             profile: m.heap.take_profile(),

@@ -19,7 +19,7 @@ use perceus_suite::{compile_workload, run_workload, Strategy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pkc FILE [--stages] [--run N] [--strategy NAME] [--trace]\n\
+        "usage: pkc FILE [--stages] [--run N] [--strategy NAME]\n\
          strategies: perceus (default), perceus-no-opt, scoped-rc, tracing-gc, arena"
     );
     std::process::exit(2)
@@ -30,13 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut file = None;
     let mut stages = false;
     let mut run_n: Option<i64> = None;
-    let mut trace = false;
     let mut strategy = Strategy::Perceus;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--stages" => stages = true,
-            "--trace" => trace = true,
             "--run" => {
                 run_n = Some(
                     it.next()
@@ -98,9 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if let Some(n) = run_n {
         let compiled = compile_workload(&src, strategy)?;
-        let config = RunConfig::new().with_trace_capacity(if trace { Some(64) } else { None });
         let start = std::time::Instant::now();
-        let out = run_workload(&compiled, strategy, n, config)?;
+        let out = run_workload(&compiled, strategy, n, RunConfig::new())?;
         println!("main({n}) = {}  [{:?}]", out.value, start.elapsed());
         for line in out.output {
             println!("println: {line}");
@@ -108,9 +105,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", out.stats);
         if strategy.is_rc() {
             println!("leaked blocks: {}", out.leaked_blocks);
-        }
-        if let Some(tail) = out.trace_tail {
-            println!("--- last reference-count events ---\n{tail}");
         }
     }
     Ok(())

@@ -23,6 +23,8 @@
 //! See `README.md` for a walkthrough, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for paper-vs-measured results.
 
+#![forbid(unsafe_code)]
+
 pub use perceus_core as core;
 pub use perceus_lang as lang;
 pub use perceus_runtime as runtime;

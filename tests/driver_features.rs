@@ -1,24 +1,8 @@
-//! Driver-level features: tracing through the run API, custom GC
-//! policies, and pipeline determinism.
+//! Driver-level features: custom GC policies and pipeline determinism.
 
 use perceus_core::passes::{PassConfig, Pipeline};
 use perceus_runtime::machine::RunConfig;
 use perceus_suite::{compile_workload, run_workload, workload, Strategy};
-
-/// Tracing can be enabled per run and surfaces the event tail.
-#[test]
-fn run_outcome_exposes_trace_tail() {
-    let w = workload("map").unwrap();
-    let c = compile_workload(w.source, Strategy::Perceus).unwrap();
-    let config = RunConfig::new().with_trace_capacity(Some(32));
-    let out = run_workload(&c, Strategy::Perceus, 20, config).unwrap();
-    let tail = out.trace_tail.expect("tracing enabled");
-    assert!(tail.contains("free"), "{tail}");
-    assert!(tail.lines().count() <= 32);
-    // Without tracing, no tail.
-    let out = run_workload(&c, Strategy::Perceus, 20, RunConfig::default()).unwrap();
-    assert!(out.trace_tail.is_none());
-}
 
 /// The pass pipeline is deterministic: compiling the same program twice
 /// yields structurally identical functions.
